@@ -21,16 +21,14 @@ use gdp_core::model::{
 };
 use gdp_core::state::{EstimatorState, StateError, StateValue};
 use gdp_dief::Dief;
-
-use crate::dief_handle::DiefHandle;
 use gdp_sim::probe::{ProbeEvent, StallCause};
 use gdp_sim::types::CoreId;
 use gdp_sim::SimConfig;
 
-/// The ITCA estimator.
+/// The standalone ITCA estimator, over its own DIEF.
 #[derive(Debug)]
 pub struct Itca {
-    dief: DiefHandle,
+    dief: Dief,
     /// Per-core interference cycles discounted in this interval.
     discounted: Vec<u64>,
 }
@@ -38,13 +36,33 @@ pub struct Itca {
 impl Itca {
     /// Build ITCA with its own sampled ATDs.
     pub fn new(cfg: &SimConfig, sampled_sets: usize) -> Self {
-        Itca::with_handle(DiefHandle::Owned(Dief::new(cfg, sampled_sets)), cfg.cores)
+        Itca { dief: Dief::new(cfg, sampled_sets), discounted: vec![0; cfg.cores] }
     }
+}
 
-    /// Build ITCA over a caller-provided DIEF handle (shared pairing).
-    pub(crate) fn with_handle(dief: DiefHandle, cores: usize) -> Self {
-        Itca { dief, discounted: vec![0; cores] }
+/// Condition (1) for one probe event: a load stall whose blocking SMS
+/// request `dief` flagged as an inter-task miss is discounted whole.
+/// Returns the stalled core and the cycles to discount.
+pub fn stall_discount(dief: &Dief, ev: &ProbeEvent) -> Option<(CoreId, u64)> {
+    match ev {
+        ProbeEvent::Stall {
+            core,
+            start,
+            end,
+            cause: StallCause::Load,
+            blocking_sms: Some(true),
+            blocking_req: Some(req),
+            ..
+        } if dief.was_interference_miss(*core, *req) => Some((*core, end - start)),
+        _ => None,
     }
+}
+
+/// ITCA's estimate: the shared SMS stalls minus the `discounted` cycles.
+pub fn private_estimate(discounted: u64, m: &IntervalMeasurement) -> PrivateEstimate {
+    let sigma_sms = (m.stats.stall_sms.saturating_sub(discounted)) as f64;
+    let so = sigma_other(&m.stats, m.lambda, m.shared_latency);
+    PrivateEstimate { cpi: private_cpi(&m.stats, sigma_sms, so), sigma_sms, cpl: 0, overlap: 0.0 }
 }
 
 impl PrivateModeEstimator for Itca {
@@ -54,73 +72,15 @@ impl PrivateModeEstimator for Itca {
 
     fn observe(&mut self, ev: &ProbeEvent) {
         self.dief.observe(ev);
-        if let ProbeEvent::Stall {
-            core,
-            start,
-            end,
-            cause: StallCause::Load,
-            blocking_sms: Some(true),
-            blocking_req: Some(req),
-            ..
-        } = ev
-        {
-            // Condition (1): the blocking load was an inter-task miss.
-            if self.dief.read(|d| d.was_interference_miss(*core, *req)) {
-                self.discounted[core.idx()] += end - start;
-            }
+        if let Some((core, cycles)) = stall_discount(&self.dief, ev) {
+            self.discounted[core.idx()] += cycles;
         }
-    }
-
-    /// For a shared DIEF: feed the whole batch first (one lock, and the
-    /// sharer skips the feed entirely), then run the per-`Stall` verdict
-    /// queries hoisted after it. Hoisting is exact: a query targets the
-    /// completed-request table, whose records are immutable from a
-    /// request's completion (ids are unique) until the interval reset,
-    /// and a `Stall` always follows the `LoadL1MissDone` it blames (the
-    /// memory system ticks before the cores) — so the verdict a query
-    /// reads at end-of-batch is the one it would have read in stream
-    /// position. For an owned DIEF the interleaved in-order loop is
-    /// faster (no second pass over the batch), so keep it.
-    fn observe_batch(&mut self, events: &[ProbeEvent]) {
-        if !self.dief.is_shared() {
-            for ev in events {
-                self.observe(ev);
-            }
-            return;
-        }
-        self.dief.observe_batch(events);
-        self.dief.read(|d| {
-            for ev in events {
-                if let ProbeEvent::Stall {
-                    core,
-                    start,
-                    end,
-                    cause: StallCause::Load,
-                    blocking_sms: Some(true),
-                    blocking_req: Some(req),
-                    ..
-                } = ev
-                {
-                    if d.was_interference_miss(*core, *req) {
-                        self.discounted[core.idx()] += end - start;
-                    }
-                }
-            }
-        });
     }
 
     fn estimate(&mut self, core: CoreId, m: &IntervalMeasurement) -> PrivateEstimate {
         let discounted = std::mem::take(&mut self.discounted[core.idx()]);
         let _ = self.dief.interval_estimate(core);
-        // Shared SMS stalls minus the cycles matching ITCA's conditions.
-        let sigma_sms = (m.stats.stall_sms.saturating_sub(discounted)) as f64;
-        let so = sigma_other(&m.stats, m.lambda, m.shared_latency);
-        PrivateEstimate {
-            cpi: private_cpi(&m.stats, sigma_sms, so),
-            sigma_sms,
-            cpl: 0,
-            overlap: 0.0,
-        }
+        private_estimate(discounted, m)
     }
 
     fn snapshot(&self) -> EstimatorState {

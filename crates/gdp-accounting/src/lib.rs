@@ -17,11 +17,12 @@
 //!   from the cache access rate observed in those epochs. Being invasive,
 //!   it perturbs the workload it measures (Fig. 1c's backlog pathology).
 //!
-//! All three implement [`gdp_core::PrivateModeEstimator`], so the
-//! experiment drivers treat them interchangeably with GDP/GDP-O.
+//! All three implement [`gdp_core::PrivateModeEstimator`]. In a session,
+//! ITCA and PTCA are readouts of the observation plane's one DIEF (their
+//! per-stall math, [`itca::stall_discount`] and [`ptca::stall_sigma`], is
+//! shared with the standalone estimators); ASM stays a stateful estimator.
 
 pub mod asm;
-mod dief_handle;
 pub mod itca;
 pub mod ptca;
 pub mod technique;
@@ -29,17 +30,4 @@ pub mod technique;
 pub use asm::Asm;
 pub use itca::Itca;
 pub use ptca::Ptca;
-
-/// Build ITCA and PTCA over one *shared* DIEF pipeline.
-///
-/// Both estimators feed their embedded DIEF the identical probe stream,
-/// so their pipelines are bit-identical state machines; sharing one (see
-/// [`dief_handle`](crate) module docs) halves the dominant ATD work when
-/// the two run in the same estimator bank, with estimates, snapshots and
-/// restores unchanged. Used by the experiment layer whenever a technique
-/// set contains both.
-pub fn shared_itca_ptca(cfg: &gdp_sim::SimConfig, sampled_sets: usize) -> (Itca, Ptca) {
-    let (a, b) = dief_handle::shared_dief_pair(cfg, sampled_sets);
-    (Itca::with_handle(a, cfg.cores), Ptca::with_handle(b, cfg.cores))
-}
 pub use technique::{ASM_TECHNIQUE, ITCA_TECHNIQUE, PTCA_TECHNIQUE};

@@ -21,16 +21,15 @@ use gdp_core::model::{
 };
 use gdp_core::state::{EstimatorState, StateError, StateValue};
 use gdp_dief::Dief;
-
-use crate::dief_handle::DiefHandle;
 use gdp_sim::probe::{ProbeEvent, StallCause};
 use gdp_sim::types::CoreId;
 use gdp_sim::SimConfig;
 
-/// The PTCA estimator (one instance covers all cores).
+/// The standalone PTCA estimator (one instance covers all cores), over
+/// its own DIEF.
 #[derive(Debug)]
 pub struct Ptca {
-    dief: DiefHandle,
+    dief: Dief,
     /// Per-core σ̂_SMS accumulated over the interval.
     sigma: Vec<f64>,
 }
@@ -39,13 +38,40 @@ impl Ptca {
     /// Build PTCA for a configuration, with its own sampled ATDs
     /// (the paper notes ASM, ITCA and PTCA all use sampled ATDs).
     pub fn new(cfg: &SimConfig, sampled_sets: usize) -> Self {
-        Ptca::with_handle(DiefHandle::Owned(Dief::new(cfg, sampled_sets)), cfg.cores)
+        Ptca { dief: Dief::new(cfg, sampled_sets), sigma: vec![0.0; cfg.cores] }
     }
+}
 
-    /// Build PTCA over a caller-provided DIEF handle (shared pairing).
-    pub(crate) fn with_handle(dief: DiefHandle, cores: usize) -> Self {
-        Ptca { dief, sigma: vec![0.0; cores] }
-    }
+/// One load stall's private-stall estimate, `max(0, stall − I)`. `I` is
+/// DIEF's view of the blocking request (which includes ATD-detected
+/// interference misses), falling back to the raw counters carried on the
+/// event. Returns the stalled core and its σ̂ contribution.
+pub fn stall_sigma(dief: &Dief, ev: &ProbeEvent) -> Option<(CoreId, f64)> {
+    let ProbeEvent::Stall {
+        core,
+        start,
+        end,
+        cause: StallCause::Load,
+        blocking_sms: Some(true),
+        blocking_req,
+        blocking_interference,
+        ..
+    } = ev
+    else {
+        return None;
+    };
+    let stall = (end - start) as f64;
+    let interference = blocking_req
+        .and_then(|r| dief.interference_of(*core, r))
+        .or_else(|| blocking_interference.map(|i| i.total()))
+        .unwrap_or(0) as f64;
+    Some((*core, (stall - interference).max(0.0)))
+}
+
+/// PTCA's estimate from the interval's accumulated σ̂_SMS.
+pub fn private_estimate(sigma_sms: f64, m: &IntervalMeasurement) -> PrivateEstimate {
+    let so = sigma_other(&m.stats, m.lambda, m.shared_latency);
+    PrivateEstimate { cpi: private_cpi(&m.stats, sigma_sms, so), sigma_sms, cpl: 0, overlap: 0.0 }
 }
 
 impl PrivateModeEstimator for Ptca {
@@ -55,77 +81,15 @@ impl PrivateModeEstimator for Ptca {
 
     fn observe(&mut self, ev: &ProbeEvent) {
         self.dief.observe(ev);
-        if let ProbeEvent::Stall {
-            core,
-            start,
-            end,
-            cause: StallCause::Load,
-            blocking_sms: Some(true),
-            blocking_req,
-            blocking_interference,
-            ..
-        } = ev
-        {
-            let stall = (end - start) as f64;
-            // DIEF's view (includes ATD-detected interference misses),
-            // falling back to the raw counters carried on the event.
-            let interference = blocking_req
-                .and_then(|r| self.dief.read(|d| d.interference_of(*core, r)))
-                .or_else(|| blocking_interference.map(|i| i.total()))
-                .unwrap_or(0) as f64;
-            self.sigma[core.idx()] += (stall - interference).max(0.0);
+        if let Some((core, sigma)) = stall_sigma(&self.dief, ev) {
+            self.sigma[core.idx()] += sigma;
         }
-    }
-
-    /// For a shared DIEF: feed the whole batch (the sharer skips it),
-    /// then run the per-`Stall` interference queries hoisted after it —
-    /// exact for the same reason as ITCA's hoist: completed-request
-    /// records are immutable from completion to the interval reset, and
-    /// a `Stall` always follows the `LoadL1MissDone` it blames. For an
-    /// owned DIEF the interleaved in-order loop is faster (no second
-    /// pass over the batch), so keep it.
-    fn observe_batch(&mut self, events: &[ProbeEvent]) {
-        if !self.dief.is_shared() {
-            for ev in events {
-                self.observe(ev);
-            }
-            return;
-        }
-        self.dief.observe_batch(events);
-        self.dief.read(|d| {
-            for ev in events {
-                if let ProbeEvent::Stall {
-                    core,
-                    start,
-                    end,
-                    cause: StallCause::Load,
-                    blocking_sms: Some(true),
-                    blocking_req,
-                    blocking_interference,
-                    ..
-                } = ev
-                {
-                    let stall = (end - start) as f64;
-                    let interference = blocking_req
-                        .and_then(|r| d.interference_of(*core, r))
-                        .or_else(|| blocking_interference.map(|i| i.total()))
-                        .unwrap_or(0) as f64;
-                    self.sigma[core.idx()] += (stall - interference).max(0.0);
-                }
-            }
-        });
     }
 
     fn estimate(&mut self, core: CoreId, m: &IntervalMeasurement) -> PrivateEstimate {
         let sigma_sms = std::mem::take(&mut self.sigma[core.idx()]);
         let _ = self.dief.interval_estimate(core);
-        let so = sigma_other(&m.stats, m.lambda, m.shared_latency);
-        PrivateEstimate {
-            cpi: private_cpi(&m.stats, sigma_sms, so),
-            sigma_sms,
-            cpl: 0,
-            overlap: 0.0,
-        }
+        private_estimate(sigma_sms, m)
     }
 
     fn snapshot(&self) -> EstimatorState {

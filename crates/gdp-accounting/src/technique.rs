@@ -5,10 +5,10 @@
 //! [`TechniqueRegistry`](gdp_core::TechniqueRegistry) — the data-driven
 //! replacement for per-binary `match`es over a technique enum.
 
-use gdp_core::technique::{TechniqueCaps, TechniqueConfig, TechniqueDesc};
-use gdp_core::PrivateModeEstimator;
+use gdp_core::technique::{Observer, Readout, TechniqueCaps, TechniqueConfig, TechniqueDesc};
+use gdp_core::{CoreSummary, IntervalMeasurement, PrivateEstimate, PrivateModeEstimator};
 
-use crate::{Asm, Itca, Ptca};
+use crate::{itca, ptca, Asm, Itca, Ptca};
 
 fn build_itca(cfg: &TechniqueConfig) -> Box<dyn PrivateModeEstimator> {
     Box::new(Itca::new(&cfg.sim, cfg.sampled_sets))
@@ -22,6 +22,14 @@ fn build_asm(cfg: &TechniqueConfig) -> Box<dyn PrivateModeEstimator> {
     Box::new(Asm::new(&cfg.sim, cfg.sampled_sets))
 }
 
+fn read_itca(s: &CoreSummary, m: &IntervalMeasurement) -> PrivateEstimate {
+    itca::private_estimate(s.discounted, m)
+}
+
+fn read_ptca(s: &CoreSummary, m: &IntervalMeasurement) -> PrivateEstimate {
+    ptca::private_estimate(s.sigma, m)
+}
+
 /// ITCA: transparent condition-based discounting (Luque et al.).
 pub const ITCA_TECHNIQUE: TechniqueDesc = TechniqueDesc {
     id: "itca",
@@ -30,6 +38,7 @@ pub const ITCA_TECHNIQUE: TechniqueDesc = TechniqueDesc {
     caps: TechniqueCaps::transparent(),
     mc_priority_epoch: None,
     default_member: true,
+    readout: Some(Readout { reads: &[Observer::Dief], estimate: read_itca }),
     factory: build_itca,
 };
 
@@ -41,12 +50,14 @@ pub const PTCA_TECHNIQUE: TechniqueDesc = TechniqueDesc {
     caps: TechniqueCaps::transparent(),
     mc_priority_epoch: None,
     default_member: true,
+    readout: Some(Readout { reads: &[Observer::Dief], estimate: read_ptca }),
     factory: build_ptca,
 };
 
 /// ASM: the invasive slowdown model (Subramanian et al.). Its epoch
 /// length tells the run loop how often to rotate the memory-controller
-/// priority token — the invasive part the capability flags advertise.
+/// priority token — the invasive part the capability flags advertise. It
+/// has no readout: its estimate needs in-order, mid-stream DIEF reads.
 pub const ASM_TECHNIQUE: TechniqueDesc = TechniqueDesc {
     id: "asm",
     label: "ASM",
@@ -54,6 +65,7 @@ pub const ASM_TECHNIQUE: TechniqueDesc = TechniqueDesc {
     caps: TechniqueCaps::invasive(),
     mc_priority_epoch: Some(crate::asm::DEFAULT_EPOCH_CYCLES),
     default_member: true,
+    readout: None,
     factory: build_asm,
 };
 

@@ -1,11 +1,11 @@
-//! Estimator-session benchmark: `observe_all`/`estimate_all` throughput
+//! Estimator-session benchmark: observation-plane and readout throughput
 //! through the streaming session API.
 //!
 //! A shared-mode trace is recorded once (setup, unmeasured); each
 //! benchmark then drives a `ReplaySession` over it — exactly the
-//! observe/estimate call sequence a live `EstimationSession` issues, at
-//! memory speed, so the measured time is the *estimator* cost per event,
-//! isolated from the simulator. Scenarios cover the single-technique
+//! interval pipeline a live `EstimationSession` runs, at memory speed, so
+//! the measured time is the *estimator* cost per event, isolated from the
+//! simulator. Scenarios cover the single-technique
 //! embedding case, the paper's transparent comparison set, and the full
 //! registry. `BENCH_session.json` at the repo root records the baseline
 //! events/s.
@@ -36,7 +36,7 @@ fn bench_session(c: &mut Criterion) {
         ("transparent4", transparent.clone()),
         // Throughput-only: replaying the invasive ASM over a transparent
         // trace has no live counterpart (see ReplaySession::new); here it
-        // just exercises every registered estimator's observe/estimate cost.
+        // just exercises every registered observer and readout.
         ("registry6", Technique::all_registered()),
     ];
     for (name, set) in scenarios {
@@ -48,32 +48,6 @@ fn bench_session(c: &mut Criterion) {
             );
         });
     }
-
-    // The per-event oracle (`GDP_ESTIMATOR=per-event` hatch): identical
-    // output, pre-batch dispatch — one virtual call per estimator per
-    // event. The delta vs `replay/transparent4` is what batched
-    // dispatch buys.
-    c.bench_function("session/replay/transparent4/per-event", |b| {
-        b.iter_batched(
-            || {
-                ReplaySession::new(&trace, &xcfg, &transparent)
-                    .with_dispatch(gdp_core::DispatchMode::PerEvent)
-            },
-            |session| session.into_report(),
-            BatchSize::SmallInput,
-        );
-    });
-
-    // Bank-parallel dispatch: each technique's observe_batch fanned
-    // across a 4-worker pool inside every interval (observe and
-    // estimate phases are separate fan-outs), bit-identical to serial.
-    c.bench_function("session/replay/transparent4/bank-parallel", |b| {
-        b.iter_batched(
-            || ReplaySession::new(&trace, &xcfg, &transparent).with_pool(Pool::new(4)),
-            |session| session.into_report(),
-            BatchSize::SmallInput,
-        );
-    });
 
     // Segmented parallel replay over summarized estimator-state
     // checkpoints (summarization is setup, as in a recorded campaign):

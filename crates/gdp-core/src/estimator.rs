@@ -8,10 +8,9 @@
 //! * **GDP-O**: σ̂_SMS = CPL · max(λ̂ − O, 0), with O the average number of
 //!   cycles the CPU commits while an SMS-load is pending.
 
-use std::sync::{Arc, Mutex};
-
 use crate::model::{
-    private_cpi, sigma_other, IntervalMeasurement, PrivateEstimate, PrivateModeEstimator,
+    private_cpi, sigma_other, CoreSummary, IntervalMeasurement, PrivateEstimate,
+    PrivateModeEstimator,
 };
 use crate::state::{EstimatorState, StateError, StateValue};
 use crate::unit::GdpUnit;
@@ -25,22 +24,6 @@ pub enum GdpVariant {
     Gdp,
     /// GDP with overlap accounting: CPL × (λ̂ − O).
     GdpO,
-}
-
-/// Raw per-interval unit harvest: the dataflow quantities only (the
-/// Fig. 5 component study's inputs).
-///
-/// Deliberately *not* a [`PrivateEstimate`]: the stall estimate σ̂_SMS
-/// additionally needs DIEF's λ̂, which only arrives with the boundary
-/// measurement, so a harvest carrying a `sigma_sms` field could only ever
-/// hold a placeholder zero that looks like a real estimate (the bug this
-/// type split fixes).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GdpHarvest {
-    /// Critical path length harvested for the interval.
-    pub cpl: u64,
-    /// Average overlap O (0 for plain GDP).
-    pub overlap: f64,
 }
 
 /// Multi-core GDP/GDP-O estimator.
@@ -65,21 +48,6 @@ impl GdpEstimator {
     /// Read access to a core's unit (diagnostics).
     pub fn unit(&self, core: CoreId) -> &GdpUnit {
         &self.units[core.idx()]
-    }
-
-    /// Harvest the interval's CPL and overlap for `core`.
-    pub fn harvest(&mut self, core: CoreId, now: u64) -> GdpHarvest {
-        let unit = &mut self.units[core.idx()];
-        let cpl = unit.take_cpl(now);
-        let overlap = match self.variant {
-            GdpVariant::Gdp => {
-                // Still drain the spans so memory stays bounded.
-                let _ = unit.take_average_overlap(now);
-                0.0
-            }
-            GdpVariant::GdpO => unit.take_average_overlap(now),
-        };
-        GdpHarvest { cpl, overlap }
     }
 }
 
@@ -111,10 +79,15 @@ impl PrivateModeEstimator for GdpEstimator {
         }
     }
 
+    /// Harvests CPL, then the average overlap (drained for plain GDP
+    /// too, so memory stays bounded), the order the observation plane
+    /// uses.
     fn estimate(&mut self, core: CoreId, m: &IntervalMeasurement) -> PrivateEstimate {
         let now = m.stats.cycles; // monotone enough for rebasing
-        let h = self.harvest(core, now);
-        estimate_from_harvest(self.variant, h, m)
+        let unit = &mut self.units[core.idx()];
+        let cpl = unit.take_cpl(now);
+        let s = CoreSummary { cpl, overlap: unit.take_average_overlap(now), ..Default::default() };
+        gdp_estimate(self.variant, &s, m)
     }
 
     fn snapshot(&self) -> EstimatorState {
@@ -136,195 +109,22 @@ impl PrivateModeEstimator for GdpEstimator {
     }
 }
 
-/// Fold a harvested interval and its boundary measurement into the
-/// variant's estimate — the one place the GDP/GDP-O estimate math lives,
-/// shared by [`GdpEstimator`] and [`SharedGdpEstimator`].
-fn estimate_from_harvest(
+/// Fold an interval's CPL (and, for GDP-O, its overlap) and its boundary
+/// measurement into the variant's estimate — the one place the GDP/GDP-O
+/// estimate math lives, shared by [`GdpEstimator`] and the registry
+/// readouts. Plain GDP ignores and reports no overlap.
+pub fn gdp_estimate(
     variant: GdpVariant,
-    h: GdpHarvest,
+    s: &CoreSummary,
     m: &IntervalMeasurement,
 ) -> PrivateEstimate {
-    let effective_lambda = match variant {
-        GdpVariant::Gdp => m.lambda,
-        GdpVariant::GdpO => (m.lambda - h.overlap).max(0.0),
+    let (overlap, effective_lambda) = match variant {
+        GdpVariant::Gdp => (0.0, m.lambda),
+        GdpVariant::GdpO => (s.overlap, (m.lambda - s.overlap).max(0.0)),
     };
-    let sigma_sms = h.cpl as f64 * effective_lambda;
+    let sigma_sms = s.cpl as f64 * effective_lambda;
     let so = sigma_other(&m.stats, m.lambda, m.shared_latency);
-    PrivateEstimate {
-        cpi: private_cpi(&m.stats, sigma_sms, so),
-        sigma_sms,
-        cpl: h.cpl,
-        overlap: h.overlap,
-    }
-}
-
-/// Observation core shared by a fused GDP/GDP-O pair.
-///
-/// `GdpUnit` state evolution never depends on the variant — GDP and GDP-O
-/// observe identically, and GDP's harvest drains the overlap spans it then
-/// discards. So when both techniques run in one bank, feeding two unit
-/// sets is pure duplication. This state is fed once per dispatch step and
-/// harvested once per (core, interval); sequence counters let whichever
-/// view arrives first do the work, making the result independent of view
-/// order — and, under pooled dispatch, of worker scheduling.
-#[derive(Debug)]
-struct GdpPairState {
-    units: Vec<GdpUnit>,
-    /// Dispatch steps (events in per-event mode, batches in batched mode)
-    /// already applied to `units`.
-    fed: u64,
-    /// Per-core count of harvests taken from `units`.
-    harvest_seq: Vec<u64>,
-    /// Most recent harvest per core, for the second view to read.
-    harvest_cache: Vec<GdpHarvest>,
-}
-
-/// One view of a fused GDP/GDP-O estimator pair.
-///
-/// Build with [`shared_gdp_pair`]; each view is a drop-in
-/// [`PrivateModeEstimator`] whose estimates, snapshots and restores are
-/// bit-identical to a standalone [`GdpEstimator`] of the same variant —
-/// the pair just runs one dataflow-graph pipeline instead of two.
-///
-/// Correctness leans on the bank's dispatch discipline: both views see
-/// the same call sequence (same granularity, estimates per core in
-/// interval order), which the [`crate::model::EstimatorBank`] guarantees
-/// for subscribed estimators. Both views carry `needs_probe_stream`, so
-/// a bank never leaves one unsubscribed.
-#[derive(Debug)]
-pub struct SharedGdpEstimator {
-    variant: GdpVariant,
-    state: Arc<Mutex<GdpPairState>>,
-    /// Dispatch steps this view has seen (compare with `state.fed`).
-    seen: u64,
-    /// Per-core harvests this view has consumed (compare with
-    /// `state.harvest_seq`).
-    harvest_seen: Vec<u64>,
-}
-
-/// Build a fused GDP + GDP-O estimator pair sharing one observation core.
-///
-/// Returned in registry order: `(GDP view, GDP-O view)`.
-pub fn shared_gdp_pair(
-    cores: usize,
-    prb_entries: usize,
-) -> (SharedGdpEstimator, SharedGdpEstimator) {
-    let state = Arc::new(Mutex::new(GdpPairState {
-        units: (0..cores).map(|_| GdpUnit::new(prb_entries)).collect(),
-        fed: 0,
-        harvest_seq: vec![0; cores],
-        harvest_cache: vec![GdpHarvest { cpl: 0, overlap: 0.0 }; cores],
-    }));
-    let view = |variant| SharedGdpEstimator {
-        variant,
-        state: Arc::clone(&state),
-        seen: 0,
-        harvest_seen: vec![0; cores],
-    };
-    (view(GdpVariant::Gdp), view(GdpVariant::GdpO))
-}
-
-impl SharedGdpEstimator {
-    /// The variant this view reports.
-    pub fn variant(&self) -> GdpVariant {
-        self.variant
-    }
-}
-
-impl PrivateModeEstimator for SharedGdpEstimator {
-    fn name(&self) -> &'static str {
-        match self.variant {
-            GdpVariant::Gdp => "GDP",
-            GdpVariant::GdpO => "GDP-O",
-        }
-    }
-
-    fn observe(&mut self, ev: &ProbeEvent) {
-        let mut st = self.state.lock().expect("gdp pair state poisoned");
-        if self.seen == st.fed {
-            if let Some(core) = ev.core() {
-                if let Some(unit) = st.units.get_mut(core.idx()) {
-                    unit.observe(ev);
-                }
-            }
-            st.fed += 1;
-        }
-        self.seen += 1;
-    }
-
-    /// One lock and one sequence step per *batch*: the first view to
-    /// arrive feeds the whole slice, the other only advances its counter.
-    fn observe_batch(&mut self, events: &[ProbeEvent]) {
-        let mut st = self.state.lock().expect("gdp pair state poisoned");
-        if self.seen == st.fed {
-            for ev in events {
-                if let Some(core) = ev.core() {
-                    if let Some(unit) = st.units.get_mut(core.idx()) {
-                        unit.observe(ev);
-                    }
-                }
-            }
-            st.fed += 1;
-        }
-        self.seen += 1;
-    }
-
-    fn estimate(&mut self, core: CoreId, m: &IntervalMeasurement) -> PrivateEstimate {
-        let now = m.stats.cycles; // monotone enough for rebasing
-        let c = core.idx();
-        let mut st = self.state.lock().expect("gdp pair state poisoned");
-        if self.harvest_seen[c] == st.harvest_seq[c] {
-            // First view here this interval: harvest once, in the same
-            // order a standalone estimator uses (CPL, then overlap).
-            let unit = &mut st.units[c];
-            let cpl = unit.take_cpl(now);
-            let overlap = unit.take_average_overlap(now);
-            st.harvest_cache[c] = GdpHarvest { cpl, overlap };
-            st.harvest_seq[c] += 1;
-        }
-        let full = st.harvest_cache[c];
-        drop(st);
-        self.harvest_seen[c] += 1;
-        let h = match self.variant {
-            // Plain GDP discards the overlap it drained.
-            GdpVariant::Gdp => GdpHarvest { cpl: full.cpl, overlap: 0.0 },
-            GdpVariant::GdpO => full,
-        };
-        estimate_from_harvest(self.variant, h, m)
-    }
-
-    fn snapshot(&self) -> EstimatorState {
-        let st = self.state.lock().expect("gdp pair state poisoned");
-        EstimatorState::new(
-            self.name(),
-            StateValue::List(st.units.iter().map(GdpUnit::snapshot_value).collect()),
-        )
-    }
-
-    fn restore(&mut self, state: &EstimatorState) -> Result<(), StateError> {
-        let units = state.check(self.name())?.as_list()?;
-        let mut st = self.state.lock().expect("gdp pair state poisoned");
-        if units.len() != st.units.len() {
-            return Err(StateError::ConfigMismatch("core count"));
-        }
-        for (unit, v) in st.units.iter_mut().zip(units) {
-            unit.restore_value(v)?;
-        }
-        // Re-arm the sequence counters. Both views of a pair are restored
-        // back-to-back (banks restore estimators in order, with no
-        // observes in between), and their saved trees are identical — the
-        // second restore is an idempotent rewrite, not a conflict.
-        st.fed = 0;
-        for s in st.harvest_seq.iter_mut() {
-            *s = 0;
-        }
-        drop(st);
-        self.seen = 0;
-        for s in self.harvest_seen.iter_mut() {
-            *s = 0;
-        }
-        Ok(())
-    }
+    PrivateEstimate { cpi: private_cpi(&m.stats, sigma_sms, so), sigma_sms, cpl: s.cpl, overlap }
 }
 
 #[cfg(test)]

@@ -39,14 +39,14 @@ pub mod state;
 pub mod technique;
 pub mod unit;
 
-pub use estimator::{shared_gdp_pair, GdpEstimator, GdpHarvest, GdpVariant, SharedGdpEstimator};
+pub use estimator::{gdp_estimate, GdpEstimator, GdpVariant};
 pub use model::{
-    private_cpi, sigma_other, DispatchMode, EstimatorBank, IntervalMeasurement, PrivateEstimate,
+    private_cpi, sigma_other, CoreSummary, IntervalMeasurement, PrivateEstimate,
     PrivateModeEstimator,
 };
 pub use state::{EstimatorState, StateError, StateValue, STATE_VERSION};
 pub use technique::{
-    TechniqueCaps, TechniqueConfig, TechniqueDesc, TechniqueRegistry, UnknownTechnique,
-    GDP_O_TECHNIQUE, GDP_TECHNIQUE,
+    Observer, Readout, TechniqueCaps, TechniqueConfig, TechniqueDesc, TechniqueRegistry,
+    UnknownTechnique, GDP_O_TECHNIQUE, GDP_TECHNIQUE,
 };
 pub use unit::GdpUnit;

@@ -58,13 +58,31 @@ impl PrivateEstimate {
     }
 }
 
-/// Common interface of all accounting techniques (GDP, GDP-O, ITCA, PTCA,
-/// ASM): observe the shared-mode probe stream and produce a private-mode
-/// estimate at every accounting interval.
+/// One core's per-interval summary from the observation plane: what the
+/// paper's hardware yields at a boundary (§IV). The core's GDP unit gives
+/// CPL and overlap; DIEF's per-stall interference records give ITCA's
+/// discounted cycles and PTCA's σ̂. A transparent technique is a pure
+/// readout of this summary and the boundary [`IntervalMeasurement`].
+/// Fields whose observer is absent from the plane stay zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct CoreSummary {
+    /// Critical path length harvested for the interval.
+    pub cpl: u64,
+    /// Average commit/load overlap O.
+    pub overlap: f64,
+    /// Stall cycles on inter-task misses (ITCA's condition 1).
+    pub discounted: u64,
+    /// Σ per-stall `max(0, stall − interference)` (PTCA's σ̂_SMS).
+    pub sigma: f64,
+}
+
+/// A stateful accounting technique: observe the shared-mode probe stream
+/// and produce a private-mode estimate at every accounting interval.
 ///
-/// `Send` is a supertrait so an [`EstimatorBank`] can fan techniques out
-/// across worker threads between interval boundaries (estimators are
-/// independent state machines, so per-technique parallelism is bit-neutral).
+/// ASM is the one built-in that runs this way in a session; the other
+/// techniques implement it too, over their own observers, as the
+/// per-event reference the readouts are tested against. `Send` lets a
+/// session holding one move to a worker thread.
 pub trait PrivateModeEstimator: Send {
     /// Technique name for reports.
     fn name(&self) -> &'static str;
@@ -76,13 +94,9 @@ pub trait PrivateModeEstimator: Send {
     /// Feed one interval's probe-event batch.
     ///
     /// Must be observationally identical to calling [`observe`] for each
-    /// event in order — implementations may reorder *internal* work (e.g.
-    /// partitioning by cache set or core) only when the final state and
-    /// every externally visible intermediate answer are bit-identical to
-    /// the in-order feed. The default is the per-event loop; because
-    /// default methods are compiled per concrete type, even the default
-    /// devirtualizes the inner `observe` calls, so the bank pays one
-    /// virtual call per (technique × batch) instead of per event.
+    /// event in order. The default is the per-event loop; because default
+    /// methods are compiled per concrete type, it devirtualizes the inner
+    /// `observe` calls (one virtual call per batch, not per event).
     fn observe_batch(&mut self, events: &[ProbeEvent]) {
         for ev in events {
             self.observe(ev);
@@ -97,8 +111,7 @@ pub trait PrivateModeEstimator: Send {
     ///
     /// Contract: `restore(snapshot())` on an identically-configured
     /// estimator, followed by any call sequence, produces bit-identical
-    /// results to continuing on the original — the property segmented
-    /// parallel replay is built on.
+    /// results to continuing on the original.
     fn snapshot(&self) -> EstimatorState;
 
     /// Replace the estimator's internal state with `state`.
@@ -107,161 +120,6 @@ pub trait PrivateModeEstimator: Send {
     /// re-restore) when the snapshot belongs to a different technique,
     /// schema version or hardware configuration.
     fn restore(&mut self, state: &EstimatorState) -> Result<(), StateError>;
-}
-
-/// How an [`EstimatorBank`] drives its estimators over an interval batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// One [`PrivateModeEstimator::observe_batch`] call per (subscribed
-    /// technique × interval batch) — the production path.
-    Batched,
-    /// The historical per-event loop (events outer, estimators inner) —
-    /// the oracle escape hatch, selectable at runtime with
-    /// `GDP_ESTIMATOR=per-event` for A/B bit-equality checks.
-    PerEvent,
-}
-
-impl DispatchMode {
-    /// Resolve the dispatch mode from the `GDP_ESTIMATOR` environment
-    /// variable: `per-event` selects the oracle loop, anything else (or
-    /// unset) the batched path.
-    pub fn from_env() -> DispatchMode {
-        match std::env::var("GDP_ESTIMATOR") {
-            Ok(v) if v == "per-event" => DispatchMode::PerEvent,
-            _ => DispatchMode::Batched,
-        }
-    }
-}
-
-/// The estimator bank: the boxed techniques, their probe-stream
-/// subscription mask and the batched dispatch over both.
-///
-/// This is *the* observation loop: the live session, the replay session
-/// and the lower-level `gdp-trace` replay engine all drive estimators
-/// through one bank, so an estimator sees byte-for-byte the same call
-/// sequence every way — the property that makes replayed estimates
-/// bit-identical to live ones. Estimators whose `subscribed` slot is
-/// `false` are skipped entirely, so the `needs_probe_stream` capability
-/// flag cannot silently lie — a technique declaring it does not consume
-/// the stream never receives one. Estimators are independent state
-/// machines, so skipping a non-subscriber — and, equally, feeding each
-/// subscriber its whole batch before the next (estimator-outer order) —
-/// is bit-neutral for every estimator's own call sequence.
-pub struct EstimatorBank {
-    estimators: Vec<Box<dyn PrivateModeEstimator>>,
-    subscribed: Vec<bool>,
-    mode: DispatchMode,
-}
-
-impl EstimatorBank {
-    /// Build a bank over `estimators` with a probe-stream subscription
-    /// mask, resolving the dispatch mode from the environment
-    /// ([`DispatchMode::from_env`]).
-    ///
-    /// # Panics
-    /// Panics if the mask length does not match the estimator count.
-    pub fn new(estimators: Vec<Box<dyn PrivateModeEstimator>>, subscribed: Vec<bool>) -> Self {
-        assert_eq!(estimators.len(), subscribed.len(), "one mask slot per estimator");
-        EstimatorBank { estimators, subscribed, mode: DispatchMode::from_env() }
-    }
-
-    /// A bank with every estimator subscribed to the probe stream.
-    pub fn all_subscribed(estimators: Vec<Box<dyn PrivateModeEstimator>>) -> Self {
-        let subscribed = vec![true; estimators.len()];
-        Self::new(estimators, subscribed)
-    }
-
-    /// Override the dispatch mode (tests and benchmarks pin a mode
-    /// explicitly instead of racing on the process environment).
-    pub fn with_mode(mut self, mode: DispatchMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// In-place dispatch-mode override, for banks already embedded in a
-    /// session.
-    pub fn set_mode(&mut self, mode: DispatchMode) {
-        self.mode = mode;
-    }
-
-    /// The active dispatch mode.
-    pub fn mode(&self) -> DispatchMode {
-        self.mode
-    }
-
-    /// Number of estimators in the bank.
-    pub fn len(&self) -> usize {
-        self.estimators.len()
-    }
-
-    /// Whether the bank holds no estimators.
-    pub fn is_empty(&self) -> bool {
-        self.estimators.is_empty()
-    }
-
-    /// The subscription mask, in estimator order.
-    pub fn subscribed(&self) -> &[bool] {
-        &self.subscribed
-    }
-
-    /// Number of estimators subscribed to the probe stream.
-    pub fn subscribed_count(&self) -> usize {
-        self.subscribed.iter().filter(|&&s| s).count()
-    }
-
-    /// Read access to the estimators (snapshotting, diagnostics).
-    pub fn estimators(&self) -> &[Box<dyn PrivateModeEstimator>] {
-        &self.estimators
-    }
-
-    /// Mutable access to the estimators — checkpoint restore, and the
-    /// per-technique parallel dispatch (each worker borrows one slot).
-    pub fn estimators_mut(&mut self) -> &mut [Box<dyn PrivateModeEstimator>] {
-        &mut self.estimators
-    }
-
-    /// Feed one interval's probe-event batch to every subscribed
-    /// estimator: one `observe_batch` virtual call per technique in
-    /// [`DispatchMode::Batched`], the historical events-outer loop in
-    /// [`DispatchMode::PerEvent`]. Both orders are bit-identical because
-    /// each estimator's own observed sequence is the full batch in event
-    /// order either way.
-    pub fn observe_interval(&mut self, events: &[ProbeEvent]) {
-        match self.mode {
-            DispatchMode::Batched => {
-                for (e, sub) in self.estimators.iter_mut().zip(&self.subscribed) {
-                    if *sub {
-                        e.observe_batch(events);
-                    }
-                }
-            }
-            DispatchMode::PerEvent => {
-                for ev in events {
-                    for (e, sub) in self.estimators.iter_mut().zip(&self.subscribed) {
-                        if *sub {
-                            e.observe(ev);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Produce one estimate per estimator (in estimator order) for
-    /// `core` at an interval boundary.
-    pub fn estimate_row(&mut self, core: CoreId, m: &IntervalMeasurement) -> Vec<PrivateEstimate> {
-        self.estimators.iter_mut().map(|e| e.estimate(core, m)).collect()
-    }
-}
-
-impl std::fmt::Debug for EstimatorBank {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EstimatorBank")
-            .field("estimators", &self.estimators.iter().map(|e| e.name()).collect::<Vec<_>>())
-            .field("subscribed", &self.subscribed)
-            .field("mode", &self.mode)
-            .finish()
-    }
 }
 
 /// σ̂_Other: other memory-related stalls scale with the latency ratio
@@ -354,77 +212,6 @@ mod tests {
         let cpi = private_cpi(&s, sigma, 0.0);
         let back = sigma_sms_from_cpi(&s, cpi, 0.0);
         assert!((back - sigma).abs() < 1e-6);
-    }
-
-    fn two_estimator_bank(mode: DispatchMode) -> EstimatorBank {
-        use crate::{GdpEstimator, GdpVariant};
-        EstimatorBank::all_subscribed(vec![
-            Box::new(GdpEstimator::new(GdpVariant::Gdp, 1, 4)),
-            Box::new(GdpEstimator::new(GdpVariant::GdpO, 1, 4)),
-        ])
-        .with_mode(mode)
-    }
-
-    #[test]
-    fn bank_visits_estimators_in_order() {
-        let mut bank = two_estimator_bank(DispatchMode::Batched);
-        let ev = ProbeEvent::LoadL1Miss {
-            core: CoreId(0),
-            req: gdp_sim::types::ReqId(1),
-            block: 0x40,
-            cycle: 3,
-        };
-        bank.observe_interval(&[ev]);
-        let m = IntervalMeasurement { stats: stats(), lambda: 10.0, shared_latency: 20.0 };
-        let out = bank.estimate_row(CoreId(0), &m);
-        assert_eq!(out.len(), 2, "one estimate per estimator, in order");
-    }
-
-    #[test]
-    fn batched_and_per_event_dispatch_are_bit_identical() {
-        let ev = |cycle| ProbeEvent::LoadL1Miss {
-            core: CoreId(0),
-            req: gdp_sim::types::ReqId(cycle),
-            block: 0x40 * cycle,
-            cycle,
-        };
-        let events: Vec<ProbeEvent> = (1..64).map(ev).collect();
-        let m = IntervalMeasurement { stats: stats(), lambda: 10.0, shared_latency: 20.0 };
-        let mut batched = two_estimator_bank(DispatchMode::Batched);
-        let mut oracle = two_estimator_bank(DispatchMode::PerEvent);
-        batched.observe_interval(&events);
-        oracle.observe_interval(&events);
-        let a = batched.estimate_row(CoreId(0), &m);
-        let b = oracle.estimate_row(CoreId(0), &m);
-        for (ea, eb) in a.iter().zip(&b) {
-            assert_eq!(ea.cpi.to_bits(), eb.cpi.to_bits());
-            assert_eq!(ea.sigma_sms.to_bits(), eb.sigma_sms.to_bits());
-            assert_eq!(ea.cpl, eb.cpl);
-        }
-    }
-
-    #[test]
-    fn unsubscribed_estimators_never_see_the_stream() {
-        use crate::{GdpEstimator, GdpVariant};
-        let mut bank = EstimatorBank::new(
-            vec![
-                Box::new(GdpEstimator::new(GdpVariant::Gdp, 1, 4)),
-                Box::new(GdpEstimator::new(GdpVariant::GdpO, 1, 4)),
-            ],
-            vec![true, false],
-        )
-        .with_mode(DispatchMode::Batched);
-        assert_eq!(bank.subscribed_count(), 1);
-        let ev = ProbeEvent::LoadL1Miss {
-            core: CoreId(0),
-            req: gdp_sim::types::ReqId(1),
-            block: 0x40,
-            cycle: 3,
-        };
-        bank.observe_interval(&[ev]);
-        let m = IntervalMeasurement { stats: stats(), lambda: 10.0, shared_latency: 20.0 };
-        let out = bank.estimate_row(CoreId(0), &m);
-        assert_eq!(out[1].cpl, 0, "unsubscribed estimator observed nothing");
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! First-class, serializable estimator state.
 //!
-//! Every registered technique can [`snapshot`] its complete internal
-//! state — PRB/PCB contents, ATD tag arrays, DIEF interference and λ̂
-//! counters — into an [`EstimatorState`] and later [`restore`] it,
+//! Every observer of the probe stream (the GDP units, DIEF, the stateful
+//! ASM) and every standalone estimator can [`snapshot`] its complete
+//! internal state — PRB/PCB contents, ATD tag arrays, DIEF interference
+//! and λ̂ counters — into an [`EstimatorState`] and later [`restore`] it,
 //! bit-exactly. The state is a positional tree of [`StateValue`]s: the
-//! encoding layer (`gdp-trace`) needs no per-technique knowledge, and a
-//! technique's snapshot/restore pair is the only code that knows its
+//! encoding layer (`gdp-trace`) needs no per-observer knowledge, and an
+//! observer's snapshot/restore pair is the only code that knows its
 //! field order. Restoring a snapshot taken at interval boundary *k* and
 //! replaying from there is bit-identical to replaying from the start —
 //! the property that makes segmented parallel replay and on-demand
@@ -21,10 +22,11 @@
 
 use std::fmt;
 
-/// Version of the snapshot *schema* (the field layout each technique
-/// writes). Bumped whenever any technique changes its snapshot layout;
-/// a mismatch is a typed [`StateError`], never a misdecode.
-pub const STATE_VERSION: u32 = 1;
+/// Version of the snapshot *schema* (the field layout each observer
+/// writes). Bumped whenever any layout changes; a mismatch is a typed
+/// [`StateError`], never a misdecode. Version 2 keys checkpoints by
+/// observer (`gdp-units`, `dief`, `asm`) instead of by technique.
+pub const STATE_VERSION: u32 = 2;
 
 /// One node of a positional estimator-state tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,11 +99,12 @@ impl StateValue {
     }
 }
 
-/// A complete snapshot of one estimator's internal state.
+/// A complete snapshot of one observer's or estimator's internal state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EstimatorState {
-    /// The technique's display name ([`PrivateModeEstimator::name`]);
-    /// restore refuses a snapshot taken from a different technique.
+    /// The observer or technique name (an estimator's
+    /// [`PrivateModeEstimator::name`]); restore refuses a snapshot taken
+    /// from anything else.
     ///
     /// [`PrivateModeEstimator::name`]: crate::model::PrivateModeEstimator::name
     pub technique: String,

@@ -2,8 +2,10 @@
 //!
 //! Every accounting technique (GDP, GDP-O and the ITCA/PTCA/ASM/DIEF
 //! baselines) is described by a [`TechniqueDesc`]: a stable string id, a
-//! display label, capability flags and a factory building the estimator
-//! from one unified [`TechniqueConfig`]. A [`TechniqueRegistry`] is an
+//! display label, capability flags, a [`Readout`] over the observation
+//! plane's per-core summary (none for the stateful ASM) and a factory
+//! building the standalone estimator from one unified
+//! [`TechniqueConfig`]. A [`TechniqueRegistry`] is an
 //! ordered collection of descriptors — the single authority the
 //! experiment drivers, the campaign binaries' `--techniques` flag, JSON
 //! result labels and trace replay all resolve techniques through, instead
@@ -15,8 +17,8 @@
 //! export the baselines) and a downstream crate assembles them into a
 //! registry in presentation order.
 
-use crate::estimator::{GdpEstimator, GdpVariant};
-use crate::model::PrivateModeEstimator;
+use crate::estimator::{gdp_estimate, GdpEstimator, GdpVariant};
+use crate::model::{CoreSummary, IntervalMeasurement, PrivateEstimate, PrivateModeEstimator};
 use gdp_sim::SimConfig;
 
 /// Unified construction parameters for every registered technique: the
@@ -48,20 +50,17 @@ pub struct TechniqueCaps {
     /// Whether the technique consumes the probe-event stream (all
     /// techniques except pure boundary-measurement models).
     pub needs_probe_stream: bool,
-    /// Whether the technique requires LLC partition control (reserved for
-    /// partitioning-coupled estimators; none of the built-ins do).
-    pub needs_partition_control: bool,
 }
 
 impl TechniqueCaps {
     /// A transparent probe-stream observer (the common case).
     pub const fn transparent() -> TechniqueCaps {
-        TechniqueCaps { invasive: false, needs_probe_stream: true, needs_partition_control: false }
+        TechniqueCaps { invasive: false, needs_probe_stream: true }
     }
 
     /// An invasive probe-stream observer (ASM).
     pub const fn invasive() -> TechniqueCaps {
-        TechniqueCaps { invasive: true, needs_probe_stream: true, needs_partition_control: false }
+        TechniqueCaps { invasive: true, needs_probe_stream: true }
     }
 
     /// Transparent, does not perturb execution.
@@ -70,7 +69,29 @@ impl TechniqueCaps {
     }
 }
 
-/// A registered accounting technique: identity, capabilities and factory.
+/// An observer of the probe stream, as the paper's hardware has them: one
+/// GDP unit per core and one DIEF (§IV).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Observer {
+    /// One `GdpUnit` per core: CPL and overlap.
+    GdpUnits,
+    /// The DIEF with its per-stall ITCA/PTCA accumulators.
+    Dief,
+}
+
+/// A technique as a pure function of one core's [`CoreSummary`] and its
+/// boundary measurement.
+#[derive(Debug, Clone, Copy)]
+pub struct Readout {
+    /// The observers whose summary fields the readout reads (none for a
+    /// readout of the measurement alone).
+    pub reads: &'static [Observer],
+    /// The estimate.
+    pub estimate: fn(&CoreSummary, &IntervalMeasurement) -> PrivateEstimate,
+}
+
+/// A registered accounting technique: identity, capabilities, readout
+/// and factory.
 #[derive(Debug)]
 pub struct TechniqueDesc {
     /// Stable lower-case string id (`--techniques` / configuration
@@ -90,7 +111,11 @@ pub struct TechniqueDesc {
     /// Whether the technique belongs to the paper's default comparison
     /// set (the five techniques of Figs. 3–5).
     pub default_member: bool,
-    /// Build the estimator for `cfg`.
+    /// The technique as a readout of the observation plane. `None` marks
+    /// a stateful technique (ASM): sessions build it with `factory` and
+    /// feed it the stream in order.
+    pub readout: Option<Readout>,
+    /// Build the standalone estimator for `cfg`.
     pub factory: fn(&TechniqueConfig) -> Box<dyn PrivateModeEstimator>,
 }
 
@@ -109,6 +134,14 @@ fn build_gdp_o(cfg: &TechniqueConfig) -> Box<dyn PrivateModeEstimator> {
     Box::new(GdpEstimator::new(GdpVariant::GdpO, cfg.cores(), cfg.prb_entries))
 }
 
+fn read_gdp(s: &CoreSummary, m: &IntervalMeasurement) -> PrivateEstimate {
+    gdp_estimate(GdpVariant::Gdp, s, m)
+}
+
+fn read_gdp_o(s: &CoreSummary, m: &IntervalMeasurement) -> PrivateEstimate {
+    gdp_estimate(GdpVariant::GdpO, s, m)
+}
+
 /// GDP: transparent dataflow accounting, σ̂ = CPL · λ̂ (this paper).
 pub const GDP_TECHNIQUE: TechniqueDesc = TechniqueDesc {
     id: "gdp",
@@ -117,6 +150,7 @@ pub const GDP_TECHNIQUE: TechniqueDesc = TechniqueDesc {
     caps: TechniqueCaps::transparent(),
     mc_priority_epoch: None,
     default_member: true,
+    readout: Some(Readout { reads: &[Observer::GdpUnits], estimate: read_gdp }),
     factory: build_gdp,
 };
 
@@ -128,6 +162,7 @@ pub const GDP_O_TECHNIQUE: TechniqueDesc = TechniqueDesc {
     caps: TechniqueCaps::transparent(),
     mc_priority_epoch: None,
     default_member: true,
+    readout: Some(Readout { reads: &[Observer::GdpUnits], estimate: read_gdp_o }),
     factory: build_gdp_o,
 };
 

@@ -143,8 +143,8 @@ impl Dief {
     /// exact, though: they target the completed-request table, whose
     /// records are immutable from completion to the interval reset, and
     /// every `Stall` follows the `LoadL1MissDone` it blames (the memory
-    /// system ticks before the cores) — the fused ITCA/PTCA batch paths
-    /// rely on exactly that.
+    /// system ticks before the cores) — the observation plane's ITCA and
+    /// PTCA queries rely on exactly that.
     pub fn observe_batch(&mut self, events: &[ProbeEvent]) {
         let slots = self.atds.first().map_or(0, Atd::slots);
         self.scratch.clear();

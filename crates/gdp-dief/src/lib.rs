@@ -33,4 +33,4 @@ pub mod technique;
 
 pub use atd::{Atd, AtdOutcome};
 pub use estimator::{Dief, LatencyEstimate};
-pub use technique::{DiefOnly, DIEF_TECHNIQUE};
+pub use technique::{latency_ratio_estimate, DiefOnly, DIEF_TECHNIQUE};

@@ -11,10 +11,11 @@
 //! with `--techniques dief` on any figure binary.
 
 use gdp_core::model::{
-    private_cpi, sigma_other, IntervalMeasurement, PrivateEstimate, PrivateModeEstimator,
+    private_cpi, sigma_other, CoreSummary, IntervalMeasurement, PrivateEstimate,
+    PrivateModeEstimator,
 };
 use gdp_core::state::{EstimatorState, StateError, StateValue};
-use gdp_core::technique::{TechniqueCaps, TechniqueConfig, TechniqueDesc};
+use gdp_core::technique::{Readout, TechniqueCaps, TechniqueConfig, TechniqueDesc};
 use gdp_sim::probe::ProbeEvent;
 use gdp_sim::types::CoreId;
 
@@ -42,16 +43,7 @@ impl PrivateModeEstimator for DiefOnly {
     fn observe(&mut self, _ev: &ProbeEvent) {}
 
     fn estimate(&mut self, _core: CoreId, m: &IntervalMeasurement) -> PrivateEstimate {
-        let ratio =
-            if m.shared_latency > 0.0 { (m.lambda / m.shared_latency).min(1.0) } else { 1.0 };
-        let sigma_sms = m.stats.stall_sms as f64 * ratio;
-        let so = sigma_other(&m.stats, m.lambda, m.shared_latency);
-        PrivateEstimate {
-            cpi: private_cpi(&m.stats, sigma_sms, so),
-            sigma_sms,
-            cpl: 0,
-            overlap: 0.0,
-        }
+        latency_ratio_estimate(m)
     }
 
     fn snapshot(&self) -> EstimatorState {
@@ -65,8 +57,20 @@ impl PrivateModeEstimator for DiefOnly {
     }
 }
 
+/// Scale every measured SMS stall cycle by λ̂ / L (never up).
+pub fn latency_ratio_estimate(m: &IntervalMeasurement) -> PrivateEstimate {
+    let ratio = if m.shared_latency > 0.0 { (m.lambda / m.shared_latency).min(1.0) } else { 1.0 };
+    let sigma_sms = m.stats.stall_sms as f64 * ratio;
+    let so = sigma_other(&m.stats, m.lambda, m.shared_latency);
+    PrivateEstimate { cpi: private_cpi(&m.stats, sigma_sms, so), sigma_sms, cpl: 0, overlap: 0.0 }
+}
+
 fn build_dief(_cfg: &TechniqueConfig) -> Box<dyn PrivateModeEstimator> {
     Box::new(DiefOnly::new())
+}
+
+fn read_dief(_s: &CoreSummary, m: &IntervalMeasurement) -> PrivateEstimate {
+    latency_ratio_estimate(m)
 }
 
 /// DIEF-only: latency-ratio stall scaling with no dataflow information.
@@ -75,13 +79,10 @@ pub const DIEF_TECHNIQUE: TechniqueDesc = TechniqueDesc {
     id: "dief",
     label: "DIEF",
     summary: "Latency-ratio scaling from DIEF's lambda alone (no dataflow)",
-    caps: TechniqueCaps {
-        invasive: false,
-        needs_probe_stream: false,
-        needs_partition_control: false,
-    },
+    caps: TechniqueCaps { invasive: false, needs_probe_stream: false },
     mc_priority_epoch: None,
     default_member: false,
+    readout: Some(Readout { reads: &[], estimate: read_dief }),
     factory: build_dief,
 };
 

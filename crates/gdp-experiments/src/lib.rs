@@ -13,6 +13,9 @@
 //!   [`Technique`] handle: every estimator is data (id, label,
 //!   capability flags, factory), so sweeps, CLI selection and JSON
 //!   labels are configuration instead of code.
+//! * [`plane`] — the [`ObservationPlane`]: the probe stream's observers
+//!   (one GDP unit per core, one DIEF) fed once per interval, with every
+//!   transparent technique a readout of their per-core summary.
 //! * [`session`] — the streaming [`EstimationSession`]: a host embeds
 //!   it to consume per-interval private-mode estimates online; the
 //!   batch drivers here are thin shims over it.
@@ -34,6 +37,7 @@ pub mod accuracy;
 pub mod config;
 pub mod interval;
 pub mod metrics;
+pub mod plane;
 pub mod policy_run;
 pub mod private;
 pub mod session;
@@ -48,6 +52,7 @@ pub use accuracy::{
 pub use config::ExperimentConfig;
 pub use interval::IntervalSchedule;
 pub use metrics::export_engine_counters;
+pub use plane::ObservationPlane;
 pub use policy_run::{run_policy_study, PolicyKind, PolicyOutcome};
 pub use private::{run_private, run_private_metered, PrivateCheckpoint, PrivateRun};
 pub use session::{

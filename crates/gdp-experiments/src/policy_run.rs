@@ -6,20 +6,19 @@
 //! lookahead fed by GDP / GDP-O). Reported STP uses *actual* private-mode
 //! CPIs from dedicated private runs: `STP = Σ π_i / P_i`.
 
-use gdp_accounting::Asm;
-use gdp_core::model::{IntervalMeasurement, PrivateModeEstimator};
-use gdp_dief::Dief;
 use gdp_partition::{
     contiguous_masks, AllocContext, AsmCache, CoreSignals, Mcp, PartitionPolicy, Ucp,
 };
 use gdp_sim::stats::CoreStats;
 use gdp_sim::types::CoreId;
 use gdp_sim::System;
+use gdp_trace::Boundary;
 use gdp_workloads::Workload;
 
 use crate::config::ExperimentConfig;
 use crate::interval::IntervalSchedule;
 use crate::private::run_private;
+use crate::session::Pipeline;
 use crate::techniques::Technique;
 
 /// The LLC managers of Fig. 6.
@@ -123,16 +122,16 @@ fn run_with_policy(
 ) -> (Vec<f64>, u64) {
     let n = xcfg.sim.cores;
     let mut sys = System::new(xcfg.sim.clone(), workload.streams());
-    let mut dief = Dief::new(&xcfg.sim, xcfg.sampled_sets);
-
-    // Estimator feeding π̂ into the policy, if any. MCP's feeder is
-    // built through the registry, so any registered transparent
-    // technique can drive the partitioning lookahead.
-    let mut estimator: Option<Box<dyn PrivateModeEstimator>> = match policy {
-        PolicyKind::Mcp(t) => Some(t.build(&xcfg.technique_config())),
-        PolicyKind::AsmPart => Some(Box::new(Asm::new(&xcfg.sim, xcfg.sampled_sets))),
-        _ => None,
+    // The technique feeding π̂ into the policy, if any, on the same live
+    // interval pipeline a session runs (its DIEF also supplies λ̂ and the
+    // miss curves). MCP's feeder resolves through the registry, so any
+    // registered transparent technique can drive the lookahead.
+    let feeder = match policy {
+        PolicyKind::Mcp(t) => vec![t],
+        PolicyKind::AsmPart => vec![Technique::ASM],
+        _ => Vec::new(),
     };
+    let mut pipeline = Pipeline::new(&feeder, xcfg, true);
     let mut alloc_policy: Option<Box<dyn PartitionPolicy>> = match policy {
         PolicyKind::Lru => None,
         PolicyKind::Ucp => Some(Box::new(Ucp::new())),
@@ -141,7 +140,7 @@ fn run_with_policy(
         PolicyKind::Mcp(_) => Some(Box::new(Mcp::new())),
     };
     // ASM's accounting is invasive: rotate the MC priority token.
-    let asm_epoch = (policy == PolicyKind::AsmPart).then(|| Asm::new(&xcfg.sim, 1).epoch_len());
+    let asm_epoch = feeder.iter().find_map(|t| t.mc_priority_epoch());
 
     let cap = xcfg.cycle_cap();
     let mut last: Vec<CoreStats> = (0..n).map(|c| *sys.core_stats(c)).collect();
@@ -175,66 +174,60 @@ fn run_with_policy(
         while schedule.pop_crossed(sys.now()).is_some() {
             sys.finalize();
             let events = sys.drain_probes();
-            for ev in &events {
-                dief.observe(ev);
-                if let Some(e) = estimator.as_deref_mut() {
-                    e.observe(ev);
-                }
-            }
+            pipeline.observe(&events);
+            let dief = pipeline.plane.dief().expect("a live pipeline holds a DIEF");
+            // Read the miss curves before the boundary harvest resets
+            // DIEF's per-interval counters.
+            let curves: Vec<Vec<u64>> = if alloc_policy.is_some() {
+                (0..n).map(|c| dief.miss_curve(CoreId(c as u8))).collect()
+            } else {
+                Vec::new()
+            };
+            let boundaries: Vec<Boundary> = (0..n)
+                .map(|c| {
+                    let cum = *sys.core_stats(c);
+                    let prev = std::mem::replace(&mut last[c], cum);
+                    let delta = cum.delta(&prev);
+                    Boundary {
+                        instr_start: prev.committed_instrs,
+                        instr_end: cum.committed_instrs,
+                        stats: delta,
+                        lambda: 0.0, // the pipeline's DIEF fills in λ̂
+                        shared_latency: delta.avg_sms_latency(),
+                    }
+                })
+                .collect();
+            let row = pipeline.close(0, &boundaries); // unmetered: no index needed
             if let Some(p) = alloc_policy.as_deref_mut() {
-                let mut signals = Vec::with_capacity(n);
                 // Global post-LLC latency (shared off-chip bandwidth, §V).
-                let mut post_sum = 0u64;
-                let mut miss_sum = 0u64;
-                let deltas: Vec<CoreStats> = (0..n)
-                    .map(|c| {
-                        let d = sys.core_stats(c).delta(&last[c]);
-                        post_sum += d.sms_post_llc_latency_sum;
-                        miss_sum += d.llc_misses;
-                        d
-                    })
-                    .collect();
+                let post_sum: u64 = row.iter().map(|r| r.stats.sms_post_llc_latency_sum).sum();
+                let miss_sum: u64 = row.iter().map(|r| r.stats.llc_misses).sum();
                 let post_global =
                     if miss_sum > 0 { post_sum as f64 / miss_sum as f64 } else { 0.0 };
-                for (c, delta) in deltas.iter().enumerate() {
-                    let core = CoreId(c as u8);
-                    let curve = dief.miss_curve(core);
-                    let lat = dief.interval_estimate(core);
-                    let m = IntervalMeasurement {
-                        stats: *delta,
-                        lambda: lat.private,
-                        shared_latency: delta.avg_sms_latency(),
-                    };
-                    let private_cpi = estimator
-                        .as_deref_mut()
-                        .map(|e| e.estimate(core, &m).cpi)
-                        .unwrap_or(delta.cpi());
-                    signals.push(CoreSignals {
-                        miss_curve: curve,
-                        instrs: delta.committed_instrs,
-                        commit_cycles: delta.commit_cycles,
-                        stall_non_sms: delta.stall_ind + delta.stall_pms + delta.stall_other,
-                        stall_sms: delta.stall_sms,
-                        sms_loads: delta.sms_loads,
-                        llc_misses: delta.llc_misses,
-                        avg_sms_latency: delta.avg_sms_latency(),
-                        avg_pre_llc_latency: delta.avg_pre_llc_latency(),
-                        avg_post_llc_latency: post_global,
-                        private_cpi,
-                        shared_cpi: delta.cpi(),
-                    });
-                }
+                let signals = row
+                    .iter()
+                    .zip(curves)
+                    .map(|(r, miss_curve)| {
+                        let d = &r.stats;
+                        CoreSignals {
+                            miss_curve,
+                            instrs: d.committed_instrs,
+                            commit_cycles: d.commit_cycles,
+                            stall_non_sms: d.stall_ind + d.stall_pms + d.stall_other,
+                            stall_sms: d.stall_sms,
+                            sms_loads: d.sms_loads,
+                            llc_misses: d.llc_misses,
+                            avg_sms_latency: d.avg_sms_latency(),
+                            avg_pre_llc_latency: d.avg_pre_llc_latency(),
+                            avg_post_llc_latency: post_global,
+                            private_cpi: r.estimates.first().map_or(d.cpi(), |e| e.cpi),
+                            shared_cpi: d.cpi(),
+                        }
+                    })
+                    .collect();
                 let ctx = AllocContext { ways: xcfg.sim.llc.ways, cores: signals };
                 let alloc = p.allocate(&ctx);
                 sys.set_llc_partition(Some(contiguous_masks(&alloc)));
-            } else {
-                // LRU: still reset DIEF's interval accumulators.
-                for c in 0..n {
-                    let _ = dief.interval_estimate(CoreId(c as u8));
-                }
-            }
-            for c in 0..n {
-                last[c] = *sys.core_stats(c);
             }
         }
     }

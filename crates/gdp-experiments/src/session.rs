@@ -1,8 +1,9 @@
-//! The streaming estimation session: one API under the whole stack.
+//! The streaming estimation sessions: one API under the whole stack.
 //!
-//! An [`EstimationSession`] owns a [`System`], DIEF, any registered
-//! technique set and an [`IntervalSchedule`], and exposes the paper's
-//! runtime estimation loop *incrementally*:
+//! An [`EstimationSession`] owns a [`System`], an
+//! [`ObservationPlane`] (the probe stream's observers plus the attached
+//! techniques' readouts) and an [`IntervalSchedule`], and exposes the
+//! paper's runtime estimation loop *incrementally*:
 //!
 //! * [`EstimationSession::advance_to`] — simulate up to a target cycle,
 //!   crossing every accounting-interval boundary exactly;
@@ -13,35 +14,32 @@
 //! * [`EstimationSession::into_report`] — finish the run and assemble
 //!   the classic [`SharedRun`].
 //!
-//! The batch drivers are thin shims over this one loop:
-//! [`run_shared`](crate::shared::run_shared) builds a session and calls
-//! `into_report`; trace capture is a session with a
-//! [`TraceSink`] attached; trace replay is a [`ReplaySession`] feeding
-//! the same estimator bank from a recorded stream instead of a live
-//! simulator. A host system embeds the same session to consume live
-//! interference-free estimates online (see `examples/quickstart.rs`).
+//! [`ReplaySession`] feeds the same pipeline from a recorded trace and
+//! [`StreamSession`] from intervals pushed in from outside. All three
+//! drive one interval pipeline (observe, harvest, read out, count), so
+//! they differ only in where an interval's events and boundaries come
+//! from. The batch drivers are thin shims over these sessions, and a host
+//! system embeds one to consume live interference-free estimates online
+//! (see `examples/quickstart.rs`).
 
 use std::sync::Arc;
 
-use gdp_core::model::{
-    DispatchMode, EstimatorBank, IntervalMeasurement, PrivateEstimate, PrivateModeEstimator,
-};
 use gdp_core::state::{EstimatorState, StateError};
-use gdp_dief::Dief;
 use gdp_runner::Pool;
 use gdp_sim::probe::ProbeEvent;
 use gdp_sim::stats::CoreStats;
 use gdp_sim::types::{CoreId, Cycle};
 use gdp_sim::{EngineCounters, System};
-use gdp_telemetry::{log_info, Counter, Gauge, MetricsRegistry, SpanHandle, TimeSeries};
+use gdp_telemetry::{log_info, Counter, MetricsRegistry, SpanHandle, TimeSeries};
 use gdp_trace::{Boundary, CheckpointFile, SharedTrace, StateCheckpoint, TraceSink};
 use gdp_workloads::Workload;
 
 use crate::config::ExperimentConfig;
 use crate::interval::IntervalSchedule;
 use crate::metrics::export_engine_counters;
+use crate::plane::{FeedSpans, ObservationPlane};
 use crate::shared::{CoreInterval, SharedRun};
-use crate::techniques::{build_estimator_set, Technique};
+use crate::techniques::Technique;
 
 /// Telemetry handles a session resolves once at build time, so the
 /// per-interval loop touches only atomics (never the registry's name
@@ -51,26 +49,27 @@ use crate::techniques::{build_estimator_set, Technique};
 /// snapshot.
 struct SessionMetrics {
     registry: Arc<MetricsRegistry>,
-    /// `session.events`: probe events fed to the estimator bank.
+    /// `session.events`: probe events fed to the observation plane.
     events: Counter,
     /// `session.intervals`: accounting-interval rows emitted.
     intervals: Counter,
     /// `session.events.<id>`: events each subscribed technique observed
     /// (zero for techniques that opt out of the probe stream).
     tech_events: Vec<Counter>,
+    /// Whether each technique consumes the probe stream.
+    subscribed: Vec<bool>,
     /// `session.advance`: time inside [`EstimationSession::advance_to`]
     /// — engine stepping *plus* boundary estimation; subtract the
-    /// dief/observe/estimate sub-spans for pure engine time.
+    /// `session.batch` span for pure engine time.
     advance_span: SpanHandle,
-    /// `session.dief`: time feeding DIEF.
-    dief_span: SpanHandle,
-    /// `session.batch`: the whole per-interval estimator dispatch —
-    /// observe *and* estimate across every technique. Its self-time
-    /// (total minus the observe/estimate child spans) is the dispatch
-    /// overhead `render_profile` separates from estimator self-time.
+    /// `session.dief` (DIEF and its per-stall queries) and
+    /// `session.observe` (GDP units and stateful techniques).
+    feed: FeedSpans,
+    /// `session.batch`: the whole per-interval pipeline — observe,
+    /// harvest and every readout. Its self-time (total minus the
+    /// dief/observe/estimate child spans) is the pipeline overhead
+    /// `render_profile` separates from observer and readout time.
     batch_span: SpanHandle,
-    /// `session.observe`: time feeding estimator `observe` hooks.
-    observe_span: SpanHandle,
     /// `session.estimate.<id>`: per-technique estimate-phase time.
     estimate_spans: Vec<SpanHandle>,
     /// `ts.session.events`: probe events per interval index — the
@@ -90,11 +89,9 @@ struct SessionMetrics {
     ts_llc_accesses: TimeSeries,
     /// `ts.llc.misses`: LLC misses per interval (summed over cores).
     ts_llc_misses: TimeSeries,
-    /// `ts.session.batch_events`: estimator-observations dispatched per
-    /// interval index — events × subscribed techniques, the work the
-    /// batched dispatcher amortizes into one virtual call per technique.
-    /// Deterministic (a pure function of the observed stream), recorded
-    /// under both dispatch modes so A/B runs snapshot identically.
+    /// `ts.session.batch_events`: technique-observations per interval
+    /// index — events × subscribed techniques. Deterministic (a pure
+    /// function of the observed stream).
     ts_batch_events: TimeSeries,
     /// `tsw.session.estimate.<id>`: per-technique estimate-phase
     /// nanoseconds per interval — wall-clock, `timeseries_wall` group.
@@ -103,21 +100,21 @@ struct SessionMetrics {
 
 impl SessionMetrics {
     fn new(registry: Arc<MetricsRegistry>, techniques: &[Technique]) -> SessionMetrics {
+        let per_tech = |prefix: &str| -> Vec<String> {
+            techniques.iter().map(|t| format!("{prefix}.{}", t.id())).collect()
+        };
         SessionMetrics {
             events: registry.counter("session.events"),
             intervals: registry.counter("session.intervals"),
-            tech_events: techniques
-                .iter()
-                .map(|t| registry.counter(&format!("session.events.{}", t.id())))
-                .collect(),
+            tech_events: per_tech("session.events").iter().map(|n| registry.counter(n)).collect(),
+            subscribed: techniques.iter().map(|t| t.caps().needs_probe_stream).collect(),
             advance_span: registry.span("session.advance"),
-            dief_span: registry.span("session.dief"),
+            feed: FeedSpans {
+                dief: registry.span("session.dief"),
+                observe: registry.span("session.observe"),
+            },
             batch_span: registry.span("session.batch"),
-            observe_span: registry.span("session.observe"),
-            estimate_spans: techniques
-                .iter()
-                .map(|t| registry.span(&format!("session.estimate.{}", t.id())))
-                .collect(),
+            estimate_spans: per_tech("session.estimate").iter().map(|n| registry.span(n)).collect(),
             ts_events: registry.time_series("ts.session.events"),
             ts_rows: registry.time_series("ts.session.intervals"),
             ts_cycles: registry.time_series("ts.engine.cycles"),
@@ -125,177 +122,115 @@ impl SessionMetrics {
             ts_llc_accesses: registry.time_series("ts.llc.accesses"),
             ts_llc_misses: registry.time_series("ts.llc.misses"),
             ts_batch_events: registry.time_series("ts.session.batch_events"),
-            estimate_ts: techniques
+            estimate_ts: per_tech("tsw.session.estimate")
                 .iter()
-                .map(|t| registry.wall_time_series(&format!("tsw.session.estimate.{}", t.id())))
+                .map(|n| registry.wall_time_series(n))
                 .collect(),
             registry,
         }
     }
-
-    /// Count a drained event batch against the session and every
-    /// subscribed technique, and fold it into the interval-`index` bin
-    /// of the event-rate series.
-    fn count_events(&self, n: usize, subscribed: &[bool], index: u64) {
-        self.events.add(n as u64);
-        self.ts_events.record(index, n as u64);
-        for (c, &on) in self.tech_events.iter().zip(subscribed) {
-            if on {
-                c.add(n as u64);
-            }
-        }
-    }
-
-    /// Record one emitted boundary row at interval `index`, with the
-    /// interval's summed LLC access/miss deltas.
-    fn record_boundary(&self, index: u64, llc_accesses: u64, llc_misses: u64) {
-        self.intervals.inc();
-        self.ts_rows.record(index, 1);
-        self.ts_llc_accesses.record(index, llc_accesses);
-        self.ts_llc_misses.record(index, llc_misses);
-    }
 }
 
-/// One accounting interval's estimator dispatch: feed the event batch
-/// and run the estimate phase for every technique in the bank, returning
-/// `rows[core]` = one estimate per technique in registry order.
-///
-/// Three execution shapes, all bit-identical. Every shape honours the
-/// same two-phase contract: **all** observes complete before **any**
-/// estimate runs. The ordering matters across estimators, not just
-/// within one — fused pairs ([`build_estimator_set`]) share interval
-/// state that the first member's estimate resets, so an estimate
-/// interleaved before a partner's observe/read phase would hand that
-/// partner a cleared table:
-///
-/// * **batched, serial** — one [`PrivateModeEstimator::observe_batch`]
-///   sweep over the bank, then one per-core estimate sweep; dispatch
-///   costs one virtual call per technique per phase;
-/// * **batched, pooled** — the same two phases as two pool fan-outs
-///   with a barrier between, results reassembled in registry order.
-///   Per-technique spans are skipped — wall-clock under a fan-out would
-///   depend on scheduling, the same reason [`ParallelReplaySession`]
-///   never meters its inner segments;
-/// * **per-event** (`GDP_ESTIMATOR=per-event`) — the retained oracle:
-///   the legacy events-outer loop and per-core metered estimates,
-///   exactly as the pre-batch dispatcher ran. CI A/B-diffs this shape
-///   against the batched default byte-for-byte.
-fn dispatch_interval(
-    metrics: Option<&SessionMetrics>,
-    bank: &mut EstimatorBank,
-    pool: Option<&Pool>,
-    events: &[ProbeEvent],
-    measurements: &[IntervalMeasurement],
-    index: u64,
-) -> Vec<Vec<PrivateEstimate>> {
-    let cores = measurements.len();
-    let batch_guard = metrics.map(|mx| {
-        mx.ts_batch_events.record(index, events.len() as u64 * bank.subscribed_count() as u64);
-        mx.batch_span.enter()
-    });
-    let subs: Vec<bool> = bank.subscribed().to_vec();
-    let parallel = pool.is_some_and(|p| p.workers() > 1) && bank.len() > 1;
-    let per_tech: Vec<Vec<PrivateEstimate>> = match bank.mode() {
-        DispatchMode::Batched if parallel => {
-            // Two fan-outs with a barrier between: every estimator must
-            // finish its observe phase before any estimate runs, or a
-            // fused pair's first member could reset shared interval
-            // state its partner still has to read.
-            let pool = pool.expect("parallel implies a pool");
-            let observe_jobs: Vec<_> = bank
-                .estimators_mut()
-                .iter_mut()
-                .zip(&subs)
-                .map(|(e, sub)| {
-                    move || {
-                        if *sub {
-                            e.observe_batch(events);
-                        }
-                    }
-                })
-                .collect();
-            pool.run(observe_jobs);
-            let estimate_jobs: Vec<_> = bank
-                .estimators_mut()
-                .iter_mut()
-                .map(|e| {
-                    move || {
-                        measurements
-                            .iter()
-                            .enumerate()
-                            .map(|(c, m)| e.estimate(CoreId(c as u8), m))
-                            .collect::<Vec<_>>()
-                    }
-                })
-                .collect();
-            pool.run(estimate_jobs)
-        }
-        DispatchMode::Batched => {
-            for (e, sub) in bank.estimators_mut().iter_mut().zip(&subs) {
-                if *sub {
-                    let _g = metrics.map(|mx| mx.observe_span.enter());
-                    e.observe_batch(events);
-                }
-            }
-            bank.estimators_mut()
-                .iter_mut()
-                .enumerate()
-                .map(|(i, e)| {
-                    let _g = metrics.map(|mx| mx.estimate_spans[i].enter());
-                    let start = std::time::Instant::now();
-                    let row: Vec<PrivateEstimate> = measurements
-                        .iter()
-                        .enumerate()
-                        .map(|(c, m)| e.estimate(CoreId(c as u8), m))
-                        .collect();
-                    if let Some(mx) = metrics {
-                        mx.estimate_ts[i].record(index, start.elapsed().as_nanos() as u64);
-                    }
-                    row
-                })
-                .collect()
-        }
-        DispatchMode::PerEvent => {
-            {
-                let _g = metrics.map(|mx| mx.observe_span.enter());
-                for ev in events {
-                    for (e, sub) in bank.estimators_mut().iter_mut().zip(&subs) {
-                        if *sub {
-                            e.observe(ev);
-                        }
-                    }
-                }
-            }
-            let mut per_tech: Vec<Vec<PrivateEstimate>> =
-                (0..bank.len()).map(|_| Vec::with_capacity(cores)).collect();
-            for (c, m) in measurements.iter().enumerate() {
-                for (i, e) in bank.estimators_mut().iter_mut().enumerate() {
-                    let est = match metrics {
-                        None => e.estimate(CoreId(c as u8), m),
-                        Some(mx) => {
-                            let _g = mx.estimate_spans[i].enter();
-                            let start = std::time::Instant::now();
-                            let est = e.estimate(CoreId(c as u8), m);
-                            mx.estimate_ts[i].record(index, start.elapsed().as_nanos() as u64);
-                            est
-                        }
-                    };
-                    per_tech[i].push(est);
-                }
-            }
-            per_tech
-        }
-    };
-    drop(batch_guard);
-    // Transpose [technique][core] → [core][technique] rows.
-    let mut rows: Vec<Vec<PrivateEstimate>> =
-        (0..cores).map(|_| Vec::with_capacity(per_tech.len())).collect();
-    for tech_row in per_tech {
-        for (c, est) in tech_row.into_iter().enumerate() {
-            rows[c].push(est);
-        }
+/// The one interval pipeline under every session (and fig6's policy
+/// loop): the observation plane, its readouts and the session's
+/// telemetry.
+pub(crate) struct Pipeline {
+    pub(crate) plane: ObservationPlane,
+    /// Whether the plane's DIEF supplies λ̂ (live sessions) instead of
+    /// the fed boundaries (recorded or pushed streams).
+    live: bool,
+    metrics: Option<SessionMetrics>,
+}
+
+impl Pipeline {
+    pub(crate) fn new(techniques: &[Technique], xcfg: &ExperimentConfig, live: bool) -> Pipeline {
+        let plane = ObservationPlane::new(techniques, &xcfg.technique_config(), live);
+        Pipeline { plane, live, metrics: None }
     }
-    rows
+
+    fn attach_metrics(&mut self, registry: Arc<MetricsRegistry>) {
+        self.metrics = Some(SessionMetrics::new(registry, self.plane.techniques()));
+    }
+
+    fn techniques(&self) -> &[Technique] {
+        self.plane.techniques()
+    }
+
+    /// One accounting interval, index `idx`: [`Pipeline::observe`] then
+    /// [`Pipeline::close`], metered.
+    fn step(
+        &mut self,
+        idx: u64,
+        events: &[ProbeEvent],
+        boundaries: &[Boundary],
+    ) -> Vec<CoreInterval> {
+        let batch = self.metrics.as_ref().map(|mx| {
+            let n = events.len() as u64;
+            mx.events.add(n);
+            mx.ts_events.record(idx, n);
+            let subscribed = mx.subscribed.iter().filter(|&&s| s).count() as u64;
+            mx.ts_batch_events.record(idx, n * subscribed);
+            for (c, &on) in mx.tech_events.iter().zip(&mx.subscribed) {
+                if on {
+                    c.add(n);
+                }
+            }
+            mx.batch_span.enter()
+        });
+        self.observe(events);
+        let row = self.close(idx, boundaries);
+        drop(batch);
+        if let Some(mx) = &self.metrics {
+            mx.intervals.inc();
+            mx.ts_rows.record(idx, 1);
+            mx.ts_llc_accesses.record(idx, boundaries.iter().map(|b| b.stats.llc_accesses).sum());
+            mx.ts_llc_misses.record(idx, boundaries.iter().map(|b| b.stats.llc_misses).sum());
+        }
+        row
+    }
+
+    /// Feed one interval's events to the plane.
+    pub(crate) fn observe(&mut self, events: &[ProbeEvent]) {
+        self.plane.observe(events, self.metrics.as_ref().map(|mx| &mx.feed));
+    }
+
+    /// Close interval `idx` at one boundary per core: harvest each core's
+    /// summary (in a live session, its λ̂ replaces the boundary's), then
+    /// read every technique out, technique by technique.
+    pub(crate) fn close(&mut self, idx: u64, boundaries: &[Boundary]) -> Vec<CoreInterval> {
+        let mut inputs = Vec::with_capacity(boundaries.len());
+        let mut rows: Vec<CoreInterval> = Vec::with_capacity(boundaries.len());
+        for (c, b) in boundaries.iter().enumerate() {
+            let (summary, lambda) = self.plane.harvest(CoreId(c as u8), b.stats.cycles);
+            let mut m = b.measurement();
+            m.lambda = lambda.filter(|_| self.live).unwrap_or(b.lambda);
+            inputs.push((summary, m));
+            rows.push(CoreInterval {
+                instr_start: b.instr_start,
+                instr_end: b.instr_end,
+                stats: b.stats,
+                lambda: m.lambda,
+                shared_latency: b.shared_latency,
+                estimates: Vec::with_capacity(self.techniques().len()),
+            });
+        }
+        for i in 0..self.techniques().len() {
+            let _g = self.metrics.as_ref().map(|mx| mx.estimate_spans[i].enter());
+            let start = std::time::Instant::now();
+            for (c, (row, (summary, m))) in rows.iter_mut().zip(&inputs).enumerate() {
+                row.estimates.push(self.plane.estimate(i, CoreId(c as u8), summary, m));
+            }
+            if let Some(mx) = &self.metrics {
+                mx.estimate_ts[i].record(idx, start.elapsed().as_nanos() as u64);
+            }
+        }
+        rows
+    }
+
+    /// The plane's state at boundary `at`.
+    fn checkpoint(&self, at: u64) -> StateCheckpoint {
+        StateCheckpoint { at, states: self.plane.snapshot() }
+    }
 }
 
 /// Builder for an [`EstimationSession`].
@@ -322,8 +257,6 @@ pub struct SessionBuilder<'s> {
     techniques: Vec<Technique>,
     sink: Option<&'s mut dyn TraceSink>,
     metrics: Option<Arc<MetricsRegistry>>,
-    pool: Option<Pool>,
-    dispatch: Option<DispatchMode>,
 }
 
 impl SessionBuilder<'static> {
@@ -336,8 +269,6 @@ impl SessionBuilder<'static> {
             techniques: Technique::ALL.to_vec(),
             sink: None,
             metrics: None,
-            pool: None,
-            dispatch: None,
         }
     }
 }
@@ -352,7 +283,7 @@ impl<'s> SessionBuilder<'s> {
     }
 
     /// Attach a trace capture sink: it sees exactly the event batches
-    /// and boundary measurements the estimators see.
+    /// and boundary measurements the observation plane sees.
     pub fn sink<'b>(self, sink: &'b mut dyn TraceSink) -> SessionBuilder<'b> {
         SessionBuilder {
             workload: self.workload,
@@ -360,27 +291,7 @@ impl<'s> SessionBuilder<'s> {
             techniques: self.techniques,
             sink: Some(sink),
             metrics: self.metrics,
-            pool: self.pool,
-            dispatch: self.dispatch,
         }
-    }
-
-    /// Attach a worker pool: each boundary's estimator dispatch fans the
-    /// per-technique banks across the pool's workers (techniques share
-    /// no state), with estimates reassembled in registry order —
-    /// bit-identical to the serial dispatch for any worker count. With
-    /// one worker (or one technique) dispatch stays inline.
-    pub fn with_pool(mut self, pool: Pool) -> SessionBuilder<'s> {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Force a dispatch mode, overriding the `GDP_ESTIMATOR` environment
-    /// hatch — [`DispatchMode::PerEvent`] retains the pre-batch oracle
-    /// loop the equivalence suite and CI A/B-diff drive.
-    pub fn dispatch(mut self, mode: DispatchMode) -> SessionBuilder<'s> {
-        self.dispatch = Some(mode);
-        self
     }
 
     /// Attach a metrics registry: the session resolves `session.*`
@@ -398,30 +309,20 @@ impl<'s> SessionBuilder<'s> {
     /// # Panics
     /// Panics if the workload's core count does not match the CMP.
     pub fn build(self) -> EstimationSession<'s> {
-        let SessionBuilder { workload, xcfg, techniques, sink, metrics, pool, dispatch } = self;
+        let SessionBuilder { workload, xcfg, techniques, sink, metrics } = self;
         assert_eq!(workload.cores(), xcfg.sim.cores, "workload size must match the CMP");
-        let techniques = Technique::canonical(&techniques);
-        let metrics = metrics.map(|r| SessionMetrics::new(r, &techniques));
-        let sys = System::new(xcfg.sim.clone(), workload.streams());
-        let dief = Dief::new(&xcfg.sim, xcfg.sampled_sets);
-        let tcfg = xcfg.technique_config();
-        let estimators: Vec<Box<dyn PrivateModeEstimator>> =
-            build_estimator_set(&techniques, &tcfg);
-        let needs_probe: Vec<bool> =
-            techniques.iter().map(|t| t.caps().needs_probe_stream).collect();
-        let mut bank = EstimatorBank::new(estimators, needs_probe);
-        if let Some(mode) = dispatch {
-            bank = bank.with_mode(mode);
+        let mut pipeline = Pipeline::new(&techniques, &xcfg, true);
+        if let Some(reg) = metrics {
+            pipeline.attach_metrics(reg);
         }
-        let mc_epoch = techniques.iter().find_map(|t| t.mc_priority_epoch());
+        let sys = System::new(xcfg.sim.clone(), workload.streams());
+        let mc_epoch = pipeline.techniques().iter().find_map(|t| t.mc_priority_epoch());
         let n = xcfg.sim.cores;
         let last_snapshot = (0..n).map(|c| *sys.core_stats(c)).collect();
         let last_engine = sys.engine_counters();
         EstimationSession {
             sys,
-            dief,
-            techniques,
-            bank,
+            pipeline,
             schedule: IntervalSchedule::new(xcfg.interval_cycles),
             mc_epoch,
             last_snapshot,
@@ -433,8 +334,6 @@ impl<'s> SessionBuilder<'s> {
             emitted: 0,
             fresh: 0,
             sink,
-            metrics,
-            pool,
         }
     }
 }
@@ -442,9 +341,7 @@ impl<'s> SessionBuilder<'s> {
 /// A live streaming estimation session (see the module docs).
 pub struct EstimationSession<'s> {
     sys: System,
-    dief: Dief,
-    techniques: Vec<Technique>,
-    bank: EstimatorBank,
+    pipeline: Pipeline,
     schedule: IntervalSchedule,
     mc_epoch: Option<u64>,
     last_snapshot: Vec<CoreStats>,
@@ -461,8 +358,6 @@ pub struct EstimationSession<'s> {
     emitted: u64,
     fresh: usize,
     sink: Option<&'s mut dyn TraceSink>,
-    metrics: Option<SessionMetrics>,
-    pool: Option<Pool>,
 }
 
 impl EstimationSession<'_> {
@@ -474,7 +369,7 @@ impl EstimationSession<'_> {
     /// The canonical technique set attached to this session (estimate
     /// vectors are indexed in this order).
     pub fn techniques(&self) -> &[Technique] {
-        &self.techniques
+        self.pipeline.techniques()
     }
 
     /// Whether the run has reached its end condition: every core hit the
@@ -497,9 +392,8 @@ impl EstimationSession<'_> {
         // engine returns once per event, so a per-iteration guard would
         // pay two clock reads on every event (tens of millions per
         // campaign). `session.advance` therefore covers the whole call,
-        // boundary emission included; pure engine time is
-        // `session.advance` minus the dief/observe/estimate sub-spans.
-        let advance_span = self.metrics.as_ref().map(|mx| mx.advance_span.clone());
+        // boundary emission included.
+        let advance_span = self.pipeline.metrics.as_ref().map(|mx| mx.advance_span.clone());
         let _g = advance_span.as_ref().map(|h| h.enter());
         let before = self.intervals.len();
         while !self.done() && self.sys.now() < target {
@@ -529,16 +423,11 @@ impl EstimationSession<'_> {
         self.intervals.len() - before
     }
 
-    /// One accounting-interval boundary: close stall runs, feed the
-    /// probe batch to DIEF (and the capture sink), compute every core's
-    /// boundary measurement, then run one batched estimator dispatch
-    /// over the whole interval ([`dispatch_interval`]).
-    ///
-    /// The sink sees exactly the old call sequence — `record_events`,
-    /// then one `record_boundary` per core in core order — and each
-    /// estimator sees exactly the old per-estimator call sequence, so
-    /// captured traces and estimates are byte-identical to the
-    /// pre-batch loop.
+    /// One accounting-interval boundary: close stall runs, drain the
+    /// probe batch, run it through the pipeline (whose DIEF supplies each
+    /// core's λ̂), and hand the capture sink the same batch and the
+    /// boundaries the pipeline completed — `record_events`, then one
+    /// `record_boundary` per core in core order.
     fn emit_boundary_row(&mut self) {
         // The flight recorder's interval index: session-local, counted
         // from 0 — deterministic regardless of job scheduling.
@@ -546,84 +435,36 @@ impl EstimationSession<'_> {
         self.emitted += 1;
         self.sys.finalize(); // close open stall runs at the boundary
         let events = self.sys.drain_probes();
-        if let Some(mx) = &self.metrics {
-            mx.count_events(events.len(), self.bank.subscribed(), idx);
+        if let Some(mx) = &self.pipeline.metrics {
             let engine = self.sys.engine_counters();
             mx.ts_cycles.record(idx, engine.cycles - self.last_engine.cycles);
             mx.ts_cycles_skipped
                 .record(idx, engine.cycles_skipped - self.last_engine.cycles_skipped);
             self.last_engine = engine;
         }
-        {
-            // The session's own DIEF batches too; the per-event oracle
-            // mode flips it back to the legacy loop so the A/B covers
-            // the λ feed as well as the estimator bank.
-            let _g = self.metrics.as_ref().map(|mx| mx.dief_span.enter());
-            match self.bank.mode() {
-                DispatchMode::Batched => self.dief.observe_batch(&events),
-                DispatchMode::PerEvent => {
-                    for ev in &events {
-                        self.dief.observe(ev);
-                    }
+        let mut boundaries: Vec<Boundary> = (0..self.cores)
+            .map(|c| {
+                let cum = *self.sys.core_stats(c);
+                let prev = std::mem::replace(&mut self.last_snapshot[c], cum);
+                let delta = cum.delta(&prev);
+                Boundary {
+                    instr_start: prev.committed_instrs,
+                    instr_end: cum.committed_instrs,
+                    stats: delta,
+                    lambda: 0.0, // the pipeline's DIEF fills in λ̂
+                    shared_latency: delta.avg_sms_latency(),
                 }
-            }
-        }
-        if let Some(sink) = self.sink.as_deref_mut() {
-            sink.record_events(&events);
-        }
-        // Pass 1: boundary measurements in core order (λ comes from the
-        // session DIEF's per-core interval estimate, reset per core).
-        let n = self.cores;
-        let mut boundaries = Vec::with_capacity(n);
-        let mut measurements = Vec::with_capacity(n);
-        let (mut llc_accesses, mut llc_misses) = (0u64, 0u64);
-        for c in 0..n {
-            let core = CoreId(c as u8);
-            let cum = *self.sys.core_stats(c);
-            let delta = cum.delta(&self.last_snapshot[c]);
-            llc_accesses += delta.llc_accesses;
-            llc_misses += delta.llc_misses;
-            let lat = self.dief.interval_estimate(core);
-            let boundary = Boundary {
-                instr_start: self.last_snapshot[c].committed_instrs,
-                instr_end: cum.committed_instrs,
-                stats: delta,
-                lambda: lat.private,
-                shared_latency: delta.avg_sms_latency(),
-            };
-            measurements.push(boundary.measurement());
-            if let Some(sink) = self.sink.as_deref_mut() {
-                sink.record_boundary(boundary);
-            }
-            boundaries.push(boundary);
-            self.last_snapshot[c] = cum;
-        }
-        // Pass 2: one estimator dispatch for the whole interval.
-        let estimates = dispatch_interval(
-            self.metrics.as_ref(),
-            &mut self.bank,
-            self.pool.as_ref(),
-            &events,
-            &measurements,
-            idx,
-        );
-        let row = boundaries
-            .iter()
-            .zip(&measurements)
-            .zip(estimates)
-            .map(|((b, m), estimates)| CoreInterval {
-                instr_start: b.instr_start,
-                instr_end: b.instr_end,
-                stats: b.stats,
-                lambda: b.lambda,
-                shared_latency: m.shared_latency,
-                estimates,
             })
             .collect();
-        self.intervals.push(row);
-        if let Some(mx) = &self.metrics {
-            mx.record_boundary(idx, llc_accesses, llc_misses);
+        let row = self.pipeline.step(idx, &events, &boundaries);
+        if let Some(sink) = self.sink.as_deref_mut() {
+            sink.record_events(&events);
+            for (b, r) in boundaries.iter_mut().zip(&row) {
+                b.lambda = r.lambda;
+                sink.record_boundary(*b);
+            }
         }
+        self.intervals.push(row);
     }
 
     /// Run to the end condition (the batch mode).
@@ -659,47 +500,28 @@ impl EstimationSession<'_> {
         &self.intervals
     }
 
-    /// Snapshot every attached estimator, keyed by stable technique id —
-    /// the same bundle [`ReplaySession::snapshot_states`] produces, so a
-    /// live session's estimator state can seed a replay (or a
-    /// [`StreamSession`]) that continues the stream bit-exactly.
-    pub fn snapshot_states(&self) -> Vec<(String, EstimatorState)> {
-        self.techniques
-            .iter()
-            .zip(self.bank.estimators())
-            .map(|(t, e)| (t.id().to_string(), e.snapshot()))
-            .collect()
-    }
-
     /// Suspend the estimation stack into a [`StateCheckpoint`] at the
-    /// current boundary count: every estimator's state, stamped with the
-    /// number of rows emitted so far. Feeding the same post-suspend
-    /// stream to a session resumed from this checkpoint produces rows
-    /// bit-identical to never having suspended (the contract
-    /// `tests/suspend_resume.rs` pins).
+    /// current boundary count: the state of every observer the attached
+    /// techniques read, stamped with the number of rows emitted so far.
+    /// Feeding the same post-suspend stream to a session resumed from
+    /// this checkpoint produces rows bit-identical to never having
+    /// suspended (the contract `tests/suspend_resume.rs` pins).
     ///
-    /// Only the *estimator* side is captured — the simulator and DIEF
-    /// live on the engine side of the recording surface and are not part
-    /// of the bundle. The intended resume targets are stream-fed
-    /// consumers ([`StreamSession`], [`ReplaySession`]) that receive
-    /// events and boundary measurements from outside.
+    /// The simulator is not captured, and neither is a DIEF that only
+    /// supplies λ̂: the intended resume targets are stream-fed consumers
+    /// ([`StreamSession`], [`ReplaySession`]) that receive events and
+    /// boundary measurements, λ̂ included, from outside.
     pub fn suspend(&self) -> StateCheckpoint {
-        StateCheckpoint { at: self.emitted, states: self.snapshot_states() }
+        self.pipeline.checkpoint(self.emitted)
     }
 
-    /// Restore every attached estimator from `cp` and continue the
-    /// flight-recorder interval index from `cp.at`, mirroring
-    /// [`ReplaySession::restore_checkpoint`]. Fails — leaving the bank
-    /// unsuitable for bit-exact work until re-restored or rebuilt — when
-    /// the checkpoint lacks any attached technique's state or a state
-    /// does not fit this configuration.
+    /// Restore the observers from `cp` and continue the flight-recorder
+    /// interval index from `cp.at`, mirroring
+    /// [`ReplaySession::restore_checkpoint`]. Fails — leaving the session
+    /// unfit for bit-exact work — when the checkpoint lacks an observer's
+    /// state or a state does not fit this configuration.
     pub fn resume_from(&mut self, cp: &StateCheckpoint) -> Result<(), StateError> {
-        for (t, e) in self.techniques.iter().zip(self.bank.estimators_mut()) {
-            let state = cp
-                .state(t.id())
-                .ok_or(StateError::Malformed("checkpoint lacks a technique's state"))?;
-            e.restore(state)?;
-        }
+        self.pipeline.plane.restore(cp)?;
         self.emitted = cp.at;
         Ok(())
     }
@@ -714,11 +536,11 @@ impl EstimationSession<'_> {
         if let Some(sink) = self.sink.as_deref_mut() {
             sink.record_final(self.sys.now(), &final_stats);
         }
-        if let Some(mx) = &self.metrics {
+        if let Some(mx) = &self.pipeline.metrics {
             export_engine_counters(&mx.registry, &self.sys.engine_counters());
         }
         SharedRun {
-            techniques: self.techniques,
+            techniques: self.pipeline.techniques().to_vec(),
             intervals: self.intervals,
             cycles: self.sys.now(),
             final_stats,
@@ -726,23 +548,21 @@ impl EstimationSession<'_> {
     }
 }
 
-/// A streaming session over a *recorded* trace: the same estimator bank
-/// and the same per-interval surface as [`EstimationSession`], fed from
-/// a [`SharedTrace`] at memory speed instead of a live simulator.
+/// A streaming session over a *recorded* trace: the same pipeline and
+/// the same per-interval surface as [`EstimationSession`], fed from a
+/// [`SharedTrace`] at memory speed instead of a live simulator.
 ///
-/// Because estimators are pure functions of their observed stream, a
+/// Because every observer is a pure function of its observed stream, a
 /// replay session's estimates are bit-identical to the live session that
 /// recorded the trace — for *any* registered technique subset (the
 /// recorded stream does not depend on who observes it).
 pub struct ReplaySession<'t> {
     trace: &'t SharedTrace,
-    techniques: Vec<Technique>,
-    bank: EstimatorBank,
+    xcfg: ExperimentConfig,
+    pipeline: Pipeline,
     next: usize,
     intervals: Vec<Vec<CoreInterval>>,
     fresh: usize,
-    metrics: Option<SessionMetrics>,
-    pool: Option<Pool>,
 }
 
 impl<'t> ReplaySession<'t> {
@@ -762,35 +582,14 @@ impl<'t> ReplaySession<'t> {
         xcfg: &ExperimentConfig,
         techniques: &[Technique],
     ) -> ReplaySession<'t> {
-        let techniques = Technique::canonical(techniques);
-        let tcfg = xcfg.technique_config();
-        let estimators = build_estimator_set(&techniques, &tcfg);
-        let needs_probe = techniques.iter().map(|t| t.caps().needs_probe_stream).collect();
         ReplaySession {
             trace,
-            techniques,
-            bank: EstimatorBank::new(estimators, needs_probe),
+            xcfg: xcfg.clone(),
+            pipeline: Pipeline::new(techniques, xcfg, false),
             next: 0,
             intervals: Vec::new(),
             fresh: 0,
-            metrics: None,
-            pool: None,
         }
-    }
-
-    /// Attach a worker pool: each interval's estimator dispatch fans the
-    /// per-technique banks across the pool's workers, bit-identical to
-    /// serial replay (see [`SessionBuilder::with_pool`]).
-    pub fn with_pool(mut self, pool: Pool) -> ReplaySession<'t> {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Force a dispatch mode, overriding the `GDP_ESTIMATOR` hatch (see
-    /// [`SessionBuilder::dispatch`]).
-    pub fn with_dispatch(mut self, mode: DispatchMode) -> ReplaySession<'t> {
-        self.bank.set_mode(mode);
-        self
     }
 
     /// Attach a metrics registry: the replayed stream feeds the same
@@ -798,13 +597,13 @@ impl<'t> ReplaySession<'t> {
     /// (there is no `session.advance`/`engine.*` activity — replay never
     /// touches a simulator). Estimates are unaffected.
     pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> ReplaySession<'t> {
-        self.metrics = Some(SessionMetrics::new(registry, &self.techniques));
+        self.pipeline.attach_metrics(registry);
         self
     }
 
     /// The canonical technique set under replay.
     pub fn techniques(&self) -> &[Technique] {
-        &self.techniques
+        self.pipeline.techniques()
     }
 
     /// Whether every recorded interval has been replayed.
@@ -812,63 +611,31 @@ impl<'t> ReplaySession<'t> {
         self.next >= self.trace.intervals.len()
     }
 
+    /// Replay the next recorded interval and return its row.
+    fn replay_next(&mut self) -> Vec<CoreInterval> {
+        // Replay's flight-recorder interval index is the position in the
+        // recorded trace — the same session-local index the live run
+        // used, so live and replay series line up bin-for-bin.
+        let idx = self.next;
+        let iv = &self.trace.intervals[idx];
+        assert!(
+            iv.boundaries.len() <= self.trace.cores,
+            "{} boundaries in a {}-core trace",
+            iv.boundaries.len(),
+            self.trace.cores
+        );
+        self.next += 1;
+        self.pipeline.step(idx as u64, &iv.events, &iv.boundaries)
+    }
+
     /// Replay up to `count` recorded intervals; returns how many were
     /// processed (fewer at the end of the trace).
     pub fn advance_intervals(&mut self, count: usize) -> usize {
         let upto = self.next.saturating_add(count).min(self.trace.intervals.len());
         let done = upto - self.next;
-        // Call-sequence lockstep: this loop, the live session's
-        // `emit_boundary_row` and `gdp_trace::replay_estimates` must all
-        // drive estimators identically (events, then per-core estimates,
-        // in core order) — the bit-exactness contract the replay tests
-        // pin from both ends.
         while self.next < upto {
-            // Replay's flight-recorder interval index is the position in
-            // the recorded trace — the same session-local index the live
-            // run used, so live and replay series line up bin-for-bin.
-            let idx = self.next as u64;
-            let iv = &self.trace.intervals[self.next];
-            if let Some(mx) = &self.metrics {
-                mx.count_events(iv.events.len(), self.bank.subscribed(), idx);
-            }
-            let mut measurements = Vec::with_capacity(iv.boundaries.len());
-            let (mut llc_accesses, mut llc_misses) = (0u64, 0u64);
-            for (c, b) in iv.boundaries.iter().enumerate() {
-                assert!(
-                    c < self.trace.cores,
-                    "boundary for core {c} in a {}-core trace",
-                    self.trace.cores
-                );
-                llc_accesses += b.stats.llc_accesses;
-                llc_misses += b.stats.llc_misses;
-                measurements.push(b.measurement());
-            }
-            let estimates = dispatch_interval(
-                self.metrics.as_ref(),
-                &mut self.bank,
-                self.pool.as_ref(),
-                &iv.events,
-                &measurements,
-                idx,
-            );
-            let row = iv
-                .boundaries
-                .iter()
-                .zip(estimates)
-                .map(|(b, estimates)| CoreInterval {
-                    instr_start: b.instr_start,
-                    instr_end: b.instr_end,
-                    stats: b.stats,
-                    lambda: b.lambda,
-                    shared_latency: b.shared_latency,
-                    estimates,
-                })
-                .collect();
+            let row = self.replay_next();
             self.intervals.push(row);
-            self.next += 1;
-            if let Some(mx) = &self.metrics {
-                mx.record_boundary(idx, llc_accesses, llc_misses);
-            }
         }
         done
     }
@@ -893,52 +660,94 @@ impl<'t> ReplaySession<'t> {
     pub fn into_report(mut self) -> SharedRun {
         self.advance_intervals(usize::MAX);
         SharedRun {
-            techniques: self.techniques,
+            techniques: self.pipeline.techniques().to_vec(),
             intervals: self.intervals,
             cycles: self.trace.cycles,
             final_stats: self.trace.final_stats.clone(),
         }
     }
 
-    /// Snapshot every attached estimator, keyed by stable technique id —
-    /// the per-boundary payload the offline checkpoint summarizer stores
+    /// Snapshot every observer the attached techniques read, keyed by
+    /// observer id — the per-boundary payload the offline checkpoint
+    /// summarizer stores
     /// ([`summarize_checkpoints`](crate::trace::summarize_checkpoints)).
     pub fn snapshot_states(&self) -> Vec<(String, EstimatorState)> {
-        self.techniques
-            .iter()
-            .zip(self.bank.estimators())
-            .map(|(t, e)| (t.id().to_string(), e.snapshot()))
-            .collect()
+        self.pipeline.plane.snapshot()
     }
 
-    /// Restore from a summarized checkpoint: seeks the session to
-    /// interval `cp.at` with every estimator's state restored, after
-    /// which replay is bit-identical to a serial session that already
-    /// replayed intervals `0..cp.at`. Fails — leaving the session
-    /// unsuitable for bit-exact work until re-restored or rebuilt — when
-    /// the checkpoint lacks any attached technique's state or a state
-    /// does not fit this configuration.
+    /// Restore from a checkpoint: seeks the session to interval `cp.at`
+    /// with every observer's state restored, after which replay is
+    /// bit-identical to a serial session that already replayed intervals
+    /// `0..cp.at`. Fails — leaving the session unfit for bit-exact work
+    /// until re-restored or rebuilt — when the checkpoint lacks an
+    /// observer's state or a state does not fit this configuration.
     pub fn restore_checkpoint(&mut self, cp: &StateCheckpoint) -> Result<(), StateError> {
-        for (t, e) in self.techniques.iter().zip(self.bank.estimators_mut()) {
-            let state = cp
-                .state(t.id())
-                .ok_or(StateError::Malformed("checkpoint lacks a technique's state"))?;
-            e.restore(state)?;
-        }
+        self.pipeline.plane.restore(cp)?;
         self.next = (cp.at as usize).min(self.trace.intervals.len());
         Ok(())
     }
+
+    /// Position the session at interval `k`: restore the nearest
+    /// checkpoint at or before `k` when that beats replaying forward from
+    /// here, rebuild the cold state when the session is already past `k`,
+    /// then replay (discarding rows) up to `k`. A checkpoint that fails
+    /// to restore degrades to replay from the trace start; returns
+    /// whether one did.
+    fn seek(&mut self, k: usize, checkpoints: Option<&CheckpointFile>) -> bool {
+        let cp = checkpoints
+            .and_then(|f| f.nearest_at_or_before(k as u64))
+            .filter(|cp| self.next > k || cp.at as usize > self.next);
+        let mut failed = false;
+        if let Some(cp) = cp {
+            if let Err(e) = self.restore_checkpoint(cp) {
+                log_info!(
+                    "gdp: checkpoint at interval {} unusable ({e}); replaying from the start",
+                    cp.at
+                );
+                failed = true;
+            }
+        }
+        if failed || (cp.is_none() && self.next > k) {
+            let metrics = self.pipeline.metrics.take();
+            self.pipeline = Pipeline::new(self.pipeline.techniques(), &self.xcfg, false);
+            self.pipeline.metrics = metrics;
+            self.next = 0;
+        }
+        while self.next < k {
+            self.replay_next();
+        }
+        failed
+    }
+
+    /// On-demand single-interval query: restore the nearest checkpoint of
+    /// `checkpoints` at or before `k` (or continue from the session's
+    /// position, or from the cold state) and replay forward just far
+    /// enough to produce interval `k`'s row — bit-identical to the `k`-th
+    /// row of a full serial replay. Rows replayed on the way are not
+    /// retained; the session is left positioned at `k + 1`. `None` when
+    /// `k` is past the end of the trace.
+    pub fn estimate_interval(
+        &mut self,
+        k: usize,
+        checkpoints: Option<&CheckpointFile>,
+    ) -> Option<Vec<CoreInterval>> {
+        if k >= self.trace.intervals.len() {
+            return None;
+        }
+        self.seek(k, checkpoints);
+        Some(self.replay_next())
+    }
 }
 
-/// A push-fed streaming session: the same estimator bank and dispatch
-/// as [`EstimationSession`]/[`ReplaySession`], fed one interval at a
-/// time from *outside* — the estimation core of a serving host, where
-/// each tenant's probe stream arrives over a wire rather than from a
-/// local simulator or an in-memory trace.
+/// A push-fed streaming session: the same pipeline as
+/// [`EstimationSession`]/[`ReplaySession`], fed one interval at a time
+/// from *outside* — the estimation core of a serving host, where each
+/// tenant's probe stream arrives over a wire rather than from a local
+/// simulator or an in-memory trace.
 ///
 /// Each [`StreamSession::feed_interval`] call returns that interval's
 /// row *by value* and retains nothing, so a long-running host's memory
-/// stays bounded by construction. Because estimators are pure functions
+/// stays bounded by construction. Because observers are pure functions
 /// of their observed stream, the rows are bit-identical to a
 /// [`ReplaySession`] over the same intervals — for any technique subset
 /// and any chunking of the transport that delivered them (the serve
@@ -946,19 +755,16 @@ impl<'t> ReplaySession<'t> {
 /// `tests/suspend_resume.rs` and the `gdp-serve` suite).
 ///
 /// Suspend/resume round-trips through the same [`StateCheckpoint`]
-/// bundle as PR 6's checkpoint files: an idle tenant's session can be
+/// bundle as checkpoint files: an idle tenant's session can be
 /// snapshotted, dropped, and rebuilt later with
 /// [`StreamSession::resume_from`], after which the continued stream is
 /// bit-identical to never having suspended.
 pub struct StreamSession {
-    techniques: Vec<Technique>,
-    bank: EstimatorBank,
+    pipeline: Pipeline,
     cores: usize,
     /// Intervals fed so far — the flight-recorder interval index and the
     /// `at` stamp of [`StreamSession::suspend`].
     fed: u64,
-    metrics: Option<SessionMetrics>,
-    pool: Option<Pool>,
 }
 
 impl StreamSession {
@@ -966,45 +772,24 @@ impl StreamSession {
     /// `xcfg`. The invasiveness caveat of [`ReplaySession::new`] applies:
     /// the fed stream must come from a run whose kind matches the set.
     pub fn new(xcfg: &ExperimentConfig, techniques: &[Technique]) -> StreamSession {
-        let techniques = Technique::canonical(techniques);
-        let tcfg = xcfg.technique_config();
-        let estimators = build_estimator_set(&techniques, &tcfg);
-        let needs_probe = techniques.iter().map(|t| t.caps().needs_probe_stream).collect();
         StreamSession {
-            techniques,
-            bank: EstimatorBank::new(estimators, needs_probe),
+            pipeline: Pipeline::new(techniques, xcfg, false),
             cores: xcfg.sim.cores,
             fed: 0,
-            metrics: None,
-            pool: None,
         }
-    }
-
-    /// Attach a worker pool (see [`SessionBuilder::with_pool`]) —
-    /// bit-identical to serial dispatch for any worker count.
-    pub fn with_pool(mut self, pool: Pool) -> StreamSession {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Force a dispatch mode, overriding the `GDP_ESTIMATOR` hatch (see
-    /// [`SessionBuilder::dispatch`]).
-    pub fn with_dispatch(mut self, mode: DispatchMode) -> StreamSession {
-        self.bank.set_mode(mode);
-        self
     }
 
     /// Attach a metrics registry: the fed stream drives the same
     /// `session.*` counters and estimate spans a replay would. Estimates
     /// are unaffected.
     pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> StreamSession {
-        self.metrics = Some(SessionMetrics::new(registry, &self.techniques));
+        self.pipeline.attach_metrics(registry);
         self
     }
 
     /// The canonical technique set attached to this session.
     pub fn techniques(&self) -> &[Technique] {
-        &self.techniques
+        self.pipeline.techniques()
     }
 
     /// The core count this session expects per fed interval.
@@ -1036,71 +821,22 @@ impl StreamSession {
         assert_eq!(boundaries.len(), self.cores, "fed interval must carry one boundary per core");
         let idx = self.fed;
         self.fed += 1;
-        if let Some(mx) = &self.metrics {
-            mx.count_events(events.len(), self.bank.subscribed(), idx);
-        }
-        let mut measurements = Vec::with_capacity(boundaries.len());
-        let (mut llc_accesses, mut llc_misses) = (0u64, 0u64);
-        for b in boundaries {
-            llc_accesses += b.stats.llc_accesses;
-            llc_misses += b.stats.llc_misses;
-            measurements.push(b.measurement());
-        }
-        let estimates = dispatch_interval(
-            self.metrics.as_ref(),
-            &mut self.bank,
-            self.pool.as_ref(),
-            events,
-            &measurements,
-            idx,
-        );
-        let row = boundaries
-            .iter()
-            .zip(estimates)
-            .map(|(b, estimates)| CoreInterval {
-                instr_start: b.instr_start,
-                instr_end: b.instr_end,
-                stats: b.stats,
-                lambda: b.lambda,
-                shared_latency: b.shared_latency,
-                estimates,
-            })
-            .collect();
-        if let Some(mx) = &self.metrics {
-            mx.record_boundary(idx, llc_accesses, llc_misses);
-        }
-        row
-    }
-
-    /// Snapshot every attached estimator, keyed by stable technique id
-    /// (see [`ReplaySession::snapshot_states`]).
-    pub fn snapshot_states(&self) -> Vec<(String, EstimatorState)> {
-        self.techniques
-            .iter()
-            .zip(self.bank.estimators())
-            .map(|(t, e)| (t.id().to_string(), e.snapshot()))
-            .collect()
+        self.pipeline.step(idx, events, boundaries)
     }
 
     /// Suspend into a [`StateCheckpoint`] stamped with the number of
     /// intervals fed. A fresh session resumed from the checkpoint
     /// continues the stream bit-exactly (the serve evict/resume path).
     pub fn suspend(&self) -> StateCheckpoint {
-        StateCheckpoint { at: self.fed, states: self.snapshot_states() }
+        self.pipeline.checkpoint(self.fed)
     }
 
-    /// Restore every attached estimator from `cp` and continue feeding
-    /// from interval `cp.at`. Fails — leaving the bank unsuitable for
-    /// bit-exact work until re-restored or rebuilt — when the checkpoint
-    /// lacks any attached technique's state or a state does not fit this
-    /// configuration.
+    /// Restore the observers from `cp` and continue feeding from interval
+    /// `cp.at`. Fails — leaving the session unfit for bit-exact work
+    /// until re-restored or rebuilt — when the checkpoint lacks an
+    /// observer's state or a state does not fit this configuration.
     pub fn resume_from(&mut self, cp: &StateCheckpoint) -> Result<(), StateError> {
-        for (t, e) in self.techniques.iter().zip(self.bank.estimators_mut()) {
-            let state = cp
-                .state(t.id())
-                .ok_or(StateError::Malformed("checkpoint lacks a technique's state"))?;
-            e.restore(state)?;
-        }
+        self.pipeline.plane.restore(cp)?;
         self.fed = cp.at;
         Ok(())
     }
@@ -1109,12 +845,12 @@ impl StreamSession {
 /// Segmented, pool-parallel trace replay.
 ///
 /// The trace's interval range is cut into one contiguous segment per
-/// pool worker; each segment restores the summarized estimator-state
-/// checkpoint at its start boundary (segment 0 starts cold), replays its
-/// intervals on a worker, and the rows are reassembled in schedule
-/// order — bit-identical to a serial [`ReplaySession`] over the whole
-/// trace, because restoring a boundary snapshot is bit-identical to
-/// having replayed everything before it.
+/// pool worker; each segment restores the summarized checkpoint at its
+/// start boundary (segment 0 starts cold), replays its intervals on a
+/// worker, and the rows are reassembled in schedule order — bit-identical
+/// to a serial [`ReplaySession`] over the whole trace, because restoring
+/// a boundary snapshot is bit-identical to having replayed everything
+/// before it.
 ///
 /// Degradation is built in: cuts snap to the nearest available
 /// checkpoint at or before the ideal position, so a missing or corrupt
@@ -1164,32 +900,22 @@ impl<'t> ParallelReplaySession<'t> {
         self
     }
 
-    /// The canonical technique set under replay.
-    pub fn techniques(&self) -> &[Technique] {
-        &self.techniques
-    }
-
-    /// The planned segment start boundaries (diagnostics/tests): one per
-    /// worker when every cut finds a usable checkpoint, fewer when cuts
-    /// collapse onto earlier restore points.
+    /// The planned segment start boundaries: one per worker when every
+    /// cut finds a usable checkpoint, fewer when cuts collapse onto
+    /// earlier restore points.
     pub fn segment_starts(&self) -> Vec<usize> {
-        self.plan().into_iter().map(|(start, _)| start).collect()
-    }
-
-    fn plan(&self) -> Vec<(usize, Option<&'t StateCheckpoint>)> {
         let n = self.trace.intervals.len();
-        let mut starts: Vec<(usize, Option<&'t StateCheckpoint>)> = vec![(0, None)];
+        let mut starts = vec![0];
         let Some(cks) = self.checkpoints else { return starts };
         let jobs = self.pool.workers().min(n).max(1);
         for i in 1..jobs {
-            let ideal = (i * n / jobs) as u64;
             // Snap to the nearest restore point at or before the ideal
             // cut; a summarization gap shifts the cut earlier (toward
             // serial) instead of erroring.
-            if let Some(cp) = cks.nearest_at_or_before(ideal) {
+            if let Some(cp) = cks.nearest_at_or_before((i * n / jobs) as u64) {
                 let at = cp.at as usize;
-                if at > starts.last().unwrap().0 && at < n {
-                    starts.push((at, Some(cp)));
+                if at > *starts.last().expect("segment 0") && at < n {
+                    starts.push(at);
                 }
             }
         }
@@ -1201,92 +927,44 @@ impl<'t> ParallelReplaySession<'t> {
     /// [`ReplaySession::into_report`] over the same trace and set.
     pub fn into_report(self) -> SharedRun {
         let n = self.trace.intervals.len();
-        let starts = self.plan();
+        let starts = self.segment_starts();
         let restore_failures = self.metrics.as_ref().map(|reg| {
             reg.gauge("replay.segments").add(starts.len() as u64);
-            let fallbacks = reg.gauge("replay.serial_fallbacks");
             if starts.len() <= 1 && self.pool.workers() > 1 {
-                fallbacks.add(1);
+                reg.gauge("replay.serial_fallbacks").add(1);
             }
             reg.gauge("replay.restore_failures")
         });
         if starts.len() <= 1 {
             return ReplaySession::new(self.trace, &self.xcfg, &self.techniques).into_report();
         }
-        let ends = starts.iter().skip(1).map(|&(s, _)| s).chain([n]);
-        let trace = self.trace;
-        let xcfg = &self.xcfg;
-        let techniques = &self.techniques;
-        let rf = restore_failures.as_ref();
+        let ends = starts.iter().skip(1).copied().chain([n]);
+        let (trace, xcfg, techniques) = (self.trace, &self.xcfg, &self.techniques);
+        let (checkpoints, rf) = (self.checkpoints, restore_failures.as_ref());
         let jobs: Vec<_> = starts
             .iter()
             .zip(ends)
-            .map(|(&(start, cp), end)| {
-                move || replay_segment(trace, xcfg, techniques, start, end, cp, rf)
+            .map(|(&start, end)| {
+                move || {
+                    let mut s = ReplaySession::new(trace, xcfg, techniques);
+                    if s.seek(start, checkpoints) {
+                        if let Some(g) = rf {
+                            g.add(1);
+                        }
+                    }
+                    s.advance_intervals(end - start);
+                    s.take_estimates()
+                }
             })
             .collect();
         let segments = self.pool.run(jobs);
         SharedRun {
-            techniques: self.techniques.clone(),
+            techniques: self.techniques,
             intervals: segments.into_iter().flatten().collect(),
             cycles: trace.cycles,
             final_stats: trace.final_stats.clone(),
         }
     }
-
-    /// On-demand single-interval query: restore exactly one checkpoint
-    /// (the nearest at or before `k`; cold state when none) and replay
-    /// forward just far enough to produce interval `k`'s row —
-    /// bit-identical to the `k`-th row of a full serial replay. `None`
-    /// when `k` is past the end of the trace.
-    pub fn estimate_interval(&self, k: usize) -> Option<Vec<CoreInterval>> {
-        if k >= self.trace.intervals.len() {
-            return None;
-        }
-        let cp = self.checkpoints.and_then(|c| c.nearest_at_or_before(k as u64));
-        let rf = self.metrics.as_ref().map(|reg| reg.gauge("replay.restore_failures"));
-        let rows =
-            replay_segment(self.trace, &self.xcfg, &self.techniques, k, k + 1, cp, rf.as_ref());
-        Some(rows.into_iter().next().expect("one replayed row"))
-    }
-}
-
-/// Replay intervals `start..end` of `trace`, restoring `cp` when given
-/// (its `at` may be at or before `start`); returns exactly the rows of
-/// `start..end`. A checkpoint that fails to restore degrades to serial
-/// replay from the trace start.
-fn replay_segment(
-    trace: &SharedTrace,
-    xcfg: &ExperimentConfig,
-    techniques: &[Technique],
-    start: usize,
-    end: usize,
-    cp: Option<&StateCheckpoint>,
-    restore_failures: Option<&Gauge>,
-) -> Vec<Vec<CoreInterval>> {
-    let mut s = ReplaySession::new(trace, xcfg, techniques);
-    let mut from = 0;
-    if let Some(cp) = cp {
-        match s.restore_checkpoint(cp) {
-            Ok(()) => from = cp.at as usize,
-            Err(e) => {
-                log_info!(
-                    "gdp: checkpoint at interval {} unusable ({e}); replaying from the start",
-                    cp.at
-                );
-                if let Some(g) = restore_failures {
-                    g.add(1);
-                }
-                s = ReplaySession::new(trace, xcfg, techniques);
-            }
-        }
-    }
-    if start > from {
-        s.advance_intervals(start - from);
-        let _ = s.take_estimates(); // warm-up rows before the segment
-    }
-    s.advance_intervals(end - start);
-    s.take_estimates()
 }
 
 #[cfg(test)]
@@ -1458,6 +1136,87 @@ mod tests {
         let segments = psnap.gauges.iter().find(|(k, _)| k == "replay.segments").unwrap().1;
         assert!(segments >= 1);
         assert!(psnap.gauges.iter().any(|(k, _)| k == "replay.restore_failures"));
+    }
+
+    /// The Figure 1a worked example, replayed from a one-interval trace:
+    /// GDP must reproduce CPL 2 and CPI 2.47 (paper: 2.5), exactly as the
+    /// standalone estimator does.
+    #[test]
+    fn replaying_figure1_reproduces_the_paper_example() {
+        use gdp_sim::mem::Interference;
+        use gdp_sim::probe::StallCause;
+        use gdp_sim::types::ReqId;
+        use gdp_trace::TraceInterval;
+
+        let core = CoreId(0);
+        let miss = |b: u64, cycle| ProbeEvent::LoadL1Miss { core, req: ReqId(b), block: b, cycle };
+        let done = |b: u64, cycle| ProbeEvent::LoadL1MissDone {
+            core,
+            req: ReqId(b),
+            block: b,
+            cycle,
+            sms: true,
+            latency: 100,
+            interference: Interference::default(),
+            llc_hit: Some(true),
+            post_llc: 0,
+        };
+        let stall = |start, end, b: u64| ProbeEvent::Stall {
+            core,
+            start,
+            end,
+            cause: StallCause::Load,
+            blocking_block: Some(b),
+            blocking_req: None,
+            blocking_sms: Some(true),
+            blocking_interference: None,
+        };
+        let events = vec![
+            miss(0xa1, 10),
+            miss(0xa2, 12),
+            miss(0xa3, 14),
+            done(0xa1, 150),
+            stall(50, 155, 0xa1),
+            done(0xa2, 182),
+            stall(175, 185, 0xa2),
+            miss(0xa4, 190),
+            miss(0xa5, 191),
+            done(0xa3, 192),
+            done(0xa4, 340),
+            stall(200, 350, 0xa4),
+            done(0xa5, 356),
+            stall(352, 358, 0xa5),
+        ];
+        let stats = CoreStats {
+            committed_instrs: 190,
+            commit_cycles: 190,
+            cycles: 495,
+            stall_sms: 305,
+            sms_loads: 5,
+            ..Default::default()
+        };
+        // Core 1 of the (smallest simulated) 2-core CMP stays idle.
+        let fig1 = Boundary {
+            instr_start: 0,
+            instr_end: 190,
+            stats,
+            lambda: 140.0,
+            shared_latency: 180.0,
+        };
+        let idle = Boundary { instr_end: 0, stats: CoreStats::default(), ..fig1 };
+        let trace = SharedTrace {
+            cores: 2,
+            workload: "fig1".into(),
+            cycles: 495,
+            final_stats: vec![stats, CoreStats::default()],
+            intervals: vec![TraceInterval { events, boundaries: vec![fig1, idle] }],
+        };
+        let run =
+            ReplaySession::new(&trace, &ExperimentConfig::tiny(2), &[Technique::GDP]).into_report();
+        assert_eq!(run.intervals.len(), 1);
+        let e = run.intervals[0][0].estimates[0];
+        assert_eq!(e.cpl, 2);
+        assert!((e.cpi - 2.47).abs() < 0.01, "GDP CPI {}", e.cpi);
     }
 
     #[test]

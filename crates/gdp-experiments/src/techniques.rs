@@ -123,7 +123,9 @@ impl Technique {
         self.0.mc_priority_epoch
     }
 
-    /// Build the estimator for `cfg` via the registered factory.
+    /// Build the standalone estimator for `cfg` via the registered
+    /// factory (sessions use it for stateful techniques only; the
+    /// readouts' per-event reference for all others).
     pub fn build(&self, cfg: &TechniqueConfig) -> Box<dyn PrivateModeEstimator> {
         self.0.build(cfg)
     }
@@ -159,62 +161,6 @@ impl std::fmt::Display for Technique {
 /// invasive ones, which perturb execution and need their own).
 pub fn transparent_subset(set: &[Technique]) -> Vec<Technique> {
     set.iter().copied().filter(|t| !t.is_invasive()).collect()
-}
-
-/// Build the estimator vector for a technique set, fusing estimators
-/// that would otherwise duplicate identical observation work:
-///
-/// * **GDP + GDP-O** share one dataflow-graph pipeline
-///   ([`gdp_core::shared_gdp_pair`]) — they observe identically and
-///   their harvests drain the same spans.
-/// * **ITCA + PTCA** share one embedded DIEF pipeline
-///   ([`gdp_accounting::shared_itca_ptca`]) — both feed it the identical
-///   probe stream and only differ in what they read back.
-///
-/// Each fused view is slotted at its technique's position, so bank
-/// order, estimates, snapshots and restores stay byte-identical to
-/// per-technique construction; any other technique (or either member of
-/// a pair on its own) goes through its registered factory unchanged.
-pub fn build_estimator_set(
-    techniques: &[Technique],
-    cfg: &TechniqueConfig,
-) -> Vec<Box<dyn PrivateModeEstimator>> {
-    let both = |a, b| techniques.contains(&a) && techniques.contains(&b);
-    let (mut gdp_view, mut gdp_o_view) = if both(Technique::GDP, Technique::GDP_O) {
-        let (g, o) = gdp_core::shared_gdp_pair(cfg.cores(), cfg.prb_entries);
-        (Some(g), Some(o))
-    } else {
-        (None, None)
-    };
-    let (mut itca_view, mut ptca_view) = if both(Technique::ITCA, Technique::PTCA) {
-        let (i, p) = gdp_accounting::shared_itca_ptca(&cfg.sim, cfg.sampled_sets);
-        (Some(i), Some(p))
-    } else {
-        (None, None)
-    };
-    techniques
-        .iter()
-        .map(|t| -> Box<dyn PrivateModeEstimator> {
-            if *t == Technique::GDP {
-                if let Some(v) = gdp_view.take() {
-                    return Box::new(v);
-                }
-            } else if *t == Technique::GDP_O {
-                if let Some(v) = gdp_o_view.take() {
-                    return Box::new(v);
-                }
-            } else if *t == Technique::ITCA {
-                if let Some(v) = itca_view.take() {
-                    return Box::new(v);
-                }
-            } else if *t == Technique::PTCA {
-                if let Some(v) = ptca_view.take() {
-                    return Box::new(v);
-                }
-            }
-            t.build(cfg)
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -67,11 +67,11 @@ pub fn replay_shared(
 }
 
 /// One-pass offline checkpoint summarization: replay `trace` once with
-/// *every* registered technique attached, snapshotting all estimator
-/// states at each interval boundary. One checkpoint file serves any
-/// later technique subset: an estimator's state depends only on the
-/// recorded stream and its own boundary calls, never on co-observers —
-/// the same invariant that lets one trace serve every subset.
+/// *every* registered technique attached, snapshotting every observer
+/// (GDP units, DIEF, ASM) at each interval boundary. One checkpoint file
+/// serves any later technique subset: an observer's state depends only
+/// on the recorded stream, never on the readouts consuming it — the
+/// same invariant that lets one trace serve every subset.
 pub fn summarize_checkpoints(trace: &SharedTrace, xcfg: &ExperimentConfig) -> CheckpointFile {
     let techniques = Technique::all_registered();
     let mut s = ReplaySession::new(trace, xcfg, &techniques);

@@ -3,22 +3,27 @@
 //! technique subsets, interval records, λ̂ bits, every technique's
 //! estimates and the final statistics must be **bit-identical** — the
 //! property that let the whole estimation stack collapse onto one
-//! session API without moving a single figure.
+//! session API, and every transparent technique onto a readout of one
+//! observation plane, without moving a single figure. The oracle feeds
+//! each technique's standalone estimator (`Technique::build`, its own
+//! observers) event by event.
 
 use proptest::prelude::*;
 
-use gdp_core::model::{DispatchMode, IntervalMeasurement, PrivateModeEstimator};
+use gdp_core::model::{IntervalMeasurement, PrivateModeEstimator};
 use gdp_dief::Dief;
 use gdp_experiments::{
     record_shared, run_shared, CoreInterval, ExperimentConfig, IntervalSchedule, ReplaySession,
     SessionBuilder, SharedRun, Technique,
 };
-use gdp_runner::Pool;
 use gdp_sim::stats::CoreStats;
 use gdp_sim::types::CoreId;
 use gdp_sim::System;
 use gdp_trace::StateCheckpoint;
 use gdp_workloads::paper_workloads;
+
+mod common;
+use common::{assert_runs_bit_identical, subset_from_mask, xcfg};
 
 /// The shared-mode run loop exactly as it existed before the session
 /// refactor (minus the trace sink): the bit-equality oracle.
@@ -97,65 +102,6 @@ fn legacy_run_shared(
     SharedRun { techniques, intervals, cycles: sys.now(), final_stats }
 }
 
-fn assert_runs_bit_identical(a: &SharedRun, b: &SharedRun, what: &str) {
-    assert_eq!(a.techniques, b.techniques, "{what}: technique sets");
-    assert_eq!(a.cycles, b.cycles, "{what}: cycles");
-    assert_eq!(a.final_stats, b.final_stats, "{what}: final stats");
-    assert_eq!(a.intervals.len(), b.intervals.len(), "{what}: interval count");
-    for (i, (ra, rb)) in a.intervals.iter().zip(&b.intervals).enumerate() {
-        for (c, (ca, cb)) in ra.iter().zip(rb).enumerate() {
-            assert_eq!(ca.instr_start, cb.instr_start, "{what}: iv {i} core {c}");
-            assert_eq!(ca.instr_end, cb.instr_end, "{what}: iv {i} core {c}");
-            assert_eq!(ca.stats, cb.stats, "{what}: iv {i} core {c}");
-            assert_eq!(ca.lambda.to_bits(), cb.lambda.to_bits(), "{what}: iv {i} core {c} λ");
-            assert_eq!(
-                ca.shared_latency.to_bits(),
-                cb.shared_latency.to_bits(),
-                "{what}: iv {i} core {c} L"
-            );
-            assert_eq!(ca.estimates.len(), cb.estimates.len());
-            for (e, (ea, eb)) in ca.estimates.iter().zip(&cb.estimates).enumerate() {
-                assert_eq!(ea.cpi.to_bits(), eb.cpi.to_bits(), "{what}: iv {i} c{c} est{e} cpi");
-                assert_eq!(
-                    ea.sigma_sms.to_bits(),
-                    eb.sigma_sms.to_bits(),
-                    "{what}: iv {i} c{c} est{e} σ"
-                );
-                assert_eq!(ea.cpl, eb.cpl, "{what}: iv {i} c{c} est{e} cpl");
-                assert_eq!(
-                    ea.overlap.to_bits(),
-                    eb.overlap.to_bits(),
-                    "{what}: iv {i} c{c} est{e} overlap"
-                );
-            }
-        }
-    }
-}
-
-/// Decode a subset bitmask over the full registry into a technique set.
-fn subset_from_mask(mask: usize) -> Vec<Technique> {
-    let all = Technique::all_registered();
-    let set: Vec<Technique> = all
-        .iter()
-        .copied()
-        .enumerate()
-        .filter(|(i, _)| mask & (1 << i) != 0)
-        .map(|(_, t)| t)
-        .collect();
-    if set.is_empty() {
-        vec![Technique::GDP]
-    } else {
-        set
-    }
-}
-
-fn xcfg(cores: usize) -> ExperimentConfig {
-    let mut x = ExperimentConfig::tiny(cores);
-    x.sample_instrs = 5_000;
-    x.interval_cycles = 9_000;
-    x
-}
-
 fn assert_session_matches_legacy(seed: u64, cores: usize, mask: usize, chunk: u64) {
     let w = &paper_workloads(cores, seed)[0];
     let x = xcfg(cores);
@@ -198,26 +144,19 @@ fn four_core_full_set_session_matches_legacy() {
     assert_session_matches_legacy(42, 4, 0b111111, 7_777);
 }
 
-/// Batched dispatch against the retained per-event oracle, over a
-/// recorded trace: random event mixes (workload seed), technique
-/// subsets and replay chunk sizes (batch-size boundaries land
-/// mid-trace), with a mid-replay snapshot out of the *batched* session
-/// restored into a fresh *per-event* session — states and estimates
-/// must be bit-for-bit interchangeable between the two dispatch paths.
-fn assert_batched_matches_per_event(seed: u64, cores: usize, mask: usize, chunks: &[usize]) {
+/// Chunked replay of a recorded trace against the legacy loop: random
+/// event mixes (workload seed), technique subsets and replay chunk sizes
+/// (chunk boundaries land mid-trace), with a mid-replay snapshot restored
+/// into a fresh session — every row, and the restored suffix, must match
+/// the per-event standalone estimators bit for bit.
+fn assert_replay_matches_legacy(seed: u64, cores: usize, mask: usize, chunks: &[usize]) {
     let w = &paper_workloads(cores, seed)[0];
     let x = xcfg(cores);
     let set = subset_from_mask(mask);
-    let (live, trace) = record_shared(w, &x, &set);
+    let legacy = legacy_run_shared(w, &x, &set);
+    let (_, trace) = record_shared(w, &x, &set);
 
-    // The oracle: one straight per-event replay.
-    let oracle =
-        ReplaySession::new(&trace, &x, &set).with_dispatch(DispatchMode::PerEvent).into_report();
-    assert_runs_bit_identical(&live, &oracle, "per-event replay vs live");
-
-    // Batched replay in awkward chunk sizes, snapshotting after the
-    // first processed chunk (mid-batch with respect to the trace).
-    let mut s = ReplaySession::new(&trace, &x, &set).with_dispatch(DispatchMode::Batched);
+    let mut s = ReplaySession::new(&trace, &x, &set);
     let mut done = 0usize;
     let mut chunk_i = 0usize;
     let mut checkpoint: Option<StateCheckpoint> = None;
@@ -228,17 +167,13 @@ fn assert_batched_matches_per_event(seed: u64, cores: usize, mask: usize, chunks
             checkpoint = Some(StateCheckpoint { at: done as u64, states: s.snapshot_states() });
         }
     }
-    let batched = s.into_report();
-    assert_runs_bit_identical(&oracle, &batched, "batched replay vs per-event oracle");
+    assert_runs_bit_identical(&legacy, &s.into_report(), "chunked replay vs legacy");
 
-    // Cross-path snapshot/restore: resume the per-event oracle from the
-    // batched session's mid-replay state; the suffix must line up
-    // bit-for-bit with the oracle's own rows.
     let cp = checkpoint.expect("a recorded trace yields at least one interval");
-    let mut resumed = ReplaySession::new(&trace, &x, &set).with_dispatch(DispatchMode::PerEvent);
-    resumed.restore_checkpoint(&cp).expect("batched snapshot restores into per-event replay");
+    let mut resumed = ReplaySession::new(&trace, &x, &set);
+    resumed.restore_checkpoint(&cp).expect("a mid-replay snapshot restores");
     let resumed = resumed.into_report();
-    let suffix = &oracle.intervals[cp.at as usize..];
+    let suffix = &legacy.intervals[cp.at as usize..];
     assert_eq!(resumed.intervals.len(), suffix.len(), "resumed suffix length");
     for (i, (ra, rb)) in resumed.intervals.iter().zip(suffix).enumerate() {
         for (c, (ca, cb)) in ra.iter().zip(rb).enumerate() {
@@ -253,35 +188,16 @@ fn assert_batched_matches_per_event(seed: u64, cores: usize, mask: usize, chunks
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random event mixes × technique subsets × batch-size boundaries:
-    /// the batched dispatch path is bit-identical to the per-event
-    /// oracle, including snapshot/restore across the two paths.
+    /// Random event mixes × technique subsets × replay chunk sizes: the
+    /// observation plane's readouts match the legacy loop, including
+    /// across a snapshot/restore.
     #[test]
-    fn batched_dispatch_is_bit_identical_to_per_event_oracle(
+    fn chunked_replay_with_restore_matches_the_legacy_loop(
         seed in 0u64..1_000,
         mask in 1usize..64,
         chunk_a in 1usize..7,
         chunk_b in 1usize..7,
     ) {
-        assert_batched_matches_per_event(seed, 2, mask, &[chunk_a, chunk_b]);
+        assert_replay_matches_legacy(seed, 2, mask, &[chunk_a, chunk_b]);
     }
-}
-
-/// Per-technique pool fan-out is bit-identical to serial dispatch, live
-/// and replayed, for a multi-technique bank.
-#[test]
-fn pooled_dispatch_is_bit_identical_to_serial() {
-    let cores = 2;
-    let w = &paper_workloads(cores, 7)[0];
-    let x = xcfg(cores);
-    let set = [Technique::ITCA, Technique::PTCA, Technique::GDP, Technique::GDP_O, Technique::DIEF];
-    let serial = SessionBuilder::new(w, &x).techniques(&set).build().into_report();
-    let pooled =
-        SessionBuilder::new(w, &x).techniques(&set).with_pool(Pool::new(3)).build().into_report();
-    assert_runs_bit_identical(&serial, &pooled, "pooled live session vs serial");
-
-    let (_, trace) = record_shared(w, &x, &set);
-    let r_serial = ReplaySession::new(&trace, &x, &set).into_report();
-    let r_pooled = ReplaySession::new(&trace, &x, &set).with_pool(Pool::new(3)).into_report();
-    assert_runs_bit_identical(&r_serial, &r_pooled, "pooled replay vs serial");
 }

@@ -1,90 +1,31 @@
 //! Snapshot/restore and parallel-replay equivalence: extending the
-//! session-equivalence harness to the checkpointable-estimator surface.
+//! session-equivalence harness to the checkpointable observer surface.
 //!
-//! The pinned property: restoring a summarized estimator-state snapshot
+//! The pinned property: restoring a summarized observer-state snapshot
 //! at *any* interval boundary is bit-identical to having replayed every
 //! interval before it — which is exactly what makes segmented,
 //! pool-parallel replay exact rather than approximate. Over random
 //! workload mixes × registered technique subsets × segment cuts and
 //! worker counts, `ParallelReplaySession` must reproduce the serial
-//! `ReplaySession` row for row, bit for bit, through `into_report` and
-//! through the on-demand `estimate_interval(k)` query — including after
-//! the checkpoint file round-trips the binary `STATE` codec.
+//! `ReplaySession` row for row, bit for bit, and so must the on-demand
+//! `ReplaySession::estimate_interval(k)` query — including after the
+//! checkpoint file round-trips the binary `STATE` codec.
 
 use proptest::prelude::*;
 
 use gdp_experiments::{
-    record_shared, summarize_checkpoints, CoreInterval, ExperimentConfig, ParallelReplaySession,
-    ReplaySession, SharedRun, Technique,
+    record_shared, summarize_checkpoints, CoreInterval, ObservationPlane, ParallelReplaySession,
+    ReplaySession, StreamSession, Technique,
 };
 use gdp_runner::Pool;
+use gdp_sim::types::CoreId;
 use gdp_trace::{decode_checkpoints, encode_checkpoints, CheckpointFile, StateCheckpoint};
 use gdp_workloads::paper_workloads;
 
-fn xcfg(cores: usize) -> ExperimentConfig {
-    let mut x = ExperimentConfig::tiny(cores);
-    x.sample_instrs = 5_000;
-    x.interval_cycles = 9_000;
-    x
-}
-
-/// Decode a subset bitmask over the full registry into a technique set
-/// (the same encoding the session-equivalence suite uses).
-fn subset_from_mask(mask: usize) -> Vec<Technique> {
-    let all = Technique::all_registered();
-    let set: Vec<Technique> = all
-        .iter()
-        .copied()
-        .enumerate()
-        .filter(|(i, _)| mask & (1 << i) != 0)
-        .map(|(_, t)| t)
-        .collect();
-    if set.is_empty() {
-        vec![Technique::GDP]
-    } else {
-        set
-    }
-}
-
-fn assert_rows_bit_identical(a: &[Vec<CoreInterval>], b: &[Vec<CoreInterval>], what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: row count");
-    for (i, (ra, rb)) in a.iter().zip(b).enumerate() {
-        assert_eq!(ra.len(), rb.len(), "{what}: iv {i} core count");
-        for (c, (ca, cb)) in ra.iter().zip(rb).enumerate() {
-            assert_eq!(ca.instr_start, cb.instr_start, "{what}: iv {i} core {c}");
-            assert_eq!(ca.instr_end, cb.instr_end, "{what}: iv {i} core {c}");
-            assert_eq!(ca.stats, cb.stats, "{what}: iv {i} core {c}");
-            assert_eq!(ca.lambda.to_bits(), cb.lambda.to_bits(), "{what}: iv {i} core {c} λ");
-            assert_eq!(
-                ca.shared_latency.to_bits(),
-                cb.shared_latency.to_bits(),
-                "{what}: iv {i} core {c} L"
-            );
-            assert_eq!(ca.estimates.len(), cb.estimates.len(), "{what}: iv {i} core {c}");
-            for (e, (ea, eb)) in ca.estimates.iter().zip(&cb.estimates).enumerate() {
-                assert_eq!(ea.cpi.to_bits(), eb.cpi.to_bits(), "{what}: iv {i} c{c} est{e} cpi");
-                assert_eq!(
-                    ea.sigma_sms.to_bits(),
-                    eb.sigma_sms.to_bits(),
-                    "{what}: iv {i} c{c} est{e} σ"
-                );
-                assert_eq!(ea.cpl, eb.cpl, "{what}: iv {i} c{c} est{e} cpl");
-                assert_eq!(
-                    ea.overlap.to_bits(),
-                    eb.overlap.to_bits(),
-                    "{what}: iv {i} c{c} est{e} overlap"
-                );
-            }
-        }
-    }
-}
-
-fn assert_runs_bit_identical(a: &SharedRun, b: &SharedRun, what: &str) {
-    assert_eq!(a.techniques, b.techniques, "{what}: technique sets");
-    assert_eq!(a.cycles, b.cycles, "{what}: cycles");
-    assert_eq!(a.final_stats, b.final_stats, "{what}: final stats");
-    assert_rows_bit_identical(&a.intervals, &b.intervals, what);
-}
+mod common;
+use common::{
+    assert_rows_bit_identical, assert_runs_bit_identical, transparent_subset_from_mask, xcfg,
+};
 
 /// One recorded tiny cell: (trace, summarized checkpoints). Recording a
 /// transparent run is subset-invariant, so the GDP-only recording serves
@@ -98,25 +39,10 @@ fn recorded_cell(seed: u64, cores: usize) -> (gdp_trace::SharedTrace, Checkpoint
     (trace, cks)
 }
 
-/// Restrict a registry mask to transparent techniques (drop ASM's bit;
-/// the parallel session itself is kind-agnostic, but replaying an
-/// invasive estimator over a transparent stream is a category error the
-/// cache layer prevents by keying kinds separately).
-fn transparent_mask(mask: usize) -> usize {
-    let all = Technique::all_registered();
-    let mut m = 0usize;
-    for (i, t) in all.iter().enumerate() {
-        if mask & (1 << i) != 0 && !t.is_invasive() {
-            m |= 1 << i;
-        }
-    }
-    m
-}
-
 fn check_snapshot_equivalence(seed: u64, mask: usize, cut_pick: usize, jobs: usize) {
     let cores = 2;
     let x = xcfg(cores);
-    let set = subset_from_mask(transparent_mask(mask));
+    let set = transparent_subset_from_mask(mask);
     let (trace, cks) = recorded_cell(seed, cores);
     let n = trace.intervals.len();
     assert!(n >= 2, "a tiny run must cross at least two boundaries");
@@ -173,28 +99,33 @@ proptest! {
     }
 }
 
-/// `estimate_interval(k)` for **every** k of a recorded cell equals the
-/// k-th row of a full serial replay — including k=0 (cold state, no
-/// checkpoint restored) and the final interval (the row the FINAL
-/// section's statistics close over). Past-the-end queries return `None`.
+/// `ReplaySession::estimate_interval(k)` for **every** k of a recorded
+/// cell equals the k-th row of a full serial replay — including k=0
+/// (cold state, no checkpoint restored) and the final interval (the row
+/// the FINAL section's statistics close over). One session answers every
+/// query, first backwards (each a restore or a cold rebuild), then
+/// forwards (each continuing from the previous position), with and
+/// without checkpoints. Past-the-end queries return `None`.
 #[test]
 fn estimate_interval_matches_every_serial_row() {
     let x = xcfg(2);
     let set = [Technique::GDP, Technique::GDP_O, Technique::ITCA];
     let (trace, cks) = recorded_cell(7, 2);
     let serial = ReplaySession::new(&trace, &x, &set).into_report();
-    let par = ParallelReplaySession::new(&trace, &x, &set, Some(&cks), Pool::new(4));
     let n = trace.intervals.len();
-    for k in 0..n {
-        let row = par.estimate_interval(k).expect("in-range interval");
-        assert_rows_bit_identical(
-            std::slice::from_ref(&row),
-            std::slice::from_ref(&serial.intervals[k]),
-            &format!("estimate_interval({k})"),
-        );
+    for checkpoints in [Some(&cks), None] {
+        let mut q = ReplaySession::new(&trace, &x, &set);
+        for k in (0..n).rev().chain(0..n) {
+            let row = q.estimate_interval(k, checkpoints).expect("in-range interval");
+            assert_rows_bit_identical(
+                std::slice::from_ref(&row),
+                std::slice::from_ref(&serial.intervals[k]),
+                &format!("estimate_interval({k})"),
+            );
+        }
+        assert!(q.estimate_interval(n, checkpoints).is_none(), "past-the-end query");
+        assert!(q.estimate_interval(n + 7, checkpoints).is_none());
     }
-    assert!(par.estimate_interval(n).is_none(), "past-the-end query");
-    assert!(par.estimate_interval(n + 7).is_none());
 }
 
 /// Without checkpoints a parallel session cannot cut the trace: it runs
@@ -208,22 +139,13 @@ fn parallel_replay_without_checkpoints_degrades_to_serial() {
     let par = ParallelReplaySession::new(&trace, &x, &set, None, Pool::new(4));
     assert_eq!(par.segment_starts(), vec![0], "no checkpoints, no cuts");
     assert_runs_bit_identical(&serial, &par.into_report(), "checkpoint-free parallel vs serial");
-    // estimate_interval still works — it replays from the trace start.
-    let row = ParallelReplaySession::new(&trace, &x, &set, None, Pool::new(4))
-        .estimate_interval(1)
-        .expect("in range");
-    assert_rows_bit_identical(
-        std::slice::from_ref(&row),
-        std::slice::from_ref(&serial.intervals[1]),
-        "cold estimate_interval(1)",
-    );
 }
 
 /// A checkpoint file whose interior entries were salvaged away (as the
 /// corruption-tolerant loader does) merges segments instead of erroring;
 /// a checkpoint that *restores* badly (schema version from the future)
-/// falls back to replaying that segment from the trace start. Both paths
-/// stay bit-identical to serial — corruption costs time, never results.
+/// falls back to replaying from the trace start. Both paths stay
+/// bit-identical to serial — corruption costs time, never results.
 #[test]
 fn damaged_checkpoints_degrade_without_changing_results() {
     let x = xcfg(2);
@@ -244,7 +166,7 @@ fn damaged_checkpoints_degrade_without_changing_results() {
     assert_runs_bit_identical(&serial, &par.into_report(), "sparse checkpoints vs serial");
 
     // A restore-time failure (future schema version) must not surface:
-    // the segment silently replays from the trace start instead.
+    // the segment, or the query, silently replays from the trace start.
     let mut tampered = cks.clone();
     for cp in &mut tampered.checkpoints {
         for (_, state) in &mut cp.states {
@@ -253,12 +175,22 @@ fn damaged_checkpoints_degrade_without_changing_results() {
     }
     let par = ParallelReplaySession::new(&trace, &x, &set, Some(&tampered), Pool::new(3));
     assert_runs_bit_identical(&serial, &par.into_report(), "unrestorable checkpoints vs serial");
+    let last = trace.intervals.len() - 1;
+    let row = ReplaySession::new(&trace, &x, &set)
+        .estimate_interval(last, Some(&tampered))
+        .expect("in range");
+    assert_rows_bit_identical(
+        std::slice::from_ref(&row),
+        std::slice::from_ref(&serial.intervals[last]),
+        "estimate_interval over unrestorable checkpoints",
+    );
 }
 
 /// One checkpoint file (summarized with every registered technique)
-/// serves any transparent replay subset: an estimator's state depends
-/// only on the recorded stream and its own boundary calls, never on
-/// which co-observers were attached during summarization.
+/// serves any transparent replay subset: an observer's state depends
+/// only on the recorded stream, never on which readouts consume it. And
+/// a suspended {GDP, GDP-O} stream — one GDP-unit tree — resumes into
+/// {GDP}, {GDP-O} and {GDP, GDP-O} sessions bit-exactly.
 #[test]
 fn one_checkpoint_file_serves_any_transparent_subset() {
     let x = xcfg(2);
@@ -270,4 +202,45 @@ fn one_checkpoint_file_serves_any_transparent_subset() {
         let par = ParallelReplaySession::new(&trace, &x, set, Some(&cks), Pool::new(3));
         assert_runs_bit_identical(&serial, &par.into_report(), "subset parallel vs serial");
     }
+
+    let cut = trace.intervals.len() / 2;
+    let mut head = StreamSession::new(&x, &[Technique::GDP, Technique::GDP_O]);
+    for iv in &trace.intervals[..cut] {
+        head.feed_interval(&iv.events, &iv.boundaries);
+    }
+    let cp = head.suspend();
+    assert_eq!(cp.states.len(), 1, "one unit tree serves both GDP variants");
+    for set in [&[Technique::GDP][..], &[Technique::GDP_O][..], &[Technique::GDP, Technique::GDP_O]]
+    {
+        let serial = ReplaySession::new(&trace, &x, set).into_report();
+        let mut tail = StreamSession::new(&x, set);
+        tail.resume_from(&cp).expect("a GDP-unit tree seeds any GDP variant");
+        let rows: Vec<Vec<CoreInterval>> = trace.intervals[cut..]
+            .iter()
+            .map(|iv| tail.feed_interval(&iv.events, &iv.boundaries))
+            .collect();
+        assert_rows_bit_identical(&rows, &serial.intervals[cut..], "resumed GDP subset");
+    }
+}
+
+/// One DIEF serves both roles: replaying a recorded cell through an
+/// {ITCA, PTCA} plane recomputes every boundary's λ̂ from the plane's
+/// DIEF, bit-identical to the λ̂ the live session recorded.
+#[test]
+fn the_itca_ptca_dief_recomputes_the_recorded_lambda() {
+    let x = xcfg(2);
+    let (trace, _) = recorded_cell(19, 2);
+    let mut plane =
+        ObservationPlane::new(&[Technique::ITCA, Technique::PTCA], &x.technique_config(), false);
+    let mut checked = 0;
+    for (i, iv) in trace.intervals.iter().enumerate() {
+        plane.observe(&iv.events, None);
+        for (c, b) in iv.boundaries.iter().enumerate() {
+            let (_, lambda) = plane.harvest(CoreId(c as u8), b.stats.cycles);
+            let lambda = lambda.expect("an ITCA/PTCA plane holds a DIEF");
+            assert_eq!(lambda.to_bits(), b.lambda.to_bits(), "iv {i} core {c} λ");
+            checked += 1;
+        }
+    }
+    assert!(checked > 0);
 }

@@ -13,8 +13,8 @@
 //!    stream bit-identical to never having suspended;
 //! 3. a live session's `suspend()` bundle seeds a `StreamSession` whose
 //!    continuation matches the live run's own remaining rows bit for
-//!    bit (the recording surface and the estimator bank agree on where
-//!    the stream was cut).
+//!    bit (the recording surface and the observation plane agree on
+//!    where the stream was cut).
 
 use proptest::prelude::*;
 
@@ -25,60 +25,8 @@ use gdp_experiments::{
 use gdp_trace::{decode_checkpoints, encode_checkpoints, CheckpointFile, Recorder, SharedTrace};
 use gdp_workloads::paper_workloads;
 
-fn xcfg(cores: usize) -> ExperimentConfig {
-    let mut x = ExperimentConfig::tiny(cores);
-    x.sample_instrs = 5_000;
-    x.interval_cycles = 9_000;
-    x
-}
-
-fn subset_from_mask(mask: usize) -> Vec<Technique> {
-    let set: Vec<Technique> = Technique::all_registered()
-        .iter()
-        .copied()
-        .enumerate()
-        .filter(|(i, t)| mask & (1 << i) != 0 && !t.is_invasive())
-        .map(|(_, t)| t)
-        .collect();
-    if set.is_empty() {
-        vec![Technique::GDP]
-    } else {
-        set
-    }
-}
-
-fn assert_rows_bit_identical(a: &[Vec<CoreInterval>], b: &[Vec<CoreInterval>], what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: row count");
-    for (i, (ra, rb)) in a.iter().zip(b).enumerate() {
-        assert_eq!(ra.len(), rb.len(), "{what}: iv {i} core count");
-        for (c, (ca, cb)) in ra.iter().zip(rb).enumerate() {
-            assert_eq!(ca.instr_start, cb.instr_start, "{what}: iv {i} core {c}");
-            assert_eq!(ca.instr_end, cb.instr_end, "{what}: iv {i} core {c}");
-            assert_eq!(ca.stats, cb.stats, "{what}: iv {i} core {c}");
-            assert_eq!(ca.lambda.to_bits(), cb.lambda.to_bits(), "{what}: iv {i} core {c} λ");
-            assert_eq!(
-                ca.shared_latency.to_bits(),
-                cb.shared_latency.to_bits(),
-                "{what}: iv {i} core {c} L"
-            );
-            assert_eq!(ca.estimates.len(), cb.estimates.len(), "{what}: iv {i} core {c}");
-            for (e, (ea, eb)) in ca.estimates.iter().zip(&cb.estimates).enumerate() {
-                assert_eq!(ea.cpi.to_bits(), eb.cpi.to_bits(), "{what}: iv {i} c{c} est{e} cpi");
-                assert_eq!(
-                    ea.sigma_sms.to_bits(),
-                    eb.sigma_sms.to_bits(),
-                    "{what}: iv {i} c{c} est{e} σ"
-                );
-                assert_eq!(ea.cpl, eb.cpl, "{what}: iv {i} c{c} est{e} cpl");
-                assert_eq!(
-                    ea.overlap.to_bits(),
-                    eb.overlap.to_bits(),
-                    "{what}: iv {i} c{c} est{e} overlap"
-                );
-            }
-        }
-    }
-}
+mod common;
+use common::{assert_rows_bit_identical, transparent_subset_from_mask, xcfg};
 
 fn recorded(seed: u64, cores: usize) -> SharedTrace {
     let w = &paper_workloads(cores, seed)[0];
@@ -100,7 +48,7 @@ fn stream_all(
 fn check_stream_suspend_resume(seed: u64, mask: usize, cut_pick: usize) {
     let cores = 2;
     let x = xcfg(cores);
-    let set = subset_from_mask(mask);
+    let set = transparent_subset_from_mask(mask);
     let trace = recorded(seed, cores);
     let n = trace.intervals.len();
     assert!(n >= 2, "a tiny run must cross at least two boundaries");

@@ -1,22 +1,18 @@
-//! Microbenchmarks for trace decode and replay throughput.
+//! Microbenchmarks for trace encode and decode throughput.
 //!
-//! Run with `cargo bench -p gdp-trace`. The headline figures are
-//! events/second for decoding a shared trace and for replaying a GDP +
-//! GDP-O estimator pair over it — the two costs a warm-cache campaign
-//! pays instead of cycle-level simulation.
+//! Run with `cargo bench -p gdp-trace`. The headline figure is
+//! events/second for decoding a shared trace — the cost a warm-cache
+//! campaign pays instead of cycle-level simulation (replay through the
+//! estimator stack is `gdp-bench`'s `estimator_session` bench).
 
 use std::time::Duration;
 
-use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use gdp_core::model::EstimatorBank;
-use gdp_core::{GdpEstimator, GdpVariant};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gdp_sim::mem::Interference;
 use gdp_sim::probe::{ProbeEvent, StallCause};
 use gdp_sim::stats::CoreStats;
 use gdp_sim::types::{CoreId, ReqId};
-use gdp_trace::{
-    decode_shared, encode_shared, replay_estimates, Boundary, SharedTrace, TraceInterval,
-};
+use gdp_trace::{decode_shared, encode_shared, Boundary, SharedTrace, TraceInterval};
 
 /// A synthetic but realistically-shaped trace: `intervals` intervals of
 /// `events_per_interval` mixed events across 2 cores.
@@ -100,13 +96,6 @@ fn synthetic_trace(intervals: usize, events_per_interval: usize) -> SharedTrace 
     }
 }
 
-fn estimators() -> EstimatorBank {
-    EstimatorBank::all_subscribed(vec![
-        Box::new(GdpEstimator::new(GdpVariant::Gdp, 2, 32)),
-        Box::new(GdpEstimator::new(GdpVariant::GdpO, 2, 32)),
-    ])
-}
-
 fn bench_codec(c: &mut Criterion) {
     let trace = synthetic_trace(50, 2_000);
     let events = trace.event_count();
@@ -123,23 +112,6 @@ fn bench_codec(c: &mut Criterion) {
     });
     c.bench_function(&format!("decode_shared/{events}_events"), |b| {
         b.iter(|| black_box(decode_shared(black_box(&bytes)).expect("decodes")))
-    });
-    c.bench_function(&format!("replay_gdp_gdpo/{events}_events"), |b| {
-        b.iter_batched(
-            estimators,
-            |mut bank| black_box(replay_estimates(black_box(&trace), &mut bank)),
-            BatchSize::SmallInput,
-        )
-    });
-    c.bench_function(&format!("decode_and_replay/{events}_events"), |b| {
-        b.iter_batched(
-            estimators,
-            |mut bank| {
-                let t = decode_shared(black_box(&bytes)).expect("decodes");
-                black_box(replay_estimates(&t, &mut bank))
-            },
-            BatchSize::SmallInput,
-        )
     });
 }
 

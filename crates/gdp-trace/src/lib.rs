@@ -25,20 +25,18 @@
 //!   incremental [`FrameAssembler`](frame::FrameAssembler) reassembling
 //!   CRC-checked frames from arbitrarily-chunked reads (the serve wire
 //!   protocol's receive half).
-//! * [`replay`] — re-evaluates any [`PrivateModeEstimator`] from a trace,
-//!   producing estimates bit-identical to the live run.
 //! * [`cache`] — the content-addressed trace store under
 //!   `results/traces/`, keyed by an FNV-1a hash of (simulator config,
 //!   workload spec, scale) so a warm campaign never re-simulates.
 //!
-//! [`PrivateModeEstimator`]: gdp_core::model::PrivateModeEstimator
+//! Replaying a trace through the estimator stack is `gdp-experiments`'
+//! `ReplaySession`.
 
 pub mod cache;
 pub mod codec;
 pub mod format;
 pub mod frame;
 pub mod model;
-pub mod replay;
 
 pub use cache::{CacheKey, CacheStatsSnapshot, TraceCache};
 pub use codec::TraceError;
@@ -52,4 +50,3 @@ pub use model::{
     Boundary, CheckpointFile, NullSink, PrivateTrace, Recorder, SharedTrace, StateCheckpoint,
     TraceCheckpoint, TraceInterval, TraceSink,
 };
-pub use replay::replay_estimates;

@@ -103,22 +103,23 @@ pub struct PrivateTrace {
     pub total: CoreStats,
 }
 
-/// Snapshots of every registered technique's estimator state at one
-/// interval boundary of a shared trace: restoring the snapshot for
-/// technique `id` and replaying intervals `at..` is bit-identical to
-/// replaying the whole trace — the unit of segmented parallel replay.
+/// Snapshots of a session's observer states at one interval boundary of
+/// a shared trace: restoring them and replaying intervals `at..` is
+/// bit-identical to replaying the whole trace — the unit of segmented
+/// parallel replay and of the serve evict/resume path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateCheckpoint {
     /// Number of intervals fully replayed before this state was captured
     /// (checkpoint `at = k` restores a session about to replay interval
     /// `k`; `k = 0` is the cold state and is never stored).
     pub at: u64,
-    /// Per-technique snapshots, keyed by the technique's stable id.
+    /// Per-observer snapshots, keyed by observer id (`gdp-units`, `dief`,
+    /// or a stateful technique's id such as `asm`).
     pub states: Vec<(String, EstimatorState)>,
 }
 
 impl StateCheckpoint {
-    /// The snapshot of technique `id`, if the summarizer captured one.
+    /// The snapshot of observer `id`, if the checkpoint holds one.
     pub fn state(&self, id: &str) -> Option<&EstimatorState> {
         self.states.iter().find(|(s, _)| s == id).map(|(_, e)| e)
     }
