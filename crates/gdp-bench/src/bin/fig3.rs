@@ -25,14 +25,8 @@ fn main() {
     let mut campaign = args.campaign();
     let progress = Progress::new(args.bin, job_count);
     let traces = args.traces();
-    let sweep = accuracy_sweep_traced(
-        &cells,
-        args.scale,
-        &techniques,
-        &args.pool(),
-        &progress,
-        traces.as_ref(),
-    );
+    let sweep =
+        accuracy_sweep_traced(&cells, args.scale, &techniques, &args.pool(), &progress, &traces);
 
     let header = {
         let mut h = format!("{:8}", "cell");
@@ -75,6 +69,6 @@ fn main() {
     );
 
     let data = Json::obj(vec![("cells", Json::Arr(data_cells))]);
-    args.finish_campaign(&mut campaign, &progress, traces.as_ref());
+    args.finish_campaign(&mut campaign, &progress, &traces);
     args.write_json(&campaign, job_count, data);
 }

@@ -24,14 +24,8 @@ fn main() {
     let mut campaign = args.campaign();
     let progress = Progress::new(args.bin, job_count);
     let traces = args.traces();
-    let sweep = accuracy_sweep_traced(
-        &cells,
-        args.scale,
-        &techniques,
-        &args.pool(),
-        &progress,
-        traces.as_ref(),
-    );
+    let sweep =
+        accuracy_sweep_traced(&cells, args.scale, &techniques, &args.pool(), &progress, &traces);
 
     let mut data_sizes = Vec::new();
     for cores in [2usize, 4, 8] {
@@ -102,6 +96,6 @@ fn main() {
     );
 
     let data = Json::obj(vec![("cmp_sizes", Json::Arr(data_sizes))]);
-    args.finish_campaign(&mut campaign, &progress, traces.as_ref());
+    args.finish_campaign(&mut campaign, &progress, &traces);
     args.write_json(&campaign, job_count, data);
 }

@@ -146,6 +146,6 @@ fn main() {
         ("cells", Json::Arr(data_cells)),
         ("eight_core_h_vs_lru", Json::Arr(data_8ch)),
     ]);
-    args.finish_campaign(&mut campaign, &progress, None);
+    args.finish_campaign(&mut campaign, &progress, &args.traces());
     args.write_json(&campaign, job_count, data);
 }

@@ -8,7 +8,10 @@
 //! selected technique gets its own table block and JSON column.
 
 use gdp_bench::{banner, class_workloads, BenchArgs, Scale, SWEEP_SEED};
-use gdp_experiments::{evaluate_workload_traced, CampaignTraces, ExperimentConfig, Technique};
+use gdp_experiments::{
+    evaluate, evaluate_job_count, evaluate_job_labels, EvalGroup, ExperimentConfig, Technique,
+    WorkloadAccuracy,
+};
 use gdp_metrics::mean;
 use gdp_runner::{Json, Progress};
 use gdp_sim::DramConfig;
@@ -82,25 +85,21 @@ fn ipc_rms_key(t: Technique) -> String {
     format!("{}_ipc_rms", t.id().replace('-', ""))
 }
 
-/// Per-benchmark absolute RMS IPC errors of one workload, one vector per
-/// selected technique (routed through the trace cache when one is active
-/// — every *distinct* configuration keys its own traces, so replays stay
-/// exact; the identical baseline variants of the five sweeps share keys).
-fn tech_errors(
-    w: &Workload,
-    xcfg: &ExperimentConfig,
-    techniques: &[Technique],
-    traces: Option<&CampaignTraces>,
-) -> Vec<Vec<f64>> {
-    let r = evaluate_workload_traced(w, xcfg, techniques, traces);
+/// Per-benchmark absolute RMS IPC errors over one group's evaluated
+/// workloads, one vector per selected technique.
+fn group_ipc_rms(group: &[WorkloadAccuracy], techniques: &[Technique]) -> Vec<Vec<f64>> {
     techniques
         .iter()
         .map(|t| {
-            let i = r.tech_index(*t).expect("evaluated technique");
-            r.benches
+            group
                 .iter()
-                .filter(|b| !b.ipc_err[i].is_empty())
-                .map(|b| b.ipc_err[i].rms_abs())
+                .flat_map(|r| {
+                    let i = r.tech_index(*t).expect("evaluated technique");
+                    r.benches
+                        .iter()
+                        .filter(move |b| !b.ipc_err[i].is_empty())
+                        .map(move |b| b.ipc_err[i].rms_abs())
+                })
                 .collect()
         })
         .collect()
@@ -120,47 +119,35 @@ fn main() {
             .map(|&p| (p, generate_mixed_workloads(p, mix_count, SWEEP_SEED)))
             .collect();
 
-    // Tweaked configurations, one per (sweep, variant).
-    let variant_cfgs: Vec<Vec<ExperimentConfig>> = sweeps
-        .iter()
-        .map(|s| {
-            s.variants
-                .iter()
-                .map(|(_, tweak)| {
-                    let mut xcfg = args.scale.xcfg(4);
-                    tweak(&mut xcfg);
-                    xcfg
-                })
-                .collect()
-        })
-        .collect();
-    let base_cfg = args.scale.xcfg(4);
-
-    // Flatten (sweep × variant × class × workload) plus the mixed
-    // workloads into one (workload, config, label) list — the single
-    // source for the `--list` plan and the executed jobs, so the two
-    // can never drift. Note sweeps (a)–(e) each carry a baseline
-    // variant identical to the untweaked config: those jobs share one
-    // set of cache keys, so under `--record --replay` only the first
-    // simulates and the rest replay.
-    let mut plan: Vec<(&Workload, &ExperimentConfig, String)> = Vec::new();
-    for (sweep, cfgs) in sweeps.iter().zip(&variant_cfgs) {
-        for ((vlabel, _), xcfg) in sweep.variants.iter().zip(cfgs) {
+    // One evaluation group per (sweep × variant × class) plus one per
+    // mix pattern — the single source for the `--list` plan and the
+    // executed jobs. Sweeps (a)–(e) each carry a baseline variant
+    // identical to the untweaked config: those groups share one set of
+    // cache keys, so under `--record --replay` only the first simulates
+    // and the rest replay.
+    let mut groups: Vec<EvalGroup> = Vec::new();
+    for sweep in &sweeps {
+        for (vlabel, tweak) in &sweep.variants {
+            let mut xcfg = args.scale.xcfg(4);
+            tweak(&mut xcfg);
             for (class, workloads) in &per_class {
-                for w in workloads {
-                    plan.push((w, xcfg, format!("{}={vlabel} 4c-{class} {}", sweep.title, w.name)));
-                }
+                groups.push(EvalGroup {
+                    label: format!("{}={vlabel} 4c-{class}", sweep.title),
+                    xcfg: xcfg.clone(),
+                    workloads: workloads.clone(),
+                });
             }
         }
     }
     for (pat, workloads) in &mixes {
-        for w in workloads {
-            plan.push((w, &base_cfg, format!("mix {} {}", pat.name(), w.name)));
-        }
+        groups.push(EvalGroup {
+            label: format!("mix {}", pat.name()),
+            xcfg: args.scale.xcfg(4),
+            workloads: workloads.clone(),
+        });
     }
     if args.list {
-        let labels: Vec<String> = plan.iter().map(|(_, _, l)| l.clone()).collect();
-        args.print_plan(&labels);
+        args.print_plan(&evaluate_job_labels(&groups, &techniques));
         return;
     }
     banner(
@@ -168,25 +155,13 @@ fn main() {
         args.scale,
     );
 
-    let job_count = plan.len();
+    let job_count = evaluate_job_count(&groups, &techniques);
     let mut campaign = args.campaign();
     let progress = Progress::new(args.bin, job_count);
     let traces = args.traces();
-
-    let jobs: Vec<_> = plan
-        .iter()
-        .map(|(w, xcfg, label)| {
-            let progress = &progress;
-            let traces = &traces;
-            let techniques = &techniques;
-            move || {
-                let e = tech_errors(w, xcfg, techniques, traces.as_ref());
-                progress.finish_item(label);
-                e
-            }
-        })
-        .collect();
-    let mut results = args.pool().run(jobs).into_iter();
+    let mut results = evaluate(&groups, &techniques, &args.pool(), &progress, &traces)
+        .into_iter()
+        .map(|group| group_ipc_rms(&group, &techniques));
 
     // ---- reassemble in job order ----
     let nt = techniques.len();
@@ -196,16 +171,10 @@ fn main() {
         let mut tables: Vec<Vec<Vec<f64>>> = vec![Vec::new(); nt];
         for _ in &sweep.variants {
             let mut per_class_errs: Vec<Vec<Vec<f64>>> = vec![Vec::new(); nt];
-            for (_, workloads) in &per_class {
-                let mut errs: Vec<Vec<f64>> = vec![Vec::new(); nt];
-                for _ in workloads {
-                    let per_tech = results.next().expect("one result per workload");
-                    for (t, e) in per_tech.into_iter().enumerate() {
-                        errs[t].extend(e);
-                    }
-                }
-                for t in 0..nt {
-                    per_class_errs[t].push(std::mem::take(&mut errs[t]));
+            for _ in &per_class {
+                let errs = results.next().expect("one group per variant and class");
+                for (t, e) in errs.into_iter().enumerate() {
+                    per_class_errs[t].push(e);
                 }
             }
             for t in 0..nt {
@@ -257,15 +226,8 @@ fn main() {
 
     // (f) Mixed workloads.
     let mut data_mixes = Vec::new();
-    let mut mix_errs: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); nt]; mixes.len()];
-    for (mi, (_, workloads)) in mixes.iter().enumerate() {
-        for _ in workloads {
-            let per_tech = results.next().expect("one result per mixed workload");
-            for (t, e) in per_tech.into_iter().enumerate() {
-                mix_errs[mi][t].extend(e);
-            }
-        }
-    }
+    // mix_errs[pattern][tech]: the remaining groups, one per pattern.
+    let mix_errs: Vec<Vec<Vec<f64>>> = results.collect();
     for t in 0..nt {
         println!("\n(f) mixed workloads ({} avg abs RMS IPC error)", tech_names[t]);
         for (mi, (pat, _)) in mixes.iter().enumerate() {
@@ -288,6 +250,6 @@ fn main() {
 
     let data =
         Json::obj(vec![("sweeps", Json::Arr(data_sweeps)), ("mixes", Json::Arr(data_mixes))]);
-    args.finish_campaign(&mut campaign, &progress, traces.as_ref());
+    args.finish_campaign(&mut campaign, &progress, &traces);
     args.write_json(&campaign, job_count, data);
 }

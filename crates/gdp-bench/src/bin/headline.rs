@@ -60,8 +60,7 @@ fn main() {
     let traces = args.traces();
 
     // Phase 1: the accuracy campaign over both CMP sizes.
-    let sweep =
-        accuracy_sweep_traced(&cells, args.scale, &techniques, &pool, &progress, traces.as_ref());
+    let sweep = accuracy_sweep_traced(&cells, args.scale, &techniques, &pool, &progress, &traces);
 
     // Phase 2: the MCP-vs-ASM STP study, one job per workload.
     let policy_jobs: Vec<_> = stp_plan
@@ -183,6 +182,6 @@ fn main() {
     }
 
     let data = Json::obj(vec![("cmp_sizes", Json::Arr(data_sizes))]);
-    args.finish_campaign(&mut campaign, &progress, traces.as_ref());
+    args.finish_campaign(&mut campaign, &progress, &traces);
     args.write_json(&campaign, job_count, data);
 }

@@ -25,8 +25,8 @@
 use std::sync::Arc;
 
 use gdp_experiments::{
-    transparent_subset, CampaignTraces, ExperimentConfig, PrivateRun, SharedRun, Technique,
-    WorkloadAccuracy, WorkloadEval,
+    evaluate, evaluate_job_count, evaluate_job_labels, CampaignTraces, EvalGroup, ExperimentConfig,
+    Technique, WorkloadAccuracy,
 };
 use gdp_metrics::{mean, Summary};
 use gdp_runner::{
@@ -216,20 +216,16 @@ impl BenchArgs {
         Campaign::new(self.bin, self.scale.name(), SWEEP_SEED, self.jobs)
     }
 
-    /// The campaign trace policy, when `--record`/`--replay` asked for
-    /// one — or, under any telemetry flag, a no-IO policy (neither
-    /// recording nor replaying) that exists purely to thread the metrics
-    /// registry into every shared and private job. `None` keeps both
-    /// the cache and telemetry entirely out of the hot path.
-    pub fn traces(&self) -> Option<CampaignTraces> {
-        (self.record || self.replay || self.registry.is_some()).then(|| {
-            let mut tc = CampaignTraces::new(&self.trace_dir, self.record, self.replay)
-                .with_replay_jobs(self.replay_jobs);
-            if let Some(reg) = &self.registry {
-                tc = tc.with_metrics(Arc::clone(reg));
-            }
-            tc
-        })
+    /// The campaign router every shared and private job goes through:
+    /// `--record`/`--replay`/`--replay-jobs` over `--trace-dir`, with the
+    /// metrics registry attached under any telemetry flag.
+    pub fn traces(&self) -> CampaignTraces {
+        let tc = CampaignTraces::new(&self.trace_dir, self.record, self.replay)
+            .with_replay_jobs(self.replay_jobs);
+        match &self.registry {
+            Some(reg) => tc.with_metrics(Arc::clone(reg)),
+            None => tc,
+        }
     }
 
     /// Under `--list`, print the flattened job plan (one label per job,
@@ -257,31 +253,29 @@ impl BenchArgs {
         &self,
         campaign: &mut Campaign,
         progress: &Progress,
-        traces: Option<&CampaignTraces>,
+        traces: &CampaignTraces,
     ) {
         progress.campaign_done_with(self.pool_telemetry.as_deref());
-        if let Some(tc) = traces {
-            if self.record || self.replay {
-                let s = tc.stats();
-                campaign.set_cache(CacheCounters {
-                    hits: s.hits,
-                    misses: s.misses,
-                    stores: s.stores,
-                    quarantines: s.quarantines,
-                    salvage_dropped: s.salvage_dropped,
-                });
-                log_info!(
-                    "[{}] trace cache: {} hits, {} misses, {} stores ({})",
-                    self.bin,
-                    s.hits,
-                    s.misses,
-                    s.stores,
-                    self.trace_dir
-                );
-            }
-            if let Some(reg) = &self.registry {
-                tc.stats().export(reg);
-            }
+        let s = traces.stats();
+        if self.record || self.replay {
+            campaign.set_cache(CacheCounters {
+                hits: s.hits,
+                misses: s.misses,
+                stores: s.stores,
+                quarantines: s.quarantines,
+                salvage_dropped: s.salvage_dropped,
+            });
+            log_info!(
+                "[{}] trace cache: {} hits, {} misses, {} stores ({})",
+                self.bin,
+                s.hits,
+                s.misses,
+                s.stores,
+                self.trace_dir
+            );
+        }
+        if let Some(reg) = &self.registry {
+            s.export(reg);
         }
         if let (Some(tr), Some(path)) = (&self.tracer, &self.trace_out) {
             match tr.write_json(path) {
@@ -404,69 +398,23 @@ pub fn class_workloads(cores: usize, class: LlcClass, scale: Scale) -> Vec<Workl
     generate_workloads(cores, class, count, SWEEP_SEED)
 }
 
-/// Workloads per cell at `scale` (without generating them).
-pub fn cell_workload_count(class: LlcClass, scale: Scale) -> usize {
-    let (h, m, l) = scale.class_counts();
-    match class {
-        LlcClass::H => h,
-        LlcClass::M => m,
-        LlcClass::L => l,
-    }
+/// The sweep cells as evaluation groups, labelled by cell (`2c-H`).
+fn cell_groups(cells: &[SweepCell], scale: Scale) -> Vec<EvalGroup> {
+    cells
+        .iter()
+        .map(|c| EvalGroup {
+            label: c.label(),
+            xcfg: scale.xcfg(c.cores),
+            workloads: class_workloads(c.cores, c.class, scale),
+        })
+        .collect()
 }
 
 /// Total number of jobs [`accuracy_sweep`] will submit for `cells`:
 /// per workload, one transparent shared run, one invasive shared run if
 /// any invasive technique is evaluated, and one private run per core.
 pub fn sweep_job_count(cells: &[SweepCell], scale: Scale, techniques: &[Technique]) -> usize {
-    let shared_per_workload = if techniques.iter().any(Technique::is_invasive) { 2 } else { 1 };
-    cells
-        .iter()
-        .map(|c| cell_workload_count(c.class, scale) * (shared_per_workload + c.cores))
-        .sum()
-}
-
-/// Run the accuracy campaign over `cells` as parallel jobs, reassembled
-/// deterministically: `result[i][w]` is workload `w` of `cells[i]`,
-/// bit-identical for every pool size.
-///
-/// The sweep is flattened at two granularities (the flattening the
-/// runner subsystem exists for): first one job per (workload ×
-/// technique-subset) shared-mode simulation — ASM's invasive run is
-/// separate from the transparent run — then one job per (workload ×
-/// core) private reference run, the expensive inner loop of the
-/// methodology.
-pub fn accuracy_sweep(
-    cells: &[SweepCell],
-    scale: Scale,
-    techniques: &[Technique],
-    pool: &Pool,
-    progress: &Progress,
-) -> Vec<Vec<WorkloadAccuracy>> {
-    accuracy_sweep_traced(cells, scale, techniques, pool, progress, None)
-}
-
-/// Label of one shared-mode job — the single source for both the
-/// `--list` plan and execution progress, so the two can never drift.
-/// `invasive` carries the invasive sub-set's display names, e.g.
-/// `" (ASM)"`, or an empty string for the transparent run.
-fn shared_job_label(cell: &SweepCell, workload: &str, invasive: &str) -> String {
-    format!("{}/{workload} shared{invasive}", cell.label())
-}
-
-/// Display suffix naming an invasive technique sub-set (empty when the
-/// sub-set is empty).
-fn invasive_suffix(invasive: &[Technique]) -> String {
-    if invasive.is_empty() {
-        String::new()
-    } else {
-        let names: Vec<&str> = invasive.iter().map(|t| t.name()).collect();
-        format!(" ({})", names.join("+"))
-    }
-}
-
-/// Label of one private ground-truth job.
-fn private_job_label(workload: &str, core: usize) -> String {
-    format!("{workload} private core {core}")
+    evaluate_job_count(&cell_groups(cells, scale), techniques)
 }
 
 /// The flattened job plan of [`accuracy_sweep`] as one label per job, in
@@ -477,124 +425,36 @@ pub fn sweep_job_labels(
     scale: Scale,
     techniques: &[Technique],
 ) -> Vec<String> {
-    let techniques = Technique::canonical(techniques);
-    let invasive: Vec<Technique> =
-        techniques.iter().copied().filter(Technique::is_invasive).collect();
-    let suffix = invasive_suffix(&invasive);
-    let mut labels = Vec::new();
-    let prep: Vec<Vec<Workload>> =
-        cells.iter().map(|c| class_workloads(c.cores, c.class, scale)).collect();
-    for (cell, workloads) in cells.iter().zip(&prep) {
-        for w in workloads {
-            labels.push(shared_job_label(cell, &w.name, ""));
-            if !invasive.is_empty() {
-                labels.push(shared_job_label(cell, &w.name, &suffix));
-            }
-        }
-    }
-    for (cell, workloads) in cells.iter().zip(&prep) {
-        for w in workloads {
-            for core in 0..cell.cores {
-                labels.push(private_job_label(&w.name, core));
-            }
-        }
-    }
-    labels
+    evaluate_job_labels(&cell_groups(cells, scale), techniques)
 }
 
-/// [`accuracy_sweep`] with an optional trace policy: when `traces` is
-/// given, every shared and private job routes through the
-/// content-addressed cache (replayed on a hit, simulated — and under
-/// `--record` stored — on a miss). Results are bit-identical either way.
+/// Run the accuracy campaign over `cells` as parallel jobs without a
+/// trace cache, reassembled deterministically: `result[i][w]` is
+/// workload `w` of `cells[i]`, bit-identical for every pool size.
+pub fn accuracy_sweep(
+    cells: &[SweepCell],
+    scale: Scale,
+    techniques: &[Technique],
+    pool: &Pool,
+    progress: &Progress,
+) -> Vec<Vec<WorkloadAccuracy>> {
+    accuracy_sweep_traced(cells, scale, techniques, pool, progress, &CampaignTraces::no_cache())
+}
+
+/// [`accuracy_sweep`] through a campaign router: one job per (workload ×
+/// run kind) shared-mode simulation — ASM's invasive run is separate
+/// from the transparent run — then one job per (workload × core) private
+/// reference run, each replayed on a cache hit and simulated (and under
+/// `--record` stored) on a miss. Results are bit-identical either way.
 pub fn accuracy_sweep_traced(
     cells: &[SweepCell],
     scale: Scale,
     techniques: &[Technique],
     pool: &Pool,
     progress: &Progress,
-    traces: Option<&CampaignTraces>,
+    traces: &CampaignTraces,
 ) -> Vec<Vec<WorkloadAccuracy>> {
-    let prep: Vec<(ExperimentConfig, Vec<Workload>)> = cells
-        .iter()
-        .map(|c| (scale.xcfg(c.cores), class_workloads(c.cores, c.class, scale)))
-        .collect();
-    let techniques = Technique::canonical(techniques);
-    let invasive: Vec<Technique> =
-        techniques.iter().copied().filter(Technique::is_invasive).collect();
-    let suffix = invasive_suffix(&invasive);
-    let transparent = transparent_subset(&techniques);
-    let run_shared_job = move |w: &Workload, xcfg: &ExperimentConfig, ts: &[Technique]| match traces
-    {
-        None => gdp_experiments::run_shared(w, xcfg, ts),
-        Some(tc) => tc.shared(w, xcfg, ts),
-    };
-
-    // Phase 1: shared-mode runs.
-    type SharedJob<'a> = Box<dyn FnOnce() -> SharedRun + Send + 'a>;
-    let mut shared_jobs: Vec<SharedJob<'_>> = Vec::new();
-    for (cell, (xcfg, workloads)) in cells.iter().zip(&prep) {
-        for w in workloads {
-            let label = shared_job_label(cell, &w.name, "");
-            let transparent = &transparent;
-            shared_jobs.push(Box::new(move || {
-                let r = run_shared_job(w, xcfg, transparent);
-                progress.finish_item(&label);
-                r
-            }));
-            if !invasive.is_empty() {
-                let label = shared_job_label(cell, &w.name, &suffix);
-                let invasive = &invasive;
-                shared_jobs.push(Box::new(move || {
-                    let r = run_shared_job(w, xcfg, invasive);
-                    progress.finish_item(&label);
-                    r
-                }));
-            }
-        }
-    }
-    let mut shared_results = pool.run(shared_jobs).into_iter();
-
-    // Reassemble shared runs into per-workload evaluations (job order).
-    let mut evals: Vec<WorkloadEval> = Vec::new();
-    for (xcfg, workloads) in &prep {
-        for w in workloads {
-            let t_run = shared_results.next().expect("one transparent run per workload");
-            let a_run = if invasive.is_empty() {
-                None
-            } else {
-                Some(shared_results.next().expect("one invasive run per workload"))
-            };
-            evals.push(WorkloadEval::from_runs(w, xcfg, t_run, a_run));
-        }
-    }
-
-    // Phase 2: per-(workload, core) private reference runs.
-    let private_jobs: Vec<_> = evals
-        .iter()
-        .flat_map(|eval| {
-            (0..eval.cores()).map(move |core| {
-                move || {
-                    let p = match traces {
-                        None => eval.run_private_for(core),
-                        Some(tc) => tc.private(eval, core),
-                    };
-                    progress.finish_item(&private_job_label(eval.workload_name(), core));
-                    p
-                }
-            })
-        })
-        .collect();
-    let mut privates = pool.run(private_jobs).into_iter();
-
-    // Phase 3: score and regroup per cell (pure, serial, deterministic).
-    let mut accuracies = evals.iter().map(|eval| {
-        let ps: Vec<PrivateRun> =
-            (0..eval.cores()).map(|_| privates.next().expect("one private run per core")).collect();
-        eval.finish(&ps)
-    });
-    prep.iter()
-        .map(|(_, ws)| ws.iter().map(|_| accuracies.next().expect("per workload")).collect())
-        .collect()
+    evaluate(&cell_groups(cells, scale), techniques, pool, progress, traces)
 }
 
 /// Aggregated accuracy numbers for one (core count, class) cell.
@@ -618,21 +478,6 @@ pub struct CellAccuracy {
     pub lambda_rel: Vec<f64>,
     /// Worst per-core invasive slowdown observed under ASM.
     pub worst_asm_slowdown: f64,
-}
-
-/// Evaluate all workloads of a class serially and aggregate
-/// per-benchmark errors (the single-cell convenience entry point; the
-/// binaries use [`accuracy_sweep`]).
-pub fn accuracy_cell(cores: usize, class: LlcClass, scale: Scale) -> CellAccuracy {
-    let cells = [SweepCell { cores, class }];
-    let sweep = accuracy_sweep(
-        &cells,
-        scale,
-        &Technique::ALL,
-        &Pool::new(1),
-        &Progress::silent(sweep_job_count(&cells, scale, &Technique::ALL)),
-    );
-    aggregate(&sweep[0])
 }
 
 /// Aggregate a set of workload evaluations into a cell. All evaluations

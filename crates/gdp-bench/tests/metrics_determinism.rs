@@ -29,20 +29,17 @@ fn tiny_sweep(workers: usize, metrics: Option<Arc<MetricsRegistry>>) -> String {
     let cells = [SweepCell { cores: 2, class: LlcClass::H }];
     let scale = Scale::Tiny;
     let progress = Progress::silent(sweep_job_count(&cells, scale, &Technique::ALL));
-    // A no-IO trace policy (record=false, replay=false) whose only job
-    // is to thread the registry into every session — the cache directory
-    // is never created or touched.
-    let traces = metrics.map(|reg| {
-        CampaignTraces::new(std::env::temp_dir().join("gdp-metrics-test-unused"), false, false)
-            .with_metrics(reg)
-    });
+    let traces = match metrics {
+        Some(reg) => CampaignTraces::no_cache().with_metrics(reg),
+        None => CampaignTraces::no_cache(),
+    };
     let sweep = accuracy_sweep_traced(
         &cells,
         scale,
         &Technique::ALL,
         &Pool::new(workers),
         &progress,
-        traces.as_ref(),
+        &traces,
     );
     let data_cells: Vec<Json> = cells
         .iter()

@@ -35,7 +35,7 @@ fn fig3_tiny_cell_replays_bit_identically_for_all_transparent_techniques() {
         &transparent,
         &pool,
         &Progress::silent(jobs),
-        Some(&rec),
+        &rec,
     );
     assert!(rec.stats().stores > 0, "cold run must store traces");
 
@@ -47,7 +47,7 @@ fn fig3_tiny_cell_replays_bit_identically_for_all_transparent_techniques() {
         &transparent,
         &pool,
         &Progress::silent(jobs),
-        Some(&rep),
+        &rep,
     );
     let s = rep.stats();
     assert_eq!(s.misses, 0, "warm cache must not miss");
@@ -60,7 +60,7 @@ fn fig3_tiny_cell_replays_bit_identically_for_all_transparent_techniques() {
         &transparent,
         &pool,
         &Progress::silent(jobs),
-        None,
+        &CampaignTraces::no_cache(),
     );
 
     let cold_bytes = data_bytes(&cold, &cells[0]);

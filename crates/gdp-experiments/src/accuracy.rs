@@ -4,12 +4,14 @@
 use std::collections::HashMap;
 
 use gdp_metrics::ErrorSeries;
-use gdp_workloads::Workload;
+use gdp_runner::{Pool, Progress};
+use gdp_workloads::{Benchmark, Workload};
 
 use crate::config::ExperimentConfig;
 use crate::private::PrivateRun;
-use crate::shared::{run_shared, SharedRun};
+use crate::shared::SharedRun;
 pub use crate::techniques::{transparent_subset, Technique};
+use crate::trace::CampaignTraces;
 
 /// Per-benchmark (per-core slot) error series over a workload run.
 #[derive(Debug, Clone)]
@@ -55,47 +57,150 @@ impl WorkloadAccuracy {
     }
 }
 
-/// Evaluate all five techniques on `workload` (paper methodology §VI):
-/// one transparent shared run (ITCA/PTCA/GDP/GDP-O), one invasive shared
-/// run (ASM), and per-benchmark private runs at the union of both runs'
-/// instruction checkpoints.
-pub fn evaluate_workload(workload: &Workload, xcfg: &ExperimentConfig) -> WorkloadAccuracy {
-    evaluate_workload_subset(workload, xcfg, &Technique::ALL)
+/// One labelled group of an evaluation campaign: workloads evaluated
+/// under one experiment configuration (a sweep cell such as `2c-H`, a
+/// sensitivity variant of one class, a mix pattern).
+#[derive(Debug, Clone)]
+pub struct EvalGroup {
+    /// Prefix of the group's shared-job labels.
+    pub label: String,
+    /// The configuration every workload of the group runs under.
+    pub xcfg: ExperimentConfig,
+    /// The group's workloads, in result order.
+    pub workloads: Vec<Workload>,
 }
 
-/// Evaluate a subset of techniques (cheaper: the invasive ASM run is only
-/// performed when ASM is requested).
-///
-/// Serial composition of the two [`WorkloadEval`] phases; the campaign
-/// runner composes the same phases as parallel jobs instead.
-pub fn evaluate_workload_subset(
-    workload: &Workload,
-    xcfg: &ExperimentConfig,
-    techniques: &[Technique],
-) -> WorkloadAccuracy {
-    let eval = WorkloadEval::shared(workload, xcfg, techniques);
-    let privates: Vec<PrivateRun> = (0..eval.cores()).map(|c| eval.run_private_for(c)).collect();
-    eval.finish(&privates)
+/// The shared runs each workload needs, as technique sets (paper §VI):
+/// the transparent run, plus a separate invasive run when `techniques`
+/// selects any invasive technique (per its registry capability flags).
+fn run_kinds(techniques: &[Technique]) -> Vec<Vec<Technique>> {
+    let techniques = Technique::canonical(techniques);
+    let invasive: Vec<Technique> =
+        techniques.iter().copied().filter(Technique::is_invasive).collect();
+    let mut kinds = vec![transparent_subset(&techniques)];
+    if !invasive.is_empty() {
+        kinds.push(invasive);
+    }
+    kinds
 }
 
-/// Evaluate a workload with the per-core private reference runs — the
-/// expensive inner loop of the methodology — executed as parallel jobs on
-/// `pool`. Results are bit-identical to [`evaluate_workload_subset`].
-pub fn evaluate_workload_pooled(
-    workload: &Workload,
-    xcfg: &ExperimentConfig,
+/// Every (group, workload) pair of `groups`, in result order.
+fn group_workloads(groups: &[EvalGroup]) -> impl Iterator<Item = (&EvalGroup, &Workload)> {
+    groups.iter().flat_map(|g| g.workloads.iter().map(move |w| (g, w)))
+}
+
+/// Label of one shared-mode job; an invasive run names its techniques,
+/// e.g. `2c-H/2c-H-00 shared (ASM)`.
+fn shared_job_label(group: &str, workload: &str, kind: &[Technique]) -> String {
+    if kind.iter().any(Technique::is_invasive) {
+        let names: Vec<&str> = kind.iter().map(|t| t.name()).collect();
+        format!("{group}/{workload} shared ({})", names.join("+"))
+    } else {
+        format!("{group}/{workload} shared")
+    }
+}
+
+/// Total number of jobs [`evaluate`] submits for `groups`: per workload,
+/// one shared job per run kind and one private job per core.
+pub fn evaluate_job_count(groups: &[EvalGroup], techniques: &[Technique]) -> usize {
+    let kinds = run_kinds(techniques).len();
+    group_workloads(groups).map(|(_, w)| kinds + w.cores()).sum()
+}
+
+/// The job plan of [`evaluate`] as one label per job, in submission
+/// order — the single source for both a `--list` plan and execution
+/// progress, so the two can never drift.
+pub fn evaluate_job_labels(groups: &[EvalGroup], techniques: &[Technique]) -> Vec<String> {
+    let kinds = run_kinds(techniques);
+    let shared = group_workloads(groups)
+        .flat_map(|(g, w)| kinds.iter().map(|k| shared_job_label(&g.label, &w.name, k)));
+    let private = group_workloads(groups)
+        .flat_map(|(_, w)| (0..w.cores()).map(|core| format!("{} private core {core}", w.name)));
+    shared.chain(private).collect()
+}
+
+/// Evaluate every workload of `groups` with `techniques` (paper
+/// methodology §VI) as jobs on `pool`: first one shared job per
+/// (workload × run kind), then one private ground-truth job per
+/// (workload × core) at the union of that workload's shared-run
+/// checkpoints. Every job goes through `traces`, so it replays a cached
+/// trace or simulates (recording under `record`), and reports its label
+/// to `progress`. `result[g][w]` is workload `w` of `groups[g]`,
+/// bit-identical for every pool size and trace policy.
+pub fn evaluate(
+    groups: &[EvalGroup],
     techniques: &[Technique],
-    pool: &gdp_runner::Pool,
-) -> WorkloadAccuracy {
-    let eval = WorkloadEval::shared(workload, xcfg, techniques);
-    let jobs: Vec<_> = (0..eval.cores())
-        .map(|core| {
-            let eval = &eval;
-            move || eval.run_private_for(core)
+    pool: &Pool,
+    progress: &Progress,
+    traces: &CampaignTraces,
+) -> Vec<Vec<WorkloadAccuracy>> {
+    let kinds = run_kinds(techniques);
+    let labels = evaluate_job_labels(groups, techniques);
+    let (shared_labels, private_labels) =
+        labels.split_at(group_workloads(groups).count() * kinds.len());
+
+    // Phase 1: shared-mode runs.
+    let shared_jobs: Vec<_> = group_workloads(groups)
+        .flat_map(|(g, w)| kinds.iter().map(move |k| (g, w, k)))
+        .zip(shared_labels)
+        .map(|((g, w, kind), label)| {
+            move || {
+                let run = traces.shared(w, &g.xcfg, kind);
+                progress.finish_item(label);
+                run
+            }
         })
         .collect();
-    let privates = pool.run(jobs);
-    eval.finish(&privates)
+    let mut runs = pool.run(shared_jobs).into_iter();
+    let evals: Vec<WorkloadEval> = group_workloads(groups)
+        .map(|(g, w)| {
+            let t_run = runs.next().expect("one transparent run per workload");
+            let a_run = (kinds.len() > 1).then(|| runs.next().expect("one invasive run"));
+            WorkloadEval::from_runs(w, &g.xcfg, t_run, a_run)
+        })
+        .collect();
+
+    // Phase 2: per-(workload, core) private reference runs.
+    let private_jobs: Vec<_> = evals
+        .iter()
+        .flat_map(|eval| (0..eval.cores()).map(move |core| (eval, core)))
+        .zip(private_labels)
+        .map(|((eval, core), label)| {
+            move || {
+                let run = traces.private(eval, core);
+                progress.finish_item(label);
+                run
+            }
+        })
+        .collect();
+    let mut privates = pool.run(private_jobs).into_iter();
+
+    // Phase 3: score and regroup (pure, serial, deterministic).
+    let mut scored = evals.iter().map(|eval| {
+        let ps: Vec<PrivateRun> =
+            (0..eval.cores()).map(|_| privates.next().expect("one private run per core")).collect();
+        eval.finish(&ps)
+    });
+    groups
+        .iter()
+        .map(|g| g.workloads.iter().map(|_| scored.next().expect("one per workload")).collect())
+        .collect()
+}
+
+/// Evaluate `techniques` on one workload, serially and without a trace
+/// cache: [`evaluate`] over a single one-workload group. The invasive
+/// ASM run is only performed when ASM is requested.
+pub fn evaluate_workload(
+    workload: &Workload,
+    xcfg: &ExperimentConfig,
+    techniques: &[Technique],
+) -> WorkloadAccuracy {
+    let groups =
+        [EvalGroup { label: String::new(), xcfg: xcfg.clone(), workloads: vec![workload.clone()] }];
+    let progress = Progress::silent(evaluate_job_count(&groups, techniques));
+    let mut out =
+        evaluate(&groups, techniques, &Pool::new(1), &progress, &CampaignTraces::no_cache());
+    out.pop().and_then(|mut g| g.pop()).expect("one workload evaluated")
 }
 
 /// Address-space base a private run uses for `core` (disjoint across
@@ -106,22 +211,21 @@ pub fn private_base(core: usize) -> u64 {
 
 /// A workload evaluation split into its two phases (paper §VI):
 ///
-/// 1. **Shared phase** ([`WorkloadEval::shared`] or, when the shared runs
-///    are themselves jobs, [`WorkloadEval::from_runs`]): the transparent
+/// 1. **Shared phase** ([`WorkloadEval::from_runs`]): the transparent
 ///    shared-mode run and — if ASM is under evaluation — the separate
-///    invasive one.
+///    invasive one, each its own campaign job.
 /// 2. **Private phase**: one ground-truth run *per core slot* at the
-///    union of both shared runs' instruction checkpoints. Each
-///    [`WorkloadEval::run_private_for`] call is pure, takes `&self` and
-///    is independent of every other core's, so a campaign runner can
-///    execute them as parallel jobs.
+///    union of both shared runs' instruction checkpoints
+///    ([`WorkloadEval::checkpoints_for`]), each an independent job
+///    ([`CampaignTraces::private`]).
 ///
 /// [`WorkloadEval::finish`] then scores estimates against the private
-/// records and assembles the [`WorkloadAccuracy`].
+/// records and assembles the [`WorkloadAccuracy`]; [`evaluate`] composes
+/// the phases.
 #[derive(Debug, Clone)]
 pub struct WorkloadEval {
     workload_name: String,
-    benchmarks: Vec<gdp_workloads::Benchmark>,
+    benchmarks: Vec<Benchmark>,
     xcfg: ExperimentConfig,
     techniques: Vec<Technique>,
     t_run: SharedRun,
@@ -129,22 +233,6 @@ pub struct WorkloadEval {
 }
 
 impl WorkloadEval {
-    /// Run the shared phase: the transparent run, plus the separate
-    /// invasive run when `techniques` selects any invasive technique
-    /// (per its registry capability flags).
-    pub fn shared(
-        workload: &Workload,
-        xcfg: &ExperimentConfig,
-        techniques: &[Technique],
-    ) -> WorkloadEval {
-        let techniques = Technique::canonical(techniques);
-        let invasive: Vec<Technique> =
-            techniques.iter().copied().filter(|t| t.is_invasive()).collect();
-        let t_run = run_shared(workload, xcfg, &transparent_subset(&techniques));
-        let a_run = (!invasive.is_empty()).then(|| run_shared(workload, xcfg, &invasive));
-        Self::from_runs(workload, xcfg, t_run, a_run)
-    }
-
     /// Assemble an evaluation from shared runs executed elsewhere (e.g.
     /// as two independent campaign jobs). `t_run` must be the transparent
     /// run and `a_run`, if present, the invasive run of the same workload
@@ -192,6 +280,11 @@ impl WorkloadEval {
         self.benchmarks[core].name
     }
 
+    /// The benchmark occupying `core`.
+    pub(crate) fn benchmark(&self, core: usize) -> &Benchmark {
+        &self.benchmarks[core]
+    }
+
     /// Sorted, deduplicated union of both shared runs' checkpoints for
     /// `core` — the instruction sample points handed to the private run.
     pub fn checkpoints_for(&self, core: usize) -> Vec<u64> {
@@ -207,29 +300,6 @@ impl WorkloadEval {
         cks
     }
 
-    /// The private ground-truth run for `core` (the expensive inner
-    /// loop; pure and independent across cores).
-    pub fn run_private_for(&self, core: usize) -> PrivateRun {
-        self.run_private_for_metered(core, None)
-    }
-
-    /// [`WorkloadEval::run_private_for`] with an optional metrics
-    /// registry: the run's `engine.*` counters accumulate into it (see
-    /// [`run_private_metered`](crate::private::run_private_metered)).
-    pub fn run_private_for_metered(
-        &self,
-        core: usize,
-        metrics: Option<&gdp_telemetry::MetricsRegistry>,
-    ) -> PrivateRun {
-        crate::private::run_private_metered(
-            &self.benchmarks[core],
-            private_base(core),
-            &self.xcfg,
-            &self.checkpoints_for(core),
-            metrics,
-        )
-    }
-
     /// The canonical technique set under evaluation.
     pub fn techniques(&self) -> &[Technique] {
         &self.techniques
@@ -237,7 +307,7 @@ impl WorkloadEval {
 
     /// Score every core's shared-mode estimates against its private
     /// record (`privates[core]`, as produced by
-    /// [`WorkloadEval::run_private_for`]).
+    /// [`CampaignTraces::private`]).
     pub fn finish(&self, privates: &[PrivateRun]) -> WorkloadAccuracy {
         let n = self.cores();
         assert_eq!(privates.len(), n, "one private run per core slot");
@@ -384,36 +454,57 @@ mod tests {
         ExperimentConfig::tiny(2)
     }
 
+    /// One group of 2-core workloads under the tiny configuration with
+    /// `prb_entries` PRB entries.
+    fn group(workloads: &[Workload], prb_entries: usize) -> EvalGroup {
+        let mut x = xcfg();
+        x.sample_instrs = 6_000;
+        x.prb_entries = prb_entries;
+        EvalGroup { label: format!("prb={prb_entries}"), xcfg: x, workloads: workloads.to_vec() }
+    }
+
+    fn run(groups: &[EvalGroup], set: &[Technique], workers: usize) -> Vec<Vec<WorkloadAccuracy>> {
+        let progress = Progress::silent(evaluate_job_count(groups, set));
+        evaluate(groups, set, &Pool::new(workers), &progress, &CampaignTraces::no_cache())
+    }
+
+    // `Debug` prints every f64 in round-trip form, so equal renderings
+    // mean equal values in every error series.
+
     #[test]
     fn pooled_private_runs_match_the_serial_composition() {
         // The per-core private reference runs are independent jobs: the
         // pooled evaluation must be bit-identical to the serial one.
-        let w = &paper_workloads(2, 5)[0];
-        let mut x = xcfg();
-        x.sample_instrs = 6_000;
-        let serial = evaluate_workload_subset(w, &x, &[Technique::GDP, Technique::GDP_O]);
-        let pooled = evaluate_workload_pooled(
-            w,
-            &x,
-            &[Technique::GDP, Technique::GDP_O],
-            &gdp_runner::Pool::new(4),
-        );
-        assert_eq!(serial.benches.len(), pooled.benches.len());
-        assert_eq!(serial.techniques, pooled.techniques);
-        for (a, b) in serial.benches.iter().zip(&pooled.benches) {
-            for t in 0..serial.techniques.len() {
-                assert_eq!(a.ipc_err[t].rms_abs().to_bits(), b.ipc_err[t].rms_abs().to_bits());
-                assert_eq!(a.stall_err[t].rms_abs().to_bits(), b.stall_err[t].rms_abs().to_bits());
-            }
-            assert_eq!(a.cpl_err.rms_rel().to_bits(), b.cpl_err.rms_rel().to_bits());
+        let g = group(&paper_workloads(2, 5)[..1], 32);
+        let set = [Technique::GDP, Technique::GDP_O];
+        let serial = evaluate_workload(&g.workloads[0], &g.xcfg, &set);
+        let pooled = run(std::slice::from_ref(&g), &set, 4);
+        assert_eq!(format!("{serial:?}"), format!("{:?}", pooled[0][0]));
+    }
+
+    #[test]
+    fn grouped_evaluation_is_pool_invariant_and_matches_each_group_alone() {
+        // Two groups share one workload under different configurations,
+        // with the invasive ASM in the set — the shape fig7 runs on.
+        let w = &paper_workloads(2, 5)[..1];
+        let groups = [group(w, 8), group(w, 32)];
+        let set = [Technique::ASM, Technique::GDP, Technique::GDP_O];
+        let serial = run(&groups, &set, 1);
+        assert_eq!(format!("{serial:?}"), format!("{:?}", run(&groups, &set, 3)));
+        for (g, results) in groups.iter().zip(&serial) {
+            let alone = evaluate_workload(&w[0], &g.xcfg, &set);
+            assert_eq!(format!("{:?}", results[0]), format!("{alone:?}"), "{}", g.label);
         }
-        assert_eq!(serial.invasive_slowdown, pooled.invasive_slowdown);
+        assert_ne!(format!("{:?}", serial[0]), format!("{:?}", serial[1]), "configs must differ");
+        let labels = evaluate_job_labels(&groups, &set);
+        assert_eq!(labels.len(), evaluate_job_count(&groups, &set));
+        assert_eq!(labels[1], format!("prb=8/{} shared (ASM)", w[0].name));
     }
 
     #[test]
     fn evaluation_produces_errors_for_every_technique() {
         let w = &paper_workloads(2, 5)[0]; // H workload: real interference
-        let r = evaluate_workload(w, &xcfg());
+        let r = evaluate_workload(w, &xcfg(), &Technique::ALL);
         assert_eq!(r.benches.len(), 2);
         for b in &r.benches {
             for (i, t) in Technique::ALL.iter().enumerate() {
@@ -436,7 +527,7 @@ mod tests {
         let mut itca = Vec::new();
         let mut ptca = Vec::new();
         for w in &paper_workloads(2, 5)[0..3] {
-            let r = evaluate_workload(w, &x);
+            let r = evaluate_workload(w, &x, &Technique::ALL);
             for b in &r.benches {
                 gdpo.push(b.ipc_err[r.tech_index(Technique::GDP_O).unwrap()].rms_abs());
                 itca.push(b.ipc_err[r.tech_index(Technique::ITCA).unwrap()].rms_abs());

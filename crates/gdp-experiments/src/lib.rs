@@ -8,7 +8,9 @@
 //!   shared run (paper §VI: "the shared mode instruction sample points are
 //!   provided as input to the private mode experiments").
 //! * [`accuracy`] — per-benchmark RMS error evaluation of IPC, SMS-stall,
-//!   CPL, overlap and latency estimates (Figs. 3–5).
+//!   CPL, overlap and latency estimates (Figs. 3–5): [`evaluate`]
+//!   composes the shared and private phases once, as pool jobs over
+//!   labelled workload groups.
 //! * [`techniques`] — the assembled technique registry and the
 //!   [`Technique`] handle: every estimator is data (id, label,
 //!   capability flags, factory), so sweeps, CLI selection and JSON
@@ -17,8 +19,8 @@
 //!   (one GDP unit per core, one DIEF) fed once per interval, with every
 //!   transparent technique a readout of their per-core summary.
 //! * [`session`] — the streaming [`EstimationSession`]: a host embeds
-//!   it to consume per-interval private-mode estimates online; the
-//!   batch drivers here are thin shims over it.
+//!   it to consume per-interval private-mode estimates online;
+//!   [`run_shared`] is a one-line convenience over it.
 //! * [`interval`] — accounting-interval bookkeeping shared by the run
 //!   loops: the engine's advance limit and exact, lossless boundary
 //!   emission under multi-cycle clock jumps.
@@ -26,8 +28,8 @@
 //!   and MCP-O under way-partitioning with STP scoring (Fig. 6).
 //! * [`trace`] — record/replay glue over `gdp-trace`: capture the
 //!   estimator-facing stream once per (config × workload), replay any
-//!   technique from it bit-identically, and route campaign jobs through
-//!   the content-addressed trace cache.
+//!   technique from it bit-identically, and the [`CampaignTraces`]
+//!   router every campaign job goes through.
 
 //! * [`metrics`] — binding glue exporting the simulator's plain
 //!   [`EngineCounters`](gdp_sim::EngineCounters) into a
@@ -46,22 +48,22 @@ pub mod techniques;
 pub mod trace;
 
 pub use accuracy::{
-    evaluate_workload, evaluate_workload_pooled, evaluate_workload_subset, private_base,
-    BenchAccuracy, WorkloadAccuracy, WorkloadEval,
+    evaluate, evaluate_job_count, evaluate_job_labels, evaluate_workload, private_base,
+    BenchAccuracy, EvalGroup, WorkloadAccuracy, WorkloadEval,
 };
 pub use config::ExperimentConfig;
 pub use interval::IntervalSchedule;
 pub use metrics::export_engine_counters;
 pub use plane::ObservationPlane;
 pub use policy_run::{run_policy_study, PolicyKind, PolicyOutcome};
-pub use private::{run_private, run_private_metered, PrivateCheckpoint, PrivateRun};
+pub use private::{run_private, PrivateCheckpoint, PrivateRun};
 pub use session::{
     EstimationSession, ParallelReplaySession, ReplaySession, SessionBuilder, StreamSession,
 };
-pub use shared::{run_shared, run_shared_metered, run_shared_with_sink, CoreInterval, SharedRun};
+pub use shared::{run_shared, CoreInterval, SharedRun};
 pub use techniques::{registry, transparent_subset, Technique};
 pub use trace::{
-    checkpoint_key, evaluate_workload_traced, private_from_trace, private_to_trace,
-    private_trace_key, record_shared, record_shared_metered, replay_shared, session_state_key,
-    shared_trace_key, shared_trace_key_for, summarize_checkpoints, CampaignTraces,
+    checkpoint_key, private_from_trace, private_to_trace, private_trace_key, record_shared,
+    session_state_key, shared_trace_key, shared_trace_key_for, summarize_checkpoints,
+    CampaignTraces,
 };

@@ -99,7 +99,7 @@ pub fn run_policy_study(
         .iter()
         .enumerate()
         .map(|(c, b)| {
-            let run = run_private(b, (c as u64) << 36, xcfg, &[xcfg.sample_instrs]);
+            let run = run_private(b, (c as u64) << 36, xcfg, &[xcfg.sample_instrs], None);
             run.total.cpi()
         })
         .collect();
@@ -186,15 +186,7 @@ fn run_with_policy(
             let boundaries: Vec<Boundary> = (0..n)
                 .map(|c| {
                     let cum = *sys.core_stats(c);
-                    let prev = std::mem::replace(&mut last[c], cum);
-                    let delta = cum.delta(&prev);
-                    Boundary {
-                        instr_start: prev.committed_instrs,
-                        instr_end: cum.committed_instrs,
-                        stats: delta,
-                        lambda: 0.0, // the pipeline's DIEF fills in λ̂
-                        shared_latency: delta.avg_sms_latency(),
-                    }
+                    Boundary::between(&std::mem::replace(&mut last[c], cum), &cum)
                 })
                 .collect();
             let row = pipeline.close(0, &boundaries); // unmetered: no index needed

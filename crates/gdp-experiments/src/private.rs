@@ -40,36 +40,12 @@ pub struct PrivateRun {
     pub total: CoreStats,
 }
 
-impl PrivateRun {
-    /// Interval deltas between consecutive checkpoints (including the
-    /// implicit start-of-run zero point).
-    pub fn interval_deltas(&self) -> Vec<CoreStats> {
-        let mut out = Vec::with_capacity(self.checkpoints.len());
-        let mut prev = CoreStats::default();
-        for ck in &self.checkpoints {
-            out.push(ck.stats.delta(&prev));
-            prev = ck.stats;
-        }
-        out
-    }
-}
-
 /// Run `bench` alone with addresses offset by `base`, recording state at
 /// each committed-instruction checkpoint (must be sorted ascending).
+/// With a metrics registry, the finished simulator's `engine.*` counters
+/// accumulate into it, so campaign-wide engine totals cover the private
+/// ground-truth runs too; the run itself is bit-identical either way.
 pub fn run_private(
-    bench: &Benchmark,
-    base: u64,
-    xcfg: &ExperimentConfig,
-    checkpoints: &[u64],
-) -> PrivateRun {
-    run_private_metered(bench, base, xcfg, checkpoints, None)
-}
-
-/// [`run_private`] with an optional metrics registry: the finished
-/// simulator's `engine.*` counters accumulate into `metrics`, so
-/// campaign-wide engine totals cover the private ground-truth runs too.
-/// The run itself is bit-identical with or without metrics.
-pub fn run_private_metered(
     bench: &Benchmark,
     base: u64,
     xcfg: &ExperimentConfig,
@@ -126,7 +102,7 @@ mod tests {
     #[test]
     fn checkpoints_record_monotone_state() {
         let b = by_name("art").unwrap();
-        let run = run_private(&b, 0, &xcfg(), &[2_000, 4_000, 6_000]);
+        let run = run_private(&b, 0, &xcfg(), &[2_000, 4_000, 6_000], None);
         assert_eq!(run.checkpoints.len(), 3);
         for w in run.checkpoints.windows(2) {
             assert!(w[1].cycle >= w[0].cycle);
@@ -138,29 +114,19 @@ mod tests {
     }
 
     #[test]
-    fn interval_deltas_partition_the_run() {
-        let b = by_name("equake").unwrap();
-        let run = run_private(&b, 0, &xcfg(), &[3_000, 6_000]);
-        let deltas = run.interval_deltas();
-        assert_eq!(deltas.len(), 2);
-        let sum: u64 = deltas.iter().map(|d| d.committed_instrs).sum();
-        assert_eq!(sum, run.checkpoints[1].stats.committed_instrs);
-    }
-
-    #[test]
     fn memory_bound_benchmark_accumulates_cpl() {
         // A pointer chaser's private CPL grows with every serialised miss.
         let b = by_name("ammp").unwrap();
-        let run = run_private(&b, 0, &xcfg(), &[4_000]);
+        let run = run_private(&b, 0, &xcfg(), &[4_000], None);
         assert!(run.checkpoints[0].cpl > 0, "serialised misses must build CPL");
     }
 
     #[test]
     fn compute_bound_benchmark_has_negligible_cpl() {
         let b = by_name("wrf").unwrap();
-        let run = run_private(&b, 0, &xcfg(), &[4_000]);
+        let run = run_private(&b, 0, &xcfg(), &[4_000], None);
         let memory = by_name("ammp").unwrap();
-        let mrun = run_private(&memory, 0, &xcfg(), &[4_000]);
+        let mrun = run_private(&memory, 0, &xcfg(), &[4_000], None);
         assert!(
             run.checkpoints[0].cpl < mrun.checkpoints[0].cpl / 4,
             "wrf CPL {} vs ammp CPL {}",
@@ -172,8 +138,8 @@ mod tests {
     #[test]
     fn private_mode_is_deterministic() {
         let b = by_name("art").unwrap();
-        let a = run_private(&b, 0, &xcfg(), &[5_000]);
-        let c = run_private(&b, 0, &xcfg(), &[5_000]);
+        let a = run_private(&b, 0, &xcfg(), &[5_000], None);
+        let c = run_private(&b, 0, &xcfg(), &[5_000], None);
         assert_eq!(a.checkpoints[0].cycle, c.checkpoints[0].cycle);
         assert_eq!(a.checkpoints[0].cpl, c.checkpoints[0].cpl);
     }

@@ -445,15 +445,7 @@ impl EstimationSession<'_> {
         let mut boundaries: Vec<Boundary> = (0..self.cores)
             .map(|c| {
                 let cum = *self.sys.core_stats(c);
-                let prev = std::mem::replace(&mut self.last_snapshot[c], cum);
-                let delta = cum.delta(&prev);
-                Boundary {
-                    instr_start: prev.committed_instrs,
-                    instr_end: cum.committed_instrs,
-                    stats: delta,
-                    lambda: 0.0, // the pipeline's DIEF fills in λ̂
-                    shared_latency: delta.avg_sms_latency(),
-                }
+                Boundary::between(&std::mem::replace(&mut self.last_snapshot[c], cum), &cum)
             })
             .collect();
         let row = self.pipeline.step(idx, &events, &boundaries);

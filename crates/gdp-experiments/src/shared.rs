@@ -1,17 +1,15 @@
 //! Shared-mode runs with accounting techniques attached.
 //!
-//! The batch entry points here are thin drivers over the streaming
-//! [`EstimationSession`](crate::session::EstimationSession): they build a
-//! session from the registry-backed technique set and immediately ask for
-//! the full report. Hosts that want per-interval estimates online use the
-//! session API directly.
-
-use std::sync::Arc;
+//! [`run_shared`] is a one-line convenience over the streaming
+//! [`EstimationSession`](crate::session::EstimationSession): it builds a
+//! session from the registry-backed technique set and immediately asks
+//! for the full report. Campaign jobs reach shared runs through
+//! [`CampaignTraces::shared`](crate::trace::CampaignTraces::shared);
+//! hosts that want per-interval estimates online use the session API
+//! directly.
 
 use gdp_core::model::PrivateEstimate;
 use gdp_sim::stats::CoreStats;
-use gdp_telemetry::MetricsRegistry;
-use gdp_trace::{NullSink, TraceSink};
 use gdp_workloads::Workload;
 
 use crate::config::ExperimentConfig;
@@ -59,11 +57,6 @@ impl SharedRun {
     pub fn checkpoints(&self, core: usize) -> Vec<u64> {
         self.intervals.iter().map(|iv| iv[core].instr_end).collect()
     }
-
-    /// Index of a technique in the estimate vectors.
-    pub fn technique_index(&self, t: Technique) -> Option<usize> {
-        self.techniques.iter().position(|x| *x == t)
-    }
 }
 
 /// Run `workload` in shared mode with the given techniques attached.
@@ -78,37 +71,7 @@ pub fn run_shared(
     xcfg: &ExperimentConfig,
     techniques: &[Technique],
 ) -> SharedRun {
-    run_shared_with_sink(workload, xcfg, techniques, &mut NullSink)
-}
-
-/// [`run_shared`] with a [`TraceSink`] capture hook attached: the sink
-/// sees, per interval, exactly the event batch and per-core boundary
-/// measurements the estimators see (the `gdp-trace` recording surface).
-pub fn run_shared_with_sink(
-    workload: &Workload,
-    xcfg: &ExperimentConfig,
-    techniques: &[Technique],
-    sink: &mut dyn TraceSink,
-) -> SharedRun {
-    SessionBuilder::new(workload, xcfg).techniques(techniques).sink(sink).build().into_report()
-}
-
-/// [`run_shared_with_sink`] with an optional metrics registry attached:
-/// the session feeds `session.*` counters/spans and exports `engine.*`
-/// counters when it finishes. Estimates are bit-identical with or
-/// without metrics.
-pub fn run_shared_metered(
-    workload: &Workload,
-    xcfg: &ExperimentConfig,
-    techniques: &[Technique],
-    sink: &mut dyn TraceSink,
-    metrics: Option<Arc<MetricsRegistry>>,
-) -> SharedRun {
-    let mut b = SessionBuilder::new(workload, xcfg).techniques(techniques).sink(sink);
-    if let Some(reg) = metrics {
-        b = b.with_metrics(reg);
-    }
-    b.build().into_report()
+    SessionBuilder::new(workload, xcfg).techniques(techniques).build().into_report()
 }
 
 #[cfg(test)]
@@ -136,8 +99,6 @@ mod tests {
                 assert!(core.instr_end >= core.instr_start);
             }
         }
-        assert_eq!(run.technique_index(Technique::GDP_O), Some(1));
-        assert_eq!(run.technique_index(Technique::ASM), None);
     }
 
     #[test]

@@ -2,33 +2,35 @@
 //! simulate once, estimate many.
 //!
 //! * [`record_shared`] runs a shared-mode simulation with a recorder
-//!   attached and returns both the live [`SharedRun`] and the trace.
-//! * [`replay_shared`] rebuilds a [`SharedRun`] for *any* technique
-//!   subset from a trace, bit-identically to a live run — the event
-//!   stream of a transparent run does not depend on which transparent
-//!   techniques observe it, so one trace serves them all (the invasive
-//!   ASM perturbs execution and records its own trace).
-//! * [`CampaignTraces`] is the campaign-facing policy object combining a
+//!   attached and returns both the live [`SharedRun`] and the trace. A
+//!   [`ReplaySession`] over that trace rebuilds the run for *any*
+//!   technique subset, bit-identically — the event stream of a
+//!   transparent run does not depend on which transparent techniques
+//!   observe it, so one trace serves them all (the invasive ASM perturbs
+//!   execution and records its own trace).
+//! * [`CampaignTraces`] is the campaign router: every shared and private
+//!   job of an evaluation goes through it. It combines a
 //!   content-addressed [`TraceCache`] with the `--record`/`--replay`
-//!   flags: shared and private jobs route through it and transparently
-//!   hit the cache instead of the simulator.
+//!   flags and the campaign's metrics registry; with both flags off it
+//!   simulates every job and never touches its directory.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use gdp_runner::Pool;
 use gdp_sim::{CacheConfig, SimConfig};
 use gdp_telemetry::{log_info, MetricsRegistry};
 use gdp_trace::{
-    CacheKey, CacheStatsSnapshot, CheckpointFile, PrivateTrace, Recorder, SharedTrace,
-    StateCheckpoint, TraceCache, TraceCheckpoint, FORMAT_VERSION,
+    CacheKey, CacheStatsSnapshot, CheckpointFile, NullSink, PrivateTrace, Recorder, SharedTrace,
+    StateCheckpoint, TraceCache, TraceCheckpoint, TraceSink, FORMAT_VERSION,
 };
 use gdp_workloads::Workload;
 
 use crate::accuracy::{private_base, Technique, WorkloadEval};
 use crate::config::ExperimentConfig;
-use crate::private::{PrivateCheckpoint, PrivateRun};
-use crate::session::{ParallelReplaySession, ReplaySession};
-use crate::shared::{run_shared_metered, SharedRun};
+use crate::private::{run_private, PrivateCheckpoint, PrivateRun};
+use crate::session::{ParallelReplaySession, ReplaySession, SessionBuilder};
+use crate::shared::SharedRun;
 
 /// Run `workload` in shared mode with a recorder attached; returns the
 /// live run plus the trace that replays it.
@@ -37,33 +39,13 @@ pub fn record_shared(
     xcfg: &ExperimentConfig,
     techniques: &[Technique],
 ) -> (SharedRun, SharedTrace) {
-    record_shared_metered(workload, xcfg, techniques, None)
-}
-
-/// [`record_shared`] with an optional metrics registry attached to the
-/// recording session (see
-/// [`run_shared_metered`](crate::shared::run_shared_metered)).
-pub fn record_shared_metered(
-    workload: &Workload,
-    xcfg: &ExperimentConfig,
-    techniques: &[Technique],
-    metrics: Option<Arc<MetricsRegistry>>,
-) -> (SharedRun, SharedTrace) {
     let mut rec = Recorder::new(xcfg.sim.cores, &workload.name);
-    let run = run_shared_metered(workload, xcfg, techniques, &mut rec, metrics);
+    let run = SessionBuilder::new(workload, xcfg)
+        .techniques(techniques)
+        .sink(&mut rec)
+        .build()
+        .into_report();
     (run, rec.into_trace())
-}
-
-/// Re-evaluate `techniques` over a recorded shared-mode trace,
-/// producing a [`SharedRun`] bit-identical to a live
-/// [`run_shared`](crate::shared::run_shared) with the same techniques
-/// attached.
-pub fn replay_shared(
-    trace: &SharedTrace,
-    xcfg: &ExperimentConfig,
-    techniques: &[Technique],
-) -> SharedRun {
-    ReplaySession::new(trace, xcfg, techniques).into_report()
 }
 
 /// One-pass offline checkpoint summarization: replay `trace` once with
@@ -285,8 +267,10 @@ pub fn private_trace_key(
 
 // ------------------------------------------------------ campaign policy
 
-/// Campaign-level record/replay policy around a [`TraceCache`]. Shared
-/// by reference across parallel campaign jobs.
+/// The campaign router: the one way a campaign job gets a shared or
+/// private run. Record/replay policy around a [`TraceCache`], plus the
+/// campaign's metrics registry; shared by reference across parallel
+/// campaign jobs.
 #[derive(Debug)]
 pub struct CampaignTraces {
     cache: TraceCache,
@@ -300,7 +284,7 @@ impl CampaignTraces {
     /// A policy over `dir`: `record` stores traces after live runs,
     /// `replay` consults the cache before simulating (both may be set:
     /// replay what exists, record what does not).
-    pub fn new(dir: impl Into<std::path::PathBuf>, record: bool, replay: bool) -> CampaignTraces {
+    pub fn new(dir: impl Into<PathBuf>, record: bool, replay: bool) -> CampaignTraces {
         CampaignTraces {
             cache: TraceCache::new(dir),
             record,
@@ -308,6 +292,12 @@ impl CampaignTraces {
             replay_jobs: 1,
             metrics: None,
         }
+    }
+
+    /// A router with recording and replay off: every job simulates and
+    /// no directory is ever touched.
+    pub fn no_cache() -> CampaignTraces {
+        CampaignTraces::new(PathBuf::new(), false, false)
     }
 
     /// Attach a campaign-wide metrics registry: every session and
@@ -331,16 +321,6 @@ impl CampaignTraces {
         self
     }
 
-    /// The configured parallel-replay fan-out.
-    pub fn replay_jobs(&self) -> usize {
-        self.replay_jobs
-    }
-
-    /// The underlying cache (diagnostics).
-    pub fn cache(&self) -> &TraceCache {
-        &self.cache
-    }
-
     /// Hit/miss/store counters for the campaign run record.
     pub fn stats(&self) -> CacheStatsSnapshot {
         self.cache.stats()
@@ -348,7 +328,8 @@ impl CampaignTraces {
 
     /// A shared-mode run through the cache: replayed when a trace
     /// exists, simulated (and, under `record`, stored) otherwise.
-    /// Bit-identical to [`run_shared`] either way.
+    /// Bit-identical to [`run_shared`](crate::shared::run_shared) either
+    /// way.
     pub fn shared(
         &self,
         workload: &Workload,
@@ -384,9 +365,19 @@ impl CampaignTraces {
                 return s.into_report();
             }
         }
-        if self.record {
-            let (run, trace) =
-                record_shared_metered(workload, xcfg, techniques, self.metrics.clone());
+        let mut rec = self.record.then(|| Recorder::new(xcfg.sim.cores, &workload.name));
+        let mut null = NullSink;
+        let sink: &mut dyn TraceSink = match rec.as_mut() {
+            Some(rec) => rec,
+            None => &mut null,
+        };
+        let mut session = SessionBuilder::new(workload, xcfg).techniques(techniques).sink(sink);
+        if let Some(reg) = &self.metrics {
+            session = session.with_metrics(Arc::clone(reg));
+        }
+        let run = session.build().into_report();
+        if let Some(rec) = rec {
+            let trace = rec.into_trace();
             if let Err(e) = self.cache.store_shared(&key, &trace) {
                 log_info!("gdp-trace: cannot store shared trace: {e}");
             }
@@ -400,33 +391,27 @@ impl CampaignTraces {
             {
                 log_info!("gdp-trace: cannot store checkpoint file: {e}");
             }
-            run
-        } else {
-            run_shared_metered(
-                workload,
-                xcfg,
-                techniques,
-                &mut gdp_trace::NullSink,
-                self.metrics.clone(),
-            )
         }
+        run
     }
 
     /// A private ground-truth run through the cache: decoded when a
     /// trace exists, simulated (and, under `record`, stored) otherwise.
     pub fn private(&self, eval: &WorkloadEval, core: usize) -> PrivateRun {
         let checkpoints = eval.checkpoints_for(core);
-        let bench = eval.bench_name(core);
+        let bench = eval.benchmark(core);
         let base = private_base(core);
-        let key = private_trace_key(eval.xcfg(), bench, base, &checkpoints);
+        let key = private_trace_key(eval.xcfg(), bench.name, base, &checkpoints);
         if self.replay {
             if let Some(trace) = self.cache.load_private(&key) {
                 return private_from_trace(&trace);
             }
         }
-        let run = eval.run_private_for_metered(core, self.metrics.as_deref());
+        let run = run_private(bench, base, eval.xcfg(), &checkpoints, self.metrics.as_deref());
         if self.record {
-            if let Err(e) = self.cache.store_private(&key, &private_to_trace(&run, bench, base)) {
+            if let Err(e) =
+                self.cache.store_private(&key, &private_to_trace(&run, bench.name, base))
+            {
                 log_info!("gdp-trace: cannot store private trace: {e}");
             }
         }
@@ -434,40 +419,12 @@ impl CampaignTraces {
     }
 }
 
-/// [`crate::evaluate_workload_subset`] routed through a trace policy:
-/// the shared phase and every per-core private run consult the cache
-/// when one is given. Results are bit-identical with or without it.
-pub fn evaluate_workload_traced(
-    workload: &Workload,
-    xcfg: &ExperimentConfig,
-    techniques: &[Technique],
-    traces: Option<&CampaignTraces>,
-) -> crate::accuracy::WorkloadAccuracy {
-    let eval = match traces {
-        None => WorkloadEval::shared(workload, xcfg, techniques),
-        Some(tc) => {
-            let techniques = Technique::canonical(techniques);
-            let transparent = crate::accuracy::transparent_subset(&techniques);
-            let invasive: Vec<Technique> =
-                techniques.iter().copied().filter(Technique::is_invasive).collect();
-            let t_run = tc.shared(workload, xcfg, &transparent);
-            let a_run = (!invasive.is_empty()).then(|| tc.shared(workload, xcfg, &invasive));
-            WorkloadEval::from_runs(workload, xcfg, t_run, a_run)
-        }
-    };
-    let privates: Vec<PrivateRun> = (0..eval.cores())
-        .map(|c| match traces {
-            None => eval.run_private_for(c),
-            Some(tc) => tc.private(&eval, c),
-        })
-        .collect();
-    eval.finish(&privates)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accuracy::{evaluate, evaluate_job_count, EvalGroup};
     use crate::shared::run_shared;
+    use gdp_runner::Progress;
     use gdp_workloads::paper_workloads;
 
     fn xcfg() -> ExperimentConfig {
@@ -519,7 +476,7 @@ mod tests {
         let (live, trace) = record_shared(w, &x, &transparent);
         // Round-trip the trace through the binary codec, as the cache does.
         let decoded = gdp_trace::decode_shared(&gdp_trace::encode_shared(&trace)).expect("codec");
-        let replayed = replay_shared(&decoded, &x, &transparent);
+        let replayed = ReplaySession::new(&decoded, &x, &transparent).into_report();
         assert_runs_bit_identical(&live, &replayed);
     }
 
@@ -535,7 +492,7 @@ mod tests {
             &[Technique::ITCA, Technique::PTCA, Technique::GDP, Technique::GDP_O],
         );
         let live_solo = run_shared(w, &x, &[Technique::GDP_O]);
-        let replay_solo = replay_shared(&trace, &x, &[Technique::GDP_O]);
+        let replay_solo = ReplaySession::new(&trace, &x, &[Technique::GDP_O]).into_report();
         assert_runs_bit_identical(&live_solo, &replay_solo);
     }
 
@@ -543,8 +500,9 @@ mod tests {
     fn private_trace_round_trips_through_codec() {
         let w = &paper_workloads(2, 5)[0];
         let x = xcfg();
-        let eval = WorkloadEval::shared(w, &x, &[Technique::GDP]);
-        let run = eval.run_private_for(0);
+        let tc = CampaignTraces::no_cache();
+        let eval = WorkloadEval::from_runs(w, &x, tc.shared(w, &x, &[Technique::GDP]), None);
+        let run = tc.private(&eval, 0);
         let t = private_to_trace(&run, eval.bench_name(0), private_base(0));
         let decoded = gdp_trace::decode_private(&gdp_trace::encode_private(&t)).expect("codec");
         let back = private_from_trace(&decoded);
@@ -614,33 +572,75 @@ mod tests {
     fn campaign_traces_record_then_replay_round_trip() {
         let dir = std::env::temp_dir().join(format!("gdp-exp-traces-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let w = &paper_workloads(2, 5)[0];
         let x = xcfg();
+        let groups = [EvalGroup {
+            label: "2c".to_string(),
+            xcfg: x.clone(),
+            workloads: paper_workloads(2, 5)[..1].to_vec(),
+        }];
         let techniques = [Technique::GDP, Technique::GDP_O];
+        let run = |traces: &CampaignTraces| {
+            let progress = Progress::silent(evaluate_job_count(&groups, &techniques));
+            evaluate(&groups, &techniques, &Pool::new(2), &progress, traces)
+        };
 
         let rec = CampaignTraces::new(&dir, true, false);
-        let cold = evaluate_workload_traced(w, &x, &techniques, Some(&rec));
+        let cold = run(&rec);
         assert!(rec.stats().stores >= 3, "1 shared + 2 private traces stored");
 
         let rep = CampaignTraces::new(&dir, false, true);
-        let warm = evaluate_workload_traced(w, &x, &techniques, Some(&rep));
+        let warm = run(&rep);
         let s = rep.stats();
         assert_eq!(s.misses, 0, "warm cache must not miss");
         assert!(s.hits >= 3);
 
-        let live = crate::evaluate_workload_subset(w, &x, &techniques);
-        for (l, c, h) in itertools3(&live.benches, &cold.benches, &warm.benches) {
-            for t in 0..live.techniques.len() {
-                assert_eq!(l.ipc_err[t].rms_abs().to_bits(), c.ipc_err[t].rms_abs().to_bits());
-                assert_eq!(l.ipc_err[t].rms_abs().to_bits(), h.ipc_err[t].rms_abs().to_bits());
-                assert_eq!(l.stall_err[t].rms_abs().to_bits(), h.stall_err[t].rms_abs().to_bits());
-            }
-            assert_eq!(l.cpl_err.rms_rel().to_bits(), h.cpl_err.rms_rel().to_bits());
-        }
+        // `Debug` prints every f64 in round-trip form, so equal
+        // renderings mean equal values in every error series.
+        let live = crate::evaluate_workload(&groups[0].workloads[0], &x, &techniques);
+        assert_eq!(format!("{live:?}"), format!("{:?}", cold[0][0]), "recorded run");
+        assert_eq!(format!("{live:?}"), format!("{:?}", warm[0][0]), "replayed run");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    fn itertools3<'a, T>(a: &'a [T], b: &'a [T], c: &'a [T]) -> Vec<(&'a T, &'a T, &'a T)> {
-        a.iter().zip(b).zip(c).map(|((x, y), z)| (x, y, z)).collect()
+    #[test]
+    fn the_no_cache_router_does_no_io() {
+        let dir = std::env::temp_dir().join(format!("gdp-exp-no-io-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let w = &paper_workloads(2, 5)[0];
+        let x = xcfg();
+        let set = [Technique::GDP, Technique::PTCA];
+        let reference = run_shared(w, &x, &set);
+        let eval = WorkloadEval::from_runs(w, &x, reference.clone(), None);
+        for metrics in [None, Some(MetricsRegistry::shared())] {
+            let mut tc = CampaignTraces::new(&dir, false, false);
+            if let Some(reg) = metrics {
+                tc = tc.with_metrics(reg);
+            }
+            assert_runs_bit_identical(&tc.shared(w, &x, &set), &reference);
+            for core in 0..eval.cores() {
+                let routed = tc.private(&eval, core);
+                let direct = run_private(
+                    eval.benchmark(core),
+                    private_base(core),
+                    &x,
+                    &eval.checkpoints_for(core),
+                    None,
+                );
+                assert_eq!(routed.total, direct.total);
+                assert_eq!(routed.checkpoints.len(), direct.checkpoints.len());
+                for (a, b) in routed.checkpoints.iter().zip(&direct.checkpoints) {
+                    assert_eq!(
+                        (a.instrs, a.cycle, a.stats, a.cpl),
+                        (b.instrs, b.cycle, b.stats, b.cpl)
+                    );
+                }
+            }
+            let s = tc.stats();
+            assert_eq!(
+                (s.hits, s.misses, s.stores, s.quarantines, s.salvage_dropped),
+                (0, 0, 0, 0, 0)
+            );
+            assert!(!dir.exists(), "a no-cache router must never touch its directory");
+        }
     }
 }

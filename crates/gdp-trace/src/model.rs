@@ -33,6 +33,21 @@ pub struct Boundary {
 }
 
 impl Boundary {
+    /// The boundary a live run measures between a core's previous and
+    /// current cumulative statistics: the instruction window, the stats
+    /// delta and its measured shared latency. λ̂ is left at 0.0 for the
+    /// estimation pipeline's DIEF to fill in.
+    pub fn between(prev: &CoreStats, cum: &CoreStats) -> Boundary {
+        let stats = cum.delta(prev);
+        Boundary {
+            instr_start: prev.committed_instrs,
+            instr_end: cum.committed_instrs,
+            stats,
+            lambda: 0.0,
+            shared_latency: stats.avg_sms_latency(),
+        }
+    }
+
     /// The estimator-facing measurement, bit-identical to the live one.
     pub fn measurement(&self) -> IntervalMeasurement {
         IntervalMeasurement {

@@ -12,7 +12,7 @@ fn main() {
     println!("workload: {:?}", workload.names());
     println!("evaluating ITCA, PTCA, ASM, GDP and GDP-O against private-mode runs...\n");
 
-    let r = evaluate_workload(workload, &xcfg);
+    let r = evaluate_workload(workload, &xcfg, &Technique::ALL);
 
     println!("absolute RMS error of IPC estimates (lower is better):");
     print!("{:>12}", "benchmark");

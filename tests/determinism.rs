@@ -3,8 +3,10 @@
 //! EXPERIMENTS.md reproducible.
 
 use gdp::experiments::{
-    evaluate_workload_subset, evaluate_workload_traced, CampaignTraces, ExperimentConfig, Technique,
+    evaluate, evaluate_job_count, evaluate_workload, CampaignTraces, EvalGroup, ExperimentConfig,
+    Technique,
 };
+use gdp::runner::{Pool, Progress};
 use gdp::workloads::{generate_mixed_workloads, paper_workloads, suite, MixPattern};
 
 #[test]
@@ -34,8 +36,8 @@ fn accuracy_evaluation_is_bit_stable() {
     let mut x = ExperimentConfig::quick(2);
     x.sample_instrs = 6_000;
     x.interval_cycles = 10_000;
-    let r1 = evaluate_workload_subset(w, &x, &[Technique::GDP, Technique::GDP_O]);
-    let r2 = evaluate_workload_subset(w, &x, &[Technique::GDP, Technique::GDP_O]);
+    let r1 = evaluate_workload(w, &x, &[Technique::GDP, Technique::GDP_O]);
+    let r2 = evaluate_workload(w, &x, &[Technique::GDP, Technique::GDP_O]);
     for (a, b) in r1.benches.iter().zip(&r2.benches) {
         let gdp = r1.tech_index(Technique::GDP).unwrap();
         assert_eq!(a.ipc_err[gdp].rms_abs().to_bits(), b.ipc_err[gdp].rms_abs().to_bits());
@@ -51,19 +53,26 @@ fn accuracy_evaluation_is_bit_stable() {
 fn parallel_replay_fanout_is_bit_stable() {
     let dir = std::env::temp_dir().join(format!("gdp-replay-det-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let w = &paper_workloads(2, 5)[0];
     let mut x = ExperimentConfig::tiny(2);
     x.sample_instrs = 6_000;
     x.interval_cycles = 10_000;
+    let groups = [EvalGroup {
+        label: "2c".to_string(),
+        xcfg: x,
+        workloads: paper_workloads(2, 5)[..1].to_vec(),
+    }];
     let set = [Technique::GDP, Technique::GDP_O, Technique::PTCA];
+    let run = |traces: &CampaignTraces| {
+        let progress = Progress::silent(evaluate_job_count(&groups, &set));
+        evaluate(&groups, &set, &Pool::new(2), &progress, traces).remove(0).remove(0)
+    };
 
-    let rec = CampaignTraces::new(&dir, true, false);
-    let _ = evaluate_workload_traced(w, &x, &set, Some(&rec));
+    let _ = run(&CampaignTraces::new(&dir, true, false));
 
     let serial = CampaignTraces::new(&dir, false, true).with_replay_jobs(1);
     let fanned = CampaignTraces::new(&dir, false, true).with_replay_jobs(4);
-    let r1 = evaluate_workload_traced(w, &x, &set, Some(&serial));
-    let r4 = evaluate_workload_traced(w, &x, &set, Some(&fanned));
+    let r1 = run(&serial);
+    let r4 = run(&fanned);
     assert_eq!(fanned.stats().misses, 0, "warm cache must not miss");
 
     assert_eq!(r1.techniques, r4.techniques);

@@ -3,7 +3,7 @@
 //! the partitioning policies.
 
 use gdp::experiments::{
-    evaluate_workload_subset, run_policy_study, run_shared, ExperimentConfig, PolicyKind, Technique,
+    evaluate_workload, run_policy_study, run_shared, ExperimentConfig, PolicyKind, Technique,
 };
 use gdp::metrics::mean;
 use gdp::workloads::{by_name, paper_workloads, Workload};
@@ -20,7 +20,7 @@ fn tiny_xcfg(cores: usize) -> ExperimentConfig {
 fn full_accuracy_pipeline_on_a_2core_workload() {
     let w = &paper_workloads(2, 7)[0];
     let x = tiny_xcfg(2);
-    let r = evaluate_workload_subset(&w.clone(), &x, &Technique::ALL);
+    let r = evaluate_workload(&w.clone(), &x, &Technique::ALL);
     assert_eq!(r.benches.len(), 2);
     for b in &r.benches {
         for (i, t) in Technique::ALL.iter().enumerate() {
@@ -44,7 +44,7 @@ fn gdp_o_is_accurate_and_unbiased() {
     let mut bias = Vec::new();
     let mut rms = Vec::new();
     for w in &paper_workloads(2, 7)[0..2] {
-        let r = evaluate_workload_subset(w, &x, &[Technique::GDP_O]);
+        let r = evaluate_workload(w, &x, &[Technique::GDP_O]);
         for b in &r.benches {
             let i = r.tech_index(Technique::GDP_O).unwrap();
             bias.push(b.ipc_err[i].mean_rel());
@@ -120,7 +120,7 @@ fn eight_core_pipeline_smoke() {
     let mut x = tiny_xcfg(8);
     x.sample_instrs = 4_000;
     x.interval_cycles = 10_000;
-    let r = evaluate_workload_subset(w, &x, &[Technique::GDP, Technique::GDP_O]);
+    let r = evaluate_workload(w, &x, &[Technique::GDP, Technique::GDP_O]);
     assert_eq!(r.benches.len(), 8);
     let gdp = r.tech_index(Technique::GDP).unwrap();
     assert!(r.benches.iter().any(|b| !b.ipc_err[gdp].is_empty()));
