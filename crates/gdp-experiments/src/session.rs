@@ -31,7 +31,10 @@ use gdp_sim::stats::CoreStats;
 use gdp_sim::types::{CoreId, Cycle};
 use gdp_sim::{EngineCounters, System};
 use gdp_telemetry::{log_info, Counter, MetricsRegistry, SpanHandle, TimeSeries};
-use gdp_trace::{Boundary, CheckpointFile, SharedTrace, StateCheckpoint, TraceSink};
+use gdp_trace::{
+    Boundary, CheckpointFile, SharedTrace, SharedTraceReader, StateCheckpoint, TraceError,
+    TraceInterval, TraceSink,
+};
 use gdp_workloads::Workload;
 
 use crate::config::ExperimentConfig;
@@ -729,6 +732,43 @@ impl<'t> ReplaySession<'t> {
         self.seek(k, checkpoints);
         Some(self.replay_next())
     }
+}
+
+/// Replay a verified trace straight from its reader: decode one interval
+/// at a time into a reused buffer and step it through the pipeline —
+/// [`ReplaySession`]'s interval step without building a [`SharedTrace`].
+/// The report, and with `metrics` attached the `session.*` counters and
+/// `ts.*` series, equal those of a [`ReplaySession`] over the decoded
+/// trace. `decode` (the `trace.decode` span) times each interval's
+/// decode. A decode error ends the replay and drops its rows; counters
+/// already fed by the intervals before it stay counted.
+pub(crate) fn replay_streamed(
+    mut reader: SharedTraceReader<'_>,
+    xcfg: &ExperimentConfig,
+    techniques: &[Technique],
+    metrics: Option<Arc<MetricsRegistry>>,
+    decode: Option<&SpanHandle>,
+) -> Result<SharedRun, TraceError> {
+    let mut pipeline = Pipeline::new(techniques, xcfg, false);
+    if let Some(reg) = metrics {
+        pipeline.attach_metrics(reg);
+    }
+    let mut next = |iv: &mut TraceInterval| {
+        let _g = decode.map(SpanHandle::enter);
+        reader.read_interval(iv)
+    };
+    let mut iv = TraceInterval::default();
+    let mut intervals = Vec::new();
+    while next(&mut iv)? {
+        let row = pipeline.step(intervals.len() as u64, &iv.events, &iv.boundaries);
+        intervals.push(row);
+    }
+    Ok(SharedRun {
+        techniques: pipeline.techniques().to_vec(),
+        intervals,
+        cycles: reader.cycles(),
+        final_stats: reader.final_stats().to_vec(),
+    })
 }
 
 /// A push-fed streaming session: the same pipeline as

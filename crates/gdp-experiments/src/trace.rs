@@ -29,7 +29,7 @@ use gdp_workloads::Workload;
 use crate::accuracy::{private_base, Technique, WorkloadEval};
 use crate::config::ExperimentConfig;
 use crate::private::{run_private, PrivateCheckpoint, PrivateRun};
-use crate::session::{ParallelReplaySession, ReplaySession, SessionBuilder};
+use crate::session::{replay_streamed, ParallelReplaySession, ReplaySession, SessionBuilder};
 use crate::shared::SharedRun;
 
 /// Run `workload` in shared mode with a recorder attached; returns the
@@ -329,7 +329,10 @@ impl CampaignTraces {
     /// A shared-mode run through the cache: replayed when a trace
     /// exists, simulated (and, under `record`, stored) otherwise.
     /// Bit-identical to [`run_shared`](crate::shared::run_shared) either
-    /// way.
+    /// way. A serial replay streams the entry through the session
+    /// pipeline one interval at a time, after the whole file has been
+    /// verified, and never builds a [`SharedTrace`]; an entry that fails
+    /// mid-stream is a quarantined miss and the run is simulated.
     pub fn shared(
         &self,
         workload: &Workload,
@@ -338,31 +341,40 @@ impl CampaignTraces {
     ) -> SharedRun {
         let key = shared_trace_key_for(xcfg, workload, techniques);
         let invasive = techniques.iter().any(Technique::is_invasive);
-        if self.replay {
+        if self.replay && self.replay_jobs > 1 {
+            // Segments need random access to the intervals: decode the
+            // whole trace.
             if let Some(trace) = self.cache.load_shared(&key) {
-                if self.replay_jobs > 1 {
-                    // Salvage-loaded checkpoints (None on a full miss):
-                    // the parallel session degrades around whatever is
-                    // missing, so corruption costs time, not the run.
-                    let cks =
-                        self.cache.load_checkpoints(&checkpoint_key(xcfg, workload, invasive));
-                    let mut s = ParallelReplaySession::new(
-                        &trace,
-                        xcfg,
-                        techniques,
-                        cks.as_ref(),
-                        Pool::new(self.replay_jobs),
-                    );
-                    if let Some(reg) = &self.metrics {
-                        s = s.with_metrics(Arc::clone(reg));
-                    }
-                    return s.into_report();
-                }
-                let mut s = ReplaySession::new(&trace, xcfg, techniques);
+                // Salvage-loaded checkpoints (None on a full miss): the
+                // parallel session degrades around whatever is missing,
+                // so corruption costs time, not the run.
+                let cks = self.cache.load_checkpoints(&checkpoint_key(xcfg, workload, invasive));
+                let mut s = ParallelReplaySession::new(
+                    &trace,
+                    xcfg,
+                    techniques,
+                    cks.as_ref(),
+                    Pool::new(self.replay_jobs),
+                );
                 if let Some(reg) = &self.metrics {
                     s = s.with_metrics(Arc::clone(reg));
                 }
                 return s.into_report();
+            }
+        } else if self.replay {
+            let spans =
+                self.metrics.as_ref().map(|r| (r.span("trace.read"), r.span("trace.decode")));
+            // `trace.read` covers the file read and its verification: it
+            // ends when the replay starts, or when the load gives up
+            // before that and drops the replay closure holding it.
+            let read = spans.as_ref().map(|(read, _)| read.enter());
+            let decode = spans.as_ref().map(|(_, decode)| decode);
+            let streamed = self.cache.stream_shared(&key, |reader| {
+                drop(read);
+                replay_streamed(reader, xcfg, techniques, self.metrics.clone(), decode)
+            });
+            if let Some(run) = streamed {
+                return run;
             }
         }
         let mut rec = self.record.then(|| Recorder::new(xcfg.sim.cores, &workload.name));
@@ -425,6 +437,7 @@ mod tests {
     use crate::accuracy::{evaluate, evaluate_job_count, EvalGroup};
     use crate::shared::run_shared;
     use gdp_runner::Progress;
+    use gdp_trace::SharedTraceReader;
     use gdp_workloads::paper_workloads;
 
     fn xcfg() -> ExperimentConfig {
@@ -599,6 +612,111 @@ mod tests {
         let live = crate::evaluate_workload(&groups[0].workloads[0], &x, &techniques);
         assert_eq!(format!("{live:?}"), format!("{:?}", cold[0][0]), "recorded run");
         assert_eq!(format!("{live:?}"), format!("{:?}", warm[0][0]), "replayed run");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn tmp_cache_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("gdp-exp-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn every_bitflip_is_rejected_before_any_interval_is_handed_out() {
+        // A recorded 2-core trace, cut to the first events of its first
+        // two intervals so that flipping every bit of it stays cheap.
+        let w = &paper_workloads(2, 5)[0];
+        let (_, mut trace) = record_shared(w, &xcfg(), &[Technique::GDP]);
+        trace.intervals.truncate(2);
+        for iv in &mut trace.intervals {
+            iv.events.truncate(48);
+        }
+        assert!(trace.event_count() > 0, "the prefix carries probe events");
+        let clean = gdp_trace::encode_shared(&trace);
+        assert!(SharedTraceReader::new(&clean).is_ok());
+        for pos in 0..clean.len() {
+            for bit in 0..8 {
+                let mut bytes = clean.clone();
+                bytes[pos] ^= 1 << bit;
+                assert!(
+                    SharedTraceReader::new(&bytes).is_err(),
+                    "bit {bit} of byte {pos} passed verification"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_replay_equals_whole_trace_replay_and_meters_alike() {
+        let dir = tmp_cache_dir("streamed");
+        let w = &paper_workloads(2, 5)[1];
+        let x = xcfg();
+        for set in [&[Technique::ITCA, Technique::GDP, Technique::GDP_O][..], &[Technique::ASM]] {
+            let live = CampaignTraces::new(&dir, true, false).shared(w, &x, set);
+            let path = TraceCache::new(&dir).path("shared", &shared_trace_key_for(&x, w, set));
+            let trace = gdp_trace::decode_shared(&std::fs::read(path).unwrap()).unwrap();
+
+            let reg_whole = MetricsRegistry::shared();
+            let whole = ReplaySession::new(&trace, &x, set)
+                .with_metrics(Arc::clone(&reg_whole))
+                .into_report();
+            let reg_streamed = MetricsRegistry::shared();
+            let replay =
+                CampaignTraces::new(&dir, false, true).with_metrics(Arc::clone(&reg_streamed));
+            let streamed = replay.shared(w, &x, set);
+            assert_eq!((replay.stats().hits, replay.stats().misses), (1, 0));
+
+            assert_runs_bit_identical(&streamed, &whole);
+            assert_runs_bit_identical(&streamed, &live);
+            let (a, b) = (reg_streamed.snapshot(), reg_whole.snapshot());
+            assert!(a.counter("session.events").unwrap() > 0);
+            assert_eq!(a.counters, b.counters, "session.* counters");
+            assert_eq!(a.timeseries, b.timeseries, "ts.* series");
+            let decoded = a.spans.iter().find(|s| s.name == "trace.decode").unwrap();
+            assert_eq!(decoded.count, trace.intervals.len() as u64 + 1, "one per read_interval");
+            assert!(a.spans.iter().any(|s| s.name == "trace.read" && s.count == 1));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_mid_stream_decode_error_is_a_quarantined_miss_that_simulates() {
+        let dir = tmp_cache_dir("mid-stream");
+        let w = &paper_workloads(2, 5)[0];
+        let x = xcfg();
+        let set = [Technique::GDP, Technique::PTCA];
+        let (live, mut trace) = record_shared(w, &x, &set);
+        // Every CRC holds, but the last interval runs core 0 back below
+        // its instruction watermark: the error surfaces only after the
+        // earlier intervals were replayed.
+        let last = trace.intervals.len() - 1;
+        trace.intervals[last].boundaries[0].instr_start = 0;
+        let cache = TraceCache::new(&dir);
+        cache.store_shared(&shared_trace_key_for(&x, w, &set), &trace).unwrap();
+
+        let reg = MetricsRegistry::shared();
+        let replay = CampaignTraces::new(&dir, false, true).with_metrics(Arc::clone(&reg));
+        assert_runs_bit_identical(&replay.shared(w, &x, &set), &live);
+        let s = replay.stats();
+        assert_eq!((s.hits, s.misses, s.quarantines), (0, 1, 1));
+        assert!(!cache.path("shared", &shared_trace_key_for(&x, w, &set)).exists());
+
+        // A known limit, pinned: the intervals replayed before the error
+        // stay counted, so the registry holds them on top of the
+        // simulated run's.
+        let clean = MetricsRegistry::shared();
+        CampaignTraces::no_cache().with_metrics(Arc::clone(&clean)).shared(w, &x, &set);
+        let (got, want) = (reg.snapshot(), clean.snapshot());
+        let prefix_events: u64 =
+            trace.intervals[..last].iter().map(|iv| iv.events.len() as u64).sum();
+        assert_eq!(
+            got.counter("session.intervals"),
+            want.counter("session.intervals").map(|n| n + last as u64)
+        );
+        assert_eq!(
+            got.counter("session.events"),
+            want.counter("session.events").map(|n| n + prefix_events)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -202,11 +202,7 @@ pub fn decode_client(
             Ok(ClientMsg::Hello { tenant, cores, techniques })
         }
         MSG_INTERVAL => {
-            let iv = decode_interval_payload(&frame.payload, max_cores)?;
-            if iv.events.len() > max_events {
-                return Err(TraceError::BadSection { section: "INTERVAL" });
-            }
-            Ok(ClientMsg::Interval(iv))
+            Ok(ClientMsg::Interval(decode_interval_payload(&frame.payload, max_cores, max_events)?))
         }
         MSG_FINISH => {
             if frame.payload.is_empty() {
@@ -423,5 +419,16 @@ mod tests {
             decode_client(&f, 1, 1 << 20),
             Err(TraceError::BadSection { section: "INTERVAL" })
         ));
+        // A few-byte payload declaring one event over the cap is refused
+        // on the declared count, before anything is reserved for it.
+        let max_events = 1 << 20;
+        let mut w = Writer::new();
+        w.varint(max_events as u64 + 1);
+        let f = one_frame(&encode_frame(MSG_INTERVAL, &w.into_bytes()));
+        assert_eq!(f.payload.len(), 3);
+        assert_eq!(
+            decode_client(&f, 2, max_events),
+            Err(TraceError::BadSection { section: "INTERVAL" })
+        );
     }
 }

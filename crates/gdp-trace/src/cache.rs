@@ -17,9 +17,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use gdp_telemetry::{log_info, MetricsRegistry};
 
+use crate::codec::TraceError;
 use crate::format::{
     decode_checkpoints_salvage, decode_private, decode_shared, encode_checkpoints, encode_private,
-    encode_shared,
+    encode_shared, SharedTraceReader,
 };
 use crate::model::{CheckpointFile, PrivateTrace, SharedTrace};
 
@@ -170,6 +171,22 @@ impl TraceCache {
         self.load(&self.path("shared", key), decode_shared)
     }
 
+    /// Stream a shared trace into `replay` without building a
+    /// [`SharedTrace`]: the entry is read and verified by
+    /// [`SharedTraceReader::new`] — header, every section CRC, META and
+    /// FINAL — before `replay` sees the reader, which then decodes one
+    /// interval at a time. `None` (a counted miss) when the entry is
+    /// absent, fails verification, or `replay` returns a decode error
+    /// part-way through; a corrupt entry is quarantined either way, and
+    /// whatever `replay` built before the error is dropped.
+    pub fn stream_shared<T>(
+        &self,
+        key: &CacheKey,
+        replay: impl FnOnce(SharedTraceReader<'_>) -> Result<T, TraceError>,
+    ) -> Option<T> {
+        self.load(&self.path("shared", key), |bytes| replay(SharedTraceReader::new(bytes)?))
+    }
+
     /// Load a private trace; `None` (a counted miss) on any failure.
     pub fn load_private(&self, key: &CacheKey) -> Option<PrivateTrace> {
         self.load(&self.path("private", key), decode_private)
@@ -212,7 +229,7 @@ impl TraceCache {
     fn load<T>(
         &self,
         path: &Path,
-        decode: impl FnOnce(&[u8]) -> Result<T, crate::codec::TraceError>,
+        decode: impl FnOnce(&[u8]) -> Result<T, TraceError>,
     ) -> Option<T> {
         let bytes = match std::fs::read(path) {
             Ok(b) => Some(b),
@@ -381,6 +398,60 @@ mod tests {
         // And a re-store heals the entry for good.
         cache.store_shared(&key, &SharedTrace::default()).expect("stores");
         assert!(cache.load_shared(&key).is_some());
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn streamed_loads_count_hits_and_quarantine_mid_stream_failures() {
+        use crate::model::{Boundary, TraceInterval};
+
+        let cache = TraceCache::new(tmpdir("stream"));
+        let mut key = CacheKey::new("shared");
+        key.u64(5);
+        let b = |start: u64| Boundary {
+            instr_start: start,
+            instr_end: start + 10,
+            stats: CoreStats::default(),
+            lambda: 1.0,
+            shared_latency: 2.0,
+        };
+        let iv = |start| TraceInterval { events: Vec::new(), boundaries: vec![b(start)] };
+        let mut t = SharedTrace {
+            cores: 1,
+            workload: "w".into(),
+            cycles: 9,
+            final_stats: vec![CoreStats::default()],
+            intervals: vec![iv(0), iv(10), iv(20)],
+        };
+        let count = |mut r: SharedTraceReader<'_>| {
+            let mut iv = TraceInterval::default();
+            let mut n = 0;
+            while r.read_interval(&mut iv)? {
+                n += 1;
+            }
+            Ok(n)
+        };
+        assert_eq!(cache.stream_shared(&key, count), None, "cold cache misses");
+        cache.store_shared(&key, &t).expect("stores");
+        assert_eq!(cache.stream_shared(&key, count), Some(3));
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+
+        // CRC-valid bytes that fail on the third interval: the replay saw
+        // two intervals, and the load is still a miss that quarantines.
+        t.intervals[2] = iv(5);
+        cache.store_shared(&key, &t).expect("stores");
+        let mut seen = 0;
+        let got = cache.stream_shared(&key, |mut r| {
+            let mut iv = TraceInterval::default();
+            while r.read_interval(&mut iv)? {
+                seen += 1;
+            }
+            Ok(seen)
+        });
+        assert_eq!((got, seen), (None, 2));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.quarantines), (1, 2, 1));
+        assert!(!cache.path("shared", &key).exists(), "the failed entry is quarantined");
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

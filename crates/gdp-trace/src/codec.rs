@@ -97,8 +97,12 @@ impl std::error::Error for TraceError {}
 
 // ---------------------------------------------------------------- CRC32
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables for the reflected IEEE polynomial: `T[0]` is the
+/// classic byte-at-a-time table, and `T[k][b]` is the CRC state after
+/// byte `b` is followed by `k` zero bytes, so one step folds eight
+/// input bytes with eight independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -107,13 +111,23 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC-32 (IEEE 802.3 polynomial) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -137,11 +151,28 @@ impl Crc32 {
         Crc32(0xFFFF_FFFF)
     }
 
-    /// Fold `bytes` into the running checksum.
+    /// Fold `bytes` into the running checksum: eight bytes per step
+    /// (slicing-by-8), then the tail one byte at a time.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = CRC_TABLE[((self.0 ^ b as u32) & 0xFF) as usize] ^ (self.0 >> 8);
+        let t = &CRC_TABLES;
+        let mut c = self.0;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
+        for &b in words.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.0 = c;
     }
 
     /// The final checksum value.
@@ -398,5 +429,50 @@ mod tests {
         // IEEE CRC-32 of "123456789" is 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The reference kernel: one table lookup per byte.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    fn pseudo_random_bytes(n: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_oracle() {
+        let buf = pseudo_random_bytes(80);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "offset {start}, length {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_crc32_equals_one_shot_at_every_split() {
+        let buf = pseudo_random_bytes(64);
+        let whole = crc32(&buf);
+        for split in 0..=buf.len() {
+            let mut c = Crc32::new();
+            c.update(&buf[..split]);
+            c.update(&buf[split..]);
+            assert_eq!(c.finish(), whole, "split at {split}");
+        }
     }
 }

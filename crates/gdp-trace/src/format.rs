@@ -385,32 +385,103 @@ pub fn encode_interval_payload(iv: &TraceInterval) -> Vec<u8> {
 
 /// Decode one self-contained interval payload (inverse of
 /// [`encode_interval_payload`]); strict — every byte accounted for,
-/// instruction windows non-negative, at most `max_cores` boundaries.
+/// instruction windows non-negative, at most `max_cores` boundaries and
+/// at most `max_events` events. A declared event count above
+/// `max_events` is rejected before anything is reserved for it.
 pub fn decode_interval_payload(
     bytes: &[u8],
     max_cores: usize,
+    max_events: usize,
 ) -> Result<TraceInterval, TraceError> {
     let mut r = Reader::new(bytes);
-    let n_events = r.varint()? as usize;
-    let mut events = Vec::with_capacity(n_events.min(1 << 22));
-    let mut prev = 0u64;
-    for _ in 0..n_events {
-        events.push(decode_event(&mut r, &mut prev)?);
-    }
-    let n_bounds = r.varint()? as usize;
-    if n_bounds > max_cores {
-        return Err(TraceError::BadSection { section: "INTERVAL" });
-    }
-    let mut boundaries = Vec::with_capacity(n_bounds);
-    for _ in 0..n_bounds {
-        let b = decode_boundary(&mut r)?;
-        if b.instr_end < b.instr_start {
-            return Err(TraceError::BadSection { section: "INTERVAL" });
-        }
-        boundaries.push(b);
-    }
+    let mut iv = TraceInterval::default();
+    let limits = IntervalLimits { max_events, max_cores, section: "INTERVAL" };
+    decode_interval_into(&mut r, &mut 0, None, &limits, &mut iv)?;
     expect_drained(&r, "INTERVAL")?;
-    Ok(TraceInterval { events, boundaries })
+    Ok(iv)
+}
+
+// Minimum encoded sizes, for bounding what a declared count may reserve:
+// a count can only claim as many items as the bytes left could hold.
+/// `IntervalEnd`: tag and a one-byte delta.
+const MIN_EVENT_BYTES: usize = 2;
+/// An interval with no events and no boundaries: two zero counts.
+const MIN_INTERVAL_BYTES: usize = 2;
+/// Two instruction varints, 16 stats varints and two raw f64s.
+const MIN_BOUNDARY_BYTES: usize = 2 + MIN_STATS_BYTES + 16;
+/// 16 one-byte varints.
+const MIN_STATS_BYTES: usize = 16;
+/// Instruction count, cycle, stats and CPL.
+const MIN_PRIVATE_CHECKPOINT_BYTES: usize = 3 + MIN_STATS_BYTES;
+/// A state value: tag and a one-byte payload.
+const MIN_STATE_VALUE_BYTES: usize = 2;
+/// An observer id, a technique name, a version and a state value.
+const MIN_STATE_ENTRY_BYTES: usize = 3 + MIN_STATE_VALUE_BYTES;
+/// A STATE section: tag, length, an `at` and a count, and the CRC.
+const MIN_STATE_SECTION_BYTES: usize = 2 + 2 + 4;
+
+/// How many items a declared count may reserve: no more than the bytes
+/// left in `r` could hold at `min_bytes` apiece.
+fn bounded(declared: usize, r: &Reader<'_>, min_bytes: usize) -> usize {
+    declared.min(r.remaining() / min_bytes)
+}
+
+/// The structural bounds of one interval record.
+struct IntervalLimits {
+    /// Most events one interval may declare.
+    max_events: usize,
+    /// Most boundaries one interval may carry (the CMP's core count).
+    max_cores: usize,
+    /// Section named by errors.
+    section: &'static str,
+}
+
+/// Decode one interval record — event count, events, boundary count,
+/// boundaries — into `iv`, reusing its buffers. The one event-decoding
+/// loop of the format: shared trace files (whole or streamed) and serve
+/// frames both come through here. `prev` is the delta base of the event
+/// timestamps; `watermark`, when given, holds each core's last
+/// instruction count, which a boundary may not run back below.
+fn decode_interval_into(
+    r: &mut Reader<'_>,
+    prev: &mut u64,
+    mut watermark: Option<&mut [u64]>,
+    limits: &IntervalLimits,
+    iv: &mut TraceInterval,
+) -> Result<(), TraceError> {
+    let bad = TraceError::BadSection { section: limits.section };
+    let n_events = r.varint()?;
+    if n_events > limits.max_events as u64 {
+        return Err(bad);
+    }
+    let n_events = n_events as usize;
+    iv.events.clear();
+    iv.events.reserve(bounded(n_events, r, MIN_EVENT_BYTES));
+    for _ in 0..n_events {
+        iv.events.push(decode_event(r, prev)?);
+    }
+    // At most one boundary per core: more would hand replay an
+    // out-of-range core index.
+    let n_bounds = r.varint()?;
+    if n_bounds > limits.max_cores as u64 {
+        return Err(bad);
+    }
+    iv.boundaries.clear();
+    iv.boundaries.reserve(bounded(n_bounds as usize, r, MIN_BOUNDARY_BYTES));
+    for core in 0..n_bounds as usize {
+        let b = decode_boundary(r)?;
+        if b.instr_end < b.instr_start {
+            return Err(bad);
+        }
+        if let Some(w) = watermark.as_deref_mut() {
+            if b.instr_start < w[core] {
+                return Err(bad);
+            }
+            w[core] = b.instr_end;
+        }
+        iv.boundaries.push(b);
+    }
+    Ok(())
 }
 
 /// Encode a shared-mode trace to bytes.
@@ -533,7 +604,7 @@ fn decode_state_value(r: &mut Reader<'_>, depth: u32) -> Result<StateValue, Trac
         },
         SV_LIST => {
             let n = r.varint()? as usize;
-            let mut xs = Vec::with_capacity(n.min(1 << 16));
+            let mut xs = Vec::with_capacity(bounded(n, r, MIN_STATE_VALUE_BYTES));
             for _ in 0..n {
                 xs.push(decode_state_value(r, depth + 1)?);
             }
@@ -575,7 +646,7 @@ fn encode_checkpoint_payload(c: &StateCheckpoint) -> Writer {
 fn decode_checkpoint_payload(p: &mut Reader<'_>) -> Result<StateCheckpoint, TraceError> {
     let at = p.varint()?;
     let n = p.varint()? as usize;
-    let mut states = Vec::with_capacity(n.min(1 << 10));
+    let mut states = Vec::with_capacity(bounded(n, p, MIN_STATE_ENTRY_BYTES));
     for _ in 0..n {
         let id = p.str()?;
         states.push((id, decode_estimator_state(p)?));
@@ -651,67 +722,124 @@ fn expect_drained(r: &Reader<'_>, section: &'static str) -> Result<(), TraceErro
     Ok(())
 }
 
+/// A streaming decoder of a shared-mode trace: the whole file is
+/// verified up front, then intervals are decoded one at a time on demand.
+///
+/// [`SharedTraceReader::new`] checks the header, every section's CRC,
+/// META, FINAL and that no bytes trail the last section, so no interval
+/// is handed out of a file that fails any of those. The INTERVALS
+/// payload is then decoded lazily by [`SharedTraceReader::read_interval`]
+/// with the strict checks of [`decode_shared`] — tags, bounds, at most
+/// one boundary per core, the per-core instruction watermark, and a
+/// fully consumed section after the last declared interval — so a
+/// structural error can still surface mid-stream, after earlier
+/// intervals were handed out.
+#[derive(Debug)]
+pub struct SharedTraceReader<'a> {
+    cores: usize,
+    workload: String,
+    cycles: u64,
+    final_stats: Vec<CoreStats>,
+    /// The INTERVALS payload, positioned at the next interval record.
+    ivs: Reader<'a>,
+    /// Declared intervals not yet read.
+    left: u64,
+    /// Delta base of the next event timestamp (runs across intervals).
+    prev: u64,
+    /// Per-core committed-instruction watermark: boundary windows must
+    /// be non-decreasing (gaps are fine — not every interval reports
+    /// every core — but a window running backwards would replay garbage).
+    watermark: Vec<u64>,
+}
+
+impl<'a> SharedTraceReader<'a> {
+    /// Verify a shared-mode trace file (see the type docs) and position
+    /// the reader at its first interval.
+    pub fn new(bytes: &'a [u8]) -> Result<SharedTraceReader<'a>, TraceError> {
+        let mut r = Reader::new(bytes);
+        decode_header(&mut r, KIND_SHARED)?;
+
+        let mut meta = read_section(&mut r, SEC_META, "META")?;
+        let cores = meta.varint()? as usize;
+        // CoreId is a u8: a claimed core count past 256 could silently
+        // wrap during replay, so reject it as malformed rather than
+        // decode it.
+        if cores > 256 {
+            return Err(TraceError::BadSection { section: "META" });
+        }
+        let workload = meta.str()?;
+        expect_drained(&meta, "META")?;
+
+        let mut ivs = read_section(&mut r, SEC_INTERVALS, "INTERVALS")?;
+        let left = ivs.varint()?;
+
+        let mut fin = read_section(&mut r, SEC_FINAL, "FINAL")?;
+        let cycles = fin.varint()?;
+        let n_stats = fin.varint()? as usize;
+        let mut final_stats = Vec::with_capacity(bounded(n_stats, &fin, MIN_STATS_BYTES));
+        for _ in 0..n_stats {
+            final_stats.push(decode_stats(&mut fin)?);
+        }
+        expect_drained(&fin, "FINAL")?;
+
+        if r.remaining() != 0 {
+            return Err(TraceError::TrailingBytes { len: r.remaining() });
+        }
+        Ok(SharedTraceReader {
+            cores,
+            workload,
+            cycles,
+            final_stats,
+            ivs,
+            left,
+            prev: 0,
+            watermark: vec![0; cores],
+        })
+    }
+
+    /// Total cycles simulated.
+    pub fn cycles(&self) -> u64 {
+        self.cycles
+    }
+
+    /// Final cumulative per-core statistics.
+    pub fn final_stats(&self) -> &[CoreStats] {
+        &self.final_stats
+    }
+
+    /// Decode the next interval into `iv`, reusing its buffers. Returns
+    /// `Ok(false)` once every declared interval has been read and the
+    /// INTERVALS section is fully consumed.
+    pub fn read_interval(&mut self, iv: &mut TraceInterval) -> Result<bool, TraceError> {
+        if self.left == 0 {
+            expect_drained(&self.ivs, "INTERVALS")?;
+            return Ok(false);
+        }
+        self.left -= 1;
+        let limits =
+            IntervalLimits { max_events: usize::MAX, max_cores: self.cores, section: "INTERVALS" };
+        decode_interval_into(
+            &mut self.ivs,
+            &mut self.prev,
+            Some(&mut self.watermark),
+            &limits,
+            iv,
+        )?;
+        Ok(true)
+    }
+}
+
 /// Decode a shared-mode trace; strict (every byte accounted for, every
-/// section CRC-verified).
+/// section CRC-verified). This is [`SharedTraceReader`] collected.
 pub fn decode_shared(bytes: &[u8]) -> Result<SharedTrace, TraceError> {
-    let mut r = Reader::new(bytes);
-    decode_header(&mut r, KIND_SHARED)?;
-
-    let mut meta = read_section(&mut r, SEC_META, "META")?;
-    let cores = meta.varint()? as usize;
-    // CoreId is a u8: a claimed core count past 256 could silently wrap
-    // during replay, so reject it as malformed rather than decode it.
-    if cores > 256 {
-        return Err(TraceError::BadSection { section: "META" });
+    let mut r = SharedTraceReader::new(bytes)?;
+    let declared = usize::try_from(r.left).unwrap_or(usize::MAX);
+    let mut intervals = Vec::with_capacity(bounded(declared, &r.ivs, MIN_INTERVAL_BYTES));
+    let mut iv = TraceInterval::default();
+    while r.read_interval(&mut iv)? {
+        intervals.push(std::mem::take(&mut iv));
     }
-    let workload = meta.str()?;
-    expect_drained(&meta, "META")?;
-
-    let mut ivs = read_section(&mut r, SEC_INTERVALS, "INTERVALS")?;
-    let n_intervals = ivs.varint()? as usize;
-    let mut intervals = Vec::with_capacity(n_intervals.min(1 << 20));
-    let mut prev = 0u64;
-    // Per-core committed-instruction watermark: boundary windows must be
-    // non-decreasing (gaps are fine — not every interval reports every
-    // core — but a window running backwards would replay garbage).
-    let mut instr_watermark = vec![0u64; cores];
-    for _ in 0..n_intervals {
-        let n_events = ivs.varint()? as usize;
-        let mut events = Vec::with_capacity(n_events.min(1 << 22));
-        for _ in 0..n_events {
-            events.push(decode_event(&mut ivs, &mut prev)?);
-        }
-        let n_bounds = ivs.varint()? as usize;
-        // At most one boundary per core: more would hand replay an
-        // out-of-range core index.
-        if n_bounds > cores {
-            return Err(TraceError::BadSection { section: "INTERVALS" });
-        }
-        let mut boundaries = Vec::with_capacity(n_bounds.min(1 << 10));
-        for core in 0..n_bounds {
-            let b = decode_boundary(&mut ivs)?;
-            if b.instr_end < b.instr_start || b.instr_start < instr_watermark[core] {
-                return Err(TraceError::BadSection { section: "INTERVALS" });
-            }
-            instr_watermark[core] = b.instr_end;
-            boundaries.push(b);
-        }
-        intervals.push(TraceInterval { events, boundaries });
-    }
-    expect_drained(&ivs, "INTERVALS")?;
-
-    let mut fin = read_section(&mut r, SEC_FINAL, "FINAL")?;
-    let cycles = fin.varint()?;
-    let n_stats = fin.varint()? as usize;
-    let mut final_stats = Vec::with_capacity(n_stats.min(1 << 10));
-    for _ in 0..n_stats {
-        final_stats.push(decode_stats(&mut fin)?);
-    }
-    expect_drained(&fin, "FINAL")?;
-
-    if r.remaining() != 0 {
-        return Err(TraceError::TrailingBytes { len: r.remaining() });
-    }
+    let SharedTraceReader { cores, workload, cycles, final_stats, .. } = r;
     Ok(SharedTrace { cores, workload, cycles, final_stats, intervals })
 }
 
@@ -727,7 +855,7 @@ pub fn decode_private(bytes: &[u8]) -> Result<PrivateTrace, TraceError> {
 
     let mut cks = read_section(&mut r, SEC_CHECKPOINTS, "CHECKPOINTS")?;
     let n = cks.varint()? as usize;
-    let mut checkpoints = Vec::with_capacity(n.min(1 << 20));
+    let mut checkpoints = Vec::with_capacity(bounded(n, &cks, MIN_PRIVATE_CHECKPOINT_BYTES));
     for _ in 0..n {
         checkpoints.push(TraceCheckpoint {
             instrs: cks.varint()?,
@@ -773,7 +901,7 @@ fn decode_checkpoints_meta(
 /// inside the summarized trace).
 pub fn decode_checkpoints(bytes: &[u8]) -> Result<CheckpointFile, TraceError> {
     let (mut r, mut file, declared) = decode_checkpoints_meta(bytes)?;
-    file.checkpoints.reserve(declared.min(1 << 20));
+    file.checkpoints.reserve(bounded(declared, &r, MIN_STATE_SECTION_BYTES));
     for _ in 0..declared {
         let mut sec = read_section(&mut r, SEC_STATE, "STATE")?;
         let c = decode_checkpoint_payload(&mut sec)?;
@@ -914,6 +1042,62 @@ mod tests {
         assert_eq!(back, t);
     }
 
+    /// Every interval `reader` still holds, decoded into one reused buffer.
+    fn stream_all(reader: &mut SharedTraceReader<'_>) -> Result<Vec<TraceInterval>, TraceError> {
+        let mut out = Vec::new();
+        let mut iv = TraceInterval::default();
+        while reader.read_interval(&mut iv)? {
+            out.push(iv.clone());
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn streamed_intervals_equal_the_whole_decode() {
+        let t = sample_shared();
+        let bytes = encode_shared(&t);
+        let mut reader = SharedTraceReader::new(&bytes).expect("verifies");
+        assert_eq!((reader.cycles(), reader.final_stats()), (t.cycles, t.final_stats.as_slice()));
+        assert_eq!(stream_all(&mut reader).unwrap(), t.intervals);
+        assert_eq!(reader.read_interval(&mut TraceInterval::default()), Ok(false), "stays done");
+    }
+
+    #[test]
+    fn structural_errors_surface_mid_stream_after_verification() {
+        // CRC-valid bytes whose second interval runs a core's window back
+        // below its watermark: verification passes, the first interval is
+        // handed out, and the second is a typed error.
+        let mut t = sample_shared();
+        t.intervals[1].boundaries[0] = t.intervals[0].boundaries[0];
+        let bytes = encode_shared(&t);
+        let mut reader = SharedTraceReader::new(&bytes).expect("every CRC holds");
+        let mut iv = TraceInterval::default();
+        assert_eq!(reader.read_interval(&mut iv), Ok(true));
+        assert_eq!(iv, t.intervals[0]);
+        assert_eq!(
+            reader.read_interval(&mut iv),
+            Err(TraceError::BadSection { section: "INTERVALS" })
+        );
+
+        // An INTERVALS section holding more records than it declares is
+        // rejected once the declared ones are read.
+        let t = sample_shared();
+        let mut bytes = encode_shared(&t);
+        let mut r = Reader::new(&bytes);
+        r.bytes(13).unwrap(); // magic + version + kind
+        read_section(&mut r, SEC_META, "META").unwrap();
+        r.u8().unwrap(); // INTERVALS tag
+        let len = r.varint().unwrap() as usize;
+        let start = r.pos();
+        assert_eq!(bytes[start], 2, "two intervals declared");
+        bytes[start] = 1;
+        let crc = crc32(&bytes[start..start + len]).to_le_bytes();
+        bytes[start + len..start + len + 4].copy_from_slice(&crc);
+        let mut reader = SharedTraceReader::new(&bytes).expect("every CRC holds");
+        assert_eq!(stream_all(&mut reader), Err(TraceError::BadSection { section: "INTERVALS" }));
+        assert_eq!(decode_shared(&bytes), Err(TraceError::BadSection { section: "INTERVALS" }));
+    }
+
     #[test]
     fn interval_payloads_are_self_contained() {
         // Each interval must decode alone (stream frames have no
@@ -922,27 +1106,35 @@ mod tests {
         let t = sample_shared();
         for iv in &t.intervals {
             let bytes = encode_interval_payload(iv);
-            let back = decode_interval_payload(&bytes, t.cores).expect("decodes");
+            let back = decode_interval_payload(&bytes, t.cores, usize::MAX).expect("decodes");
             assert_eq!(&back, iv);
         }
         // Boundary-count and window sanity are enforced.
         let iv = &t.intervals[0];
         let bytes = encode_interval_payload(iv);
         assert_eq!(
-            decode_interval_payload(&bytes, 1),
+            decode_interval_payload(&bytes, 1, usize::MAX),
             Err(TraceError::BadSection { section: "INTERVAL" }),
             "more boundaries than cores must be rejected"
+        );
+        assert_eq!(
+            decode_interval_payload(&bytes, 2, iv.events.len() - 1),
+            Err(TraceError::BadSection { section: "INTERVAL" }),
+            "more events than the cap must be rejected"
         );
         let mut bad = iv.clone();
         bad.boundaries[0].instr_start = bad.boundaries[0].instr_end + 1;
         assert_eq!(
-            decode_interval_payload(&encode_interval_payload(&bad), 2),
+            decode_interval_payload(&encode_interval_payload(&bad), 2, usize::MAX),
             Err(TraceError::BadSection { section: "INTERVAL" }),
             "a backwards instruction window must be rejected"
         );
         let mut trailing = encode_interval_payload(iv);
         trailing.push(0);
-        assert!(decode_interval_payload(&trailing, 2).is_err(), "trailing bytes rejected");
+        assert!(
+            decode_interval_payload(&trailing, 2, usize::MAX).is_err(),
+            "trailing bytes rejected"
+        );
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   [`TraceError`](codec::TraceError) decoder errors (no serde; the same
 //!   hand-rolled discipline as `gdp-runner::json`).
 //! * [`format`] — the versioned, sectioned binary file format with
-//!   per-section CRCs and a strict decoder.
+//!   per-section CRCs and a strict decoder, whole or streamed one
+//!   interval at a time ([`SharedTraceReader`]).
 //! * [`frame`] — the section discipline over a byte *stream*: an
 //!   incremental [`FrameAssembler`](frame::FrameAssembler) reassembling
 //!   CRC-checked frames from arbitrarily-chunked reads (the serve wire
@@ -43,7 +44,7 @@ pub use codec::TraceError;
 pub use format::{
     decode_checkpoints, decode_checkpoints_salvage, decode_interval_payload, decode_private,
     decode_shared, encode_checkpoints, encode_interval_payload, encode_private, encode_shared,
-    FORMAT_VERSION,
+    SharedTraceReader, FORMAT_VERSION,
 };
 pub use frame::{encode_frame, Frame, FrameAssembler};
 pub use model::{
