@@ -13,10 +13,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use gdp_bench::{Scale, SWEEP_SEED};
-use gdp_experiments::{
-    record_shared, summarize_checkpoints, ParallelReplaySession, ReplaySession, Technique,
-};
-use gdp_runner::Pool;
+use gdp_experiments::{record_shared, ReplaySession, Technique};
 use gdp_workloads::{generate_workloads, LlcClass};
 
 fn bench_session(c: &mut Criterion) {
@@ -48,27 +45,6 @@ fn bench_session(c: &mut Criterion) {
             );
         });
     }
-
-    // Segmented parallel replay over summarized estimator-state
-    // checkpoints (summarization is setup, as in a recorded campaign):
-    // the same transparent4 work fanned across a 4-worker pool,
-    // bit-identical to the serial scenario above.
-    let checkpoints = summarize_checkpoints(&trace, &xcfg);
-    c.bench_function("session/replay_parallel/transparent4", |b| {
-        b.iter_batched(
-            || {
-                ParallelReplaySession::new(
-                    &trace,
-                    &xcfg,
-                    &transparent,
-                    Some(&checkpoints),
-                    Pool::new(4),
-                )
-            },
-            |session| session.into_report(),
-            BatchSize::SmallInput,
-        );
-    });
 
     // Instrumentation overhead: identical replays with a telemetry
     // registry attached — per-interval span enters plus event counting.

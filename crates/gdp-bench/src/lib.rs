@@ -87,8 +87,7 @@ impl Scale {
 
 /// Parsed command line of a figure binary (shared `gdp-runner` surface:
 /// `--tiny/--quick/--full`, `--jobs N`, `--json`, `--list`, the
-/// trace-cache flags `--record`/`--replay`/`--replay-jobs N`/
-/// `--trace-dir DIR`, and the
+/// trace-cache flags `--record`/`--replay`/`--trace-dir DIR`, and the
 /// registry-backed `--techniques a,b,c` selection; unknown flags and
 /// unknown technique ids exit non-zero with usage / the valid-id list).
 #[derive(Debug, Clone)]
@@ -107,10 +106,6 @@ pub struct BenchArgs {
     pub record: bool,
     /// `--replay`: reuse cached event traces when present.
     pub replay: bool,
-    /// `--replay-jobs N`: fan each cached-trace replay across N workers
-    /// using the estimator-state checkpoints summarized at record time
-    /// (1 = serial replay; results are identical for every N).
-    pub replay_jobs: usize,
     /// Trace-cache directory.
     pub trace_dir: String,
     /// `--techniques`: validated registry selection, canonical order;
@@ -172,7 +167,6 @@ impl BenchArgs {
             list: a.list,
             record: a.record,
             replay: a.replay,
-            replay_jobs: a.replay_jobs(),
             trace_dir: a.trace_dir,
             techniques,
             metrics: a.metrics,
@@ -217,11 +211,10 @@ impl BenchArgs {
     }
 
     /// The campaign router every shared and private job goes through:
-    /// `--record`/`--replay`/`--replay-jobs` over `--trace-dir`, with the
-    /// metrics registry attached under any telemetry flag.
+    /// `--record`/`--replay` over `--trace-dir`, with the metrics
+    /// registry attached under any telemetry flag.
     pub fn traces(&self) -> CampaignTraces {
-        let tc = CampaignTraces::new(&self.trace_dir, self.record, self.replay)
-            .with_replay_jobs(self.replay_jobs);
+        let tc = CampaignTraces::new(&self.trace_dir, self.record, self.replay);
         match &self.registry {
             Some(reg) => tc.with_metrics(Arc::clone(reg)),
             None => tc,

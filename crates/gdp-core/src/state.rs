@@ -9,8 +9,8 @@
 //! observer's snapshot/restore pair is the only code that knows its
 //! field order. Restoring a snapshot taken at interval boundary *k* and
 //! replaying from there is bit-identical to replaying from the start —
-//! the property that makes segmented parallel replay and on-demand
-//! per-interval queries exact, not approximate.
+//! the property that makes on-demand per-interval queries and
+//! suspend/resume exact, not approximate.
 //!
 //! Floating-point fields travel as exact bit patterns ([`StateValue::F64Bits`]),
 //! never as decimal round-trips, and hash-map contents are emitted in a

@@ -57,13 +57,10 @@ pub use metrics::export_engine_counters;
 pub use plane::ObservationPlane;
 pub use policy_run::{run_policy_study, PolicyKind, PolicyOutcome};
 pub use private::{run_private, PrivateCheckpoint, PrivateRun};
-pub use session::{
-    EstimationSession, ParallelReplaySession, ReplaySession, SessionBuilder, StreamSession,
-};
+pub use session::{EstimationSession, ReplaySession, SessionBuilder, StreamSession};
 pub use shared::{run_shared, CoreInterval, SharedRun};
 pub use techniques::{registry, transparent_subset, Technique};
 pub use trace::{
-    checkpoint_key, private_from_trace, private_to_trace, private_trace_key, record_shared,
-    session_state_key, shared_trace_key, shared_trace_key_for, summarize_checkpoints,
-    CampaignTraces,
+    private_from_trace, private_to_trace, private_trace_key, record_shared, session_state_key,
+    shared_trace_key, shared_trace_key_for, summarize_checkpoints, CampaignTraces,
 };

@@ -25,7 +25,6 @@
 use std::sync::Arc;
 
 use gdp_core::state::{EstimatorState, StateError};
-use gdp_runner::Pool;
 use gdp_sim::probe::ProbeEvent;
 use gdp_sim::stats::CoreStats;
 use gdp_sim::types::{CoreId, Cycle};
@@ -686,9 +685,8 @@ impl<'t> ReplaySession<'t> {
     /// checkpoint at or before `k` when that beats replaying forward from
     /// here, rebuild the cold state when the session is already past `k`,
     /// then replay (discarding rows) up to `k`. A checkpoint that fails
-    /// to restore degrades to replay from the trace start; returns
-    /// whether one did.
-    fn seek(&mut self, k: usize, checkpoints: Option<&CheckpointFile>) -> bool {
+    /// to restore degrades to replay from the trace start.
+    fn seek(&mut self, k: usize, checkpoints: Option<&CheckpointFile>) {
         let cp = checkpoints
             .and_then(|f| f.nearest_at_or_before(k as u64))
             .filter(|cp| self.next > k || cp.at as usize > self.next);
@@ -711,7 +709,6 @@ impl<'t> ReplaySession<'t> {
         while self.next < k {
             self.replay_next();
         }
-        failed
     }
 
     /// On-demand single-interval query: restore the nearest checkpoint of
@@ -874,131 +871,6 @@ impl StreamSession {
     }
 }
 
-/// Segmented, pool-parallel trace replay.
-///
-/// The trace's interval range is cut into one contiguous segment per
-/// pool worker; each segment restores the summarized checkpoint at its
-/// start boundary (segment 0 starts cold), replays its intervals on a
-/// worker, and the rows are reassembled in schedule order — bit-identical
-/// to a serial [`ReplaySession`] over the whole trace, because restoring
-/// a boundary snapshot is bit-identical to having replayed everything
-/// before it.
-///
-/// Degradation is built in: cuts snap to the nearest available
-/// checkpoint at or before the ideal position, so a missing or corrupt
-/// (salvaged-away) checkpoint merely merges segments; a checkpoint that
-/// fails to *restore* falls back to replaying that segment from the
-/// trace start. Either way the campaign completes with exact results —
-/// parallelism only ever buys time, never correctness.
-pub struct ParallelReplaySession<'t> {
-    trace: &'t SharedTrace,
-    checkpoints: Option<&'t CheckpointFile>,
-    xcfg: ExperimentConfig,
-    techniques: Vec<Technique>,
-    pool: Pool,
-    metrics: Option<Arc<MetricsRegistry>>,
-}
-
-impl<'t> ParallelReplaySession<'t> {
-    /// A parallel replay of `trace` for a (canonicalized) technique set,
-    /// fanning segments across `pool`. Without `checkpoints` (or with a
-    /// one-worker pool) replay is plain serial.
-    pub fn new(
-        trace: &'t SharedTrace,
-        xcfg: &ExperimentConfig,
-        techniques: &[Technique],
-        checkpoints: Option<&'t CheckpointFile>,
-        pool: Pool,
-    ) -> ParallelReplaySession<'t> {
-        ParallelReplaySession {
-            trace,
-            checkpoints,
-            xcfg: xcfg.clone(),
-            techniques: Technique::canonical(techniques),
-            pool,
-            metrics: None,
-        }
-    }
-
-    /// Attach a metrics registry. Parallel replay reports its shape as
-    /// `replay.*` **gauges** — segment count, restore failures and
-    /// serial fallbacks all vary with the `--replay-jobs` fan-out, so
-    /// they stay out of the deterministic counters-only snapshot. It
-    /// deliberately does *not* meter the inner per-segment sessions:
-    /// segment warm-up replays events redundantly, which would make
-    /// `session.*` counters depend on the fan-out.
-    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> ParallelReplaySession<'t> {
-        self.metrics = Some(registry);
-        self
-    }
-
-    /// The planned segment start boundaries: one per worker when every
-    /// cut finds a usable checkpoint, fewer when cuts collapse onto
-    /// earlier restore points.
-    pub fn segment_starts(&self) -> Vec<usize> {
-        let n = self.trace.intervals.len();
-        let mut starts = vec![0];
-        let Some(cks) = self.checkpoints else { return starts };
-        let jobs = self.pool.workers().min(n).max(1);
-        for i in 1..jobs {
-            // Snap to the nearest restore point at or before the ideal
-            // cut; a summarization gap shifts the cut earlier (toward
-            // serial) instead of erroring.
-            if let Some(cp) = cks.nearest_at_or_before((i * n / jobs) as u64) {
-                let at = cp.at as usize;
-                if at > *starts.last().expect("segment 0") && at < n {
-                    starts.push(at);
-                }
-            }
-        }
-        starts
-    }
-
-    /// Replay every interval, fanning segments across the pool, and
-    /// assemble the [`SharedRun`] — bit-identical to
-    /// [`ReplaySession::into_report`] over the same trace and set.
-    pub fn into_report(self) -> SharedRun {
-        let n = self.trace.intervals.len();
-        let starts = self.segment_starts();
-        let restore_failures = self.metrics.as_ref().map(|reg| {
-            reg.gauge("replay.segments").add(starts.len() as u64);
-            if starts.len() <= 1 && self.pool.workers() > 1 {
-                reg.gauge("replay.serial_fallbacks").add(1);
-            }
-            reg.gauge("replay.restore_failures")
-        });
-        if starts.len() <= 1 {
-            return ReplaySession::new(self.trace, &self.xcfg, &self.techniques).into_report();
-        }
-        let ends = starts.iter().skip(1).copied().chain([n]);
-        let (trace, xcfg, techniques) = (self.trace, &self.xcfg, &self.techniques);
-        let (checkpoints, rf) = (self.checkpoints, restore_failures.as_ref());
-        let jobs: Vec<_> = starts
-            .iter()
-            .zip(ends)
-            .map(|(&start, end)| {
-                move || {
-                    let mut s = ReplaySession::new(trace, xcfg, techniques);
-                    if s.seek(start, checkpoints) {
-                        if let Some(g) = rf {
-                            g.add(1);
-                        }
-                    }
-                    s.advance_intervals(end - start);
-                    s.take_estimates()
-                }
-            })
-            .collect();
-        let segments = self.pool.run(jobs);
-        SharedRun {
-            techniques: self.techniques,
-            intervals: segments.into_iter().flatten().collect(),
-            cycles: trace.cycles,
-            final_stats: trace.final_stats.clone(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1136,7 +1008,7 @@ mod tests {
     }
 
     #[test]
-    fn metered_replay_matches_live_and_reports_gauges() {
+    fn metered_replay_matches_live_and_counts_the_stream() {
         let w = &paper_workloads(2, 5)[1];
         let x = xcfg();
         let techniques = [Technique::GDP];
@@ -1155,19 +1027,6 @@ mod tests {
             "replay counts the same interval stream"
         );
         assert_eq!(snap.counter("engine.cycles"), None, "replay never touches a simulator");
-
-        // The parallel session reports its shape as replay.* gauges.
-        let cks = crate::trace::summarize_checkpoints(&trace, &x);
-        let preg = MetricsRegistry::shared();
-        let parallel =
-            ParallelReplaySession::new(&trace, &x, &techniques, Some(&cks), Pool::new(2))
-                .with_metrics(Arc::clone(&preg))
-                .into_report();
-        assert_eq!(parallel.intervals.len(), live.intervals.len());
-        let psnap = preg.snapshot();
-        let segments = psnap.gauges.iter().find(|(k, _)| k == "replay.segments").unwrap().1;
-        assert!(segments >= 1);
-        assert!(psnap.gauges.iter().any(|(k, _)| k == "replay.restore_failures"));
     }
 
     /// The Figure 1a worked example, replayed from a one-interval trace:

@@ -17,7 +17,6 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use gdp_runner::Pool;
 use gdp_sim::{CacheConfig, SimConfig};
 use gdp_telemetry::{log_info, MetricsRegistry};
 use gdp_trace::{
@@ -29,7 +28,7 @@ use gdp_workloads::Workload;
 use crate::accuracy::{private_base, Technique, WorkloadEval};
 use crate::config::ExperimentConfig;
 use crate::private::{run_private, PrivateCheckpoint, PrivateRun};
-use crate::session::{replay_streamed, ParallelReplaySession, ReplaySession, SessionBuilder};
+use crate::session::{replay_streamed, ReplaySession, SessionBuilder};
 use crate::shared::SharedRun;
 
 /// Run `workload` in shared mode with a recorder attached; returns the
@@ -54,6 +53,10 @@ pub fn record_shared(
 /// serves any later technique subset: an observer's state depends only
 /// on the recorded stream, never on the readouts consuming it — the
 /// same invariant that lets one trace serve every subset.
+///
+/// Computed on demand, for a caller about to ask many random-access
+/// [`ReplaySession::estimate_interval`] queries of one trace; the
+/// campaign record path never calls it.
 pub fn summarize_checkpoints(trace: &SharedTrace, xcfg: &ExperimentConfig) -> CheckpointFile {
     let techniques = Technique::all_registered();
     let mut s = ReplaySession::new(trace, xcfg, &techniques);
@@ -206,30 +209,15 @@ pub fn shared_trace_key_for(
     shared_trace_key(xcfg, workload, techniques.iter().any(Technique::is_invasive))
 }
 
-/// Cache key of a checkpoint (estimator-state) file: the same material
-/// as the shared trace it summarizes, under its own domain, plus the
-/// estimator-state schema version — a restored snapshot must match the
-/// exact estimator layout, so a schema bump invalidates checkpoints
-/// without touching the (still-valid) traces.
-pub fn checkpoint_key(xcfg: &ExperimentConfig, workload: &Workload, invasive: bool) -> CacheKey {
-    let mut k = key_material("state", xcfg);
-    k.u64(u64::from(gdp_core::STATE_VERSION));
-    k.str(&workload.name);
-    k.usize(workload.cores());
-    for b in &workload.benchmarks {
-        k.str(b.name);
-    }
-    k.bool(invasive);
-    k
-}
-
 /// Cache key of a *serving tenant's* suspended estimator state: the
-/// state-schema material of [`checkpoint_key`] plus the tenant id and
-/// the exact (canonical) technique set. Unlike trace keys, the technique
-/// ids **must** feed this key — a suspended bundle is the estimator
-/// layout itself, so sessions with different sets must never collide —
-/// and the tenant id keeps concurrent tenants with identical
-/// configurations in separate entries.
+/// configuration material of every trace key, the estimator-state
+/// schema version (a restored snapshot must match the exact estimator
+/// layout), the tenant id and the exact (canonical) technique set.
+/// Unlike trace keys, the technique ids **must** feed this key — a
+/// suspended bundle is the estimator layout itself, so sessions with
+/// different sets must never collide — and the tenant id keeps
+/// concurrent tenants with identical configurations in separate
+/// entries.
 pub fn session_state_key(
     xcfg: &ExperimentConfig,
     tenant: u64,
@@ -276,7 +264,6 @@ pub struct CampaignTraces {
     cache: TraceCache,
     record: bool,
     replay: bool,
-    replay_jobs: usize,
     metrics: Option<Arc<MetricsRegistry>>,
 }
 
@@ -285,13 +272,7 @@ impl CampaignTraces {
     /// `replay` consults the cache before simulating (both may be set:
     /// replay what exists, record what does not).
     pub fn new(dir: impl Into<PathBuf>, record: bool, replay: bool) -> CampaignTraces {
-        CampaignTraces {
-            cache: TraceCache::new(dir),
-            record,
-            replay,
-            replay_jobs: 1,
-            metrics: None,
-        }
+        CampaignTraces { cache: TraceCache::new(dir), record, replay, metrics: None }
     }
 
     /// A router with recording and replay off: every job simulates and
@@ -302,22 +283,13 @@ impl CampaignTraces {
 
     /// Attach a campaign-wide metrics registry: every session and
     /// private run routed through this policy feeds it (`session.*`,
-    /// `engine.*`, `replay.*`), and callers fold the cache's own
+    /// `engine.*`, `trace.*` spans), and callers fold the cache's own
     /// counters in via [`CacheStatsSnapshot::export`]. The registry is
     /// shared across parallel campaign jobs — counters accumulate
     /// order-independently, so totals stay deterministic for any
     /// `--jobs N`.
     pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> CampaignTraces {
         self.metrics = Some(registry);
-        self
-    }
-
-    /// Set the parallel-replay fan-out: warm replays of cached traces
-    /// fan interval segments across an `n`-worker pool using summarized
-    /// checkpoints. With `n <= 1`, or when no checkpoint entry exists,
-    /// replay stays serial — results are bit-identical either way.
-    pub fn with_replay_jobs(mut self, n: usize) -> CampaignTraces {
-        self.replay_jobs = n.max(1);
         self
     }
 
@@ -329,10 +301,10 @@ impl CampaignTraces {
     /// A shared-mode run through the cache: replayed when a trace
     /// exists, simulated (and, under `record`, stored) otherwise.
     /// Bit-identical to [`run_shared`](crate::shared::run_shared) either
-    /// way. A serial replay streams the entry through the session
-    /// pipeline one interval at a time, after the whole file has been
-    /// verified, and never builds a [`SharedTrace`]; an entry that fails
-    /// mid-stream is a quarantined miss and the run is simulated.
+    /// way. A replay streams the entry through the session pipeline one
+    /// interval at a time, after the whole file has been verified, and
+    /// never builds a [`SharedTrace`]; an entry that fails mid-stream is
+    /// a quarantined miss and the run is simulated.
     pub fn shared(
         &self,
         workload: &Workload,
@@ -340,28 +312,7 @@ impl CampaignTraces {
         techniques: &[Technique],
     ) -> SharedRun {
         let key = shared_trace_key_for(xcfg, workload, techniques);
-        let invasive = techniques.iter().any(Technique::is_invasive);
-        if self.replay && self.replay_jobs > 1 {
-            // Segments need random access to the intervals: decode the
-            // whole trace.
-            if let Some(trace) = self.cache.load_shared(&key) {
-                // Salvage-loaded checkpoints (None on a full miss): the
-                // parallel session degrades around whatever is missing,
-                // so corruption costs time, not the run.
-                let cks = self.cache.load_checkpoints(&checkpoint_key(xcfg, workload, invasive));
-                let mut s = ParallelReplaySession::new(
-                    &trace,
-                    xcfg,
-                    techniques,
-                    cks.as_ref(),
-                    Pool::new(self.replay_jobs),
-                );
-                if let Some(reg) = &self.metrics {
-                    s = s.with_metrics(Arc::clone(reg));
-                }
-                return s.into_report();
-            }
-        } else if self.replay {
+        if self.replay {
             let spans =
                 self.metrics.as_ref().map(|r| (r.span("trace.read"), r.span("trace.decode")));
             // `trace.read` covers the file read and its verification: it
@@ -389,19 +340,8 @@ impl CampaignTraces {
         }
         let run = session.build().into_report();
         if let Some(rec) = rec {
-            let trace = rec.into_trace();
-            if let Err(e) = self.cache.store_shared(&key, &trace) {
+            if let Err(e) = self.cache.store_shared(&key, &rec.into_trace()) {
                 log_info!("gdp-trace: cannot store shared trace: {e}");
-            }
-            // Summarize checkpoints next to the stored trace so warm
-            // replays can fan out immediately. Deliberately unmetered:
-            // its full-registry replay would double-count the stream in
-            // `session.*`.
-            let cks = summarize_checkpoints(&trace, xcfg);
-            if let Err(e) =
-                self.cache.store_checkpoints(&checkpoint_key(xcfg, workload, invasive), &cks)
-            {
-                log_info!("gdp-trace: cannot store checkpoint file: {e}");
             }
         }
         run
@@ -436,7 +376,7 @@ mod tests {
     use super::*;
     use crate::accuracy::{evaluate, evaluate_job_count, EvalGroup};
     use crate::shared::run_shared;
-    use gdp_runner::Progress;
+    use gdp_runner::{Pool, Progress};
     use gdp_trace::SharedTraceReader;
     use gdp_workloads::paper_workloads;
 
@@ -599,7 +539,15 @@ mod tests {
 
         let rec = CampaignTraces::new(&dir, true, false);
         let cold = run(&rec);
-        assert!(rec.stats().stores >= 3, "1 shared + 2 private traces stored");
+        assert_eq!(rec.stats().stores, 3, "1 shared + 2 private traces stored, nothing else");
+        let entries: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            !entries.iter().any(|name| name.starts_with("state-")),
+            "recording writes no checkpoint entries: {entries:?}"
+        );
 
         let rep = CampaignTraces::new(&dir, false, true);
         let warm = run(&rep);

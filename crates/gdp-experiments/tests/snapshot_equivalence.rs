@@ -1,31 +1,28 @@
-//! Snapshot/restore and parallel-replay equivalence: extending the
-//! session-equivalence harness to the checkpointable observer surface.
+//! Snapshot/restore equivalence: extending the session-equivalence
+//! harness to the checkpointable observer surface.
 //!
 //! The pinned property: restoring a summarized observer-state snapshot
 //! at *any* interval boundary is bit-identical to having replayed every
-//! interval before it — which is exactly what makes segmented,
-//! pool-parallel replay exact rather than approximate. Over random
-//! workload mixes × registered technique subsets × segment cuts and
-//! worker counts, `ParallelReplaySession` must reproduce the serial
-//! `ReplaySession` row for row, bit for bit, and so must the on-demand
-//! `ReplaySession::estimate_interval(k)` query — including after the
-//! checkpoint file round-trips the binary `STATE` codec.
+//! interval before it — which is exactly what makes the on-demand
+//! `ReplaySession::estimate_interval(k)` query exact rather than
+//! approximate. Over random workload mixes × registered technique
+//! subsets × restore points, a restored session must reproduce the
+//! serial `ReplaySession` row for row, bit for bit, and the checkpoint
+//! file must round-trip the binary `STATE` codec; every query, over
+//! full, sparse, unrestorable or no checkpoints, equals the serial row.
 
 use proptest::prelude::*;
 
 use gdp_experiments::{
-    record_shared, summarize_checkpoints, CoreInterval, ObservationPlane, ParallelReplaySession,
-    ReplaySession, StreamSession, Technique,
+    record_shared, summarize_checkpoints, CoreInterval, ObservationPlane, ReplaySession, SharedRun,
+    StreamSession, Technique,
 };
-use gdp_runner::Pool;
 use gdp_sim::types::CoreId;
 use gdp_trace::{decode_checkpoints, encode_checkpoints, CheckpointFile, StateCheckpoint};
 use gdp_workloads::paper_workloads;
 
 mod common;
-use common::{
-    assert_rows_bit_identical, assert_runs_bit_identical, transparent_subset_from_mask, xcfg,
-};
+use common::{assert_rows_bit_identical, transparent_subset_from_mask, xcfg};
 
 /// One recorded tiny cell: (trace, summarized checkpoints). Recording a
 /// transparent run is subset-invariant, so the GDP-only recording serves
@@ -39,7 +36,32 @@ fn recorded_cell(seed: u64, cores: usize) -> (gdp_trace::SharedTrace, Checkpoint
     (trace, cks)
 }
 
-fn check_snapshot_equivalence(seed: u64, mask: usize, cut_pick: usize, jobs: usize) {
+/// `estimate_interval(k, checkpoints)` for **every** k equals the k-th
+/// row of `serial`. One session answers every query, first backwards
+/// (each a restore or a cold rebuild), then forwards (each continuing
+/// from the previous position); past-the-end queries return `None`.
+fn assert_every_interval_matches(
+    trace: &gdp_trace::SharedTrace,
+    set: &[Technique],
+    checkpoints: Option<&CheckpointFile>,
+    serial: &SharedRun,
+    what: &str,
+) {
+    let n = trace.intervals.len();
+    let mut q = ReplaySession::new(trace, &xcfg(trace.cores), set);
+    for k in (0..n).rev().chain(0..n) {
+        let row = q.estimate_interval(k, checkpoints).expect("in-range interval");
+        assert_rows_bit_identical(
+            std::slice::from_ref(&row),
+            std::slice::from_ref(&serial.intervals[k]),
+            &format!("{what}: estimate_interval({k})"),
+        );
+    }
+    assert!(q.estimate_interval(n, checkpoints).is_none(), "{what}: past-the-end query");
+    assert!(q.estimate_interval(n + 7, checkpoints).is_none());
+}
+
+fn check_snapshot_equivalence(seed: u64, mask: usize, cut_pick: usize) {
     let cores = 2;
     let x = xcfg(cores);
     let set = transparent_subset_from_mask(mask);
@@ -72,80 +94,46 @@ fn check_snapshot_equivalence(seed: u64, mask: usize, cut_pick: usize, jobs: usi
     // still restore bit-exactly (f64 bit transport end to end).
     let decoded = decode_checkpoints(&encode_checkpoints(&cks)).expect("STATE codec");
     assert_eq!(decoded, cks, "checkpoint file round-trips exactly");
-
-    // Property 3: N-way parallel replay over the decoded checkpoints is
-    // bit-identical to the serial session.
-    let par = ParallelReplaySession::new(&trace, &x, &set, Some(&decoded), Pool::new(jobs));
-    if jobs > 1 && n >= jobs {
-        assert!(par.segment_starts().len() > 1, "full checkpoints must let the replay fan out");
-    }
-    assert_runs_bit_identical(&serial, &par.into_report(), "parallel vs serial");
+    assert_every_interval_matches(&trace, &set, Some(&decoded), &serial, "decoded checkpoints");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random workload mixes × transparent technique subsets × segment
-    /// cuts × worker counts: snapshot/restore at any boundary and N-way
-    /// parallel replay are bit-identical to the serial session.
+    /// Random workload mixes × transparent technique subsets × restore
+    /// points: snapshot/restore at any boundary is bit-identical to the
+    /// serial session, and summarized checkpoints round-trip the codec.
     #[test]
-    fn snapshot_restore_and_parallel_replay_match_serial(
+    fn snapshot_restore_at_any_boundary_matches_serial(
         seed in 0u64..1_000,
         mask in 1usize..64,
         cut_pick in 0usize..1_000,
-        jobs in 2usize..6,
     ) {
-        check_snapshot_equivalence(seed, mask, cut_pick, jobs);
+        check_snapshot_equivalence(seed, mask, cut_pick);
     }
 }
 
 /// `ReplaySession::estimate_interval(k)` for **every** k of a recorded
 /// cell equals the k-th row of a full serial replay — including k=0
 /// (cold state, no checkpoint restored) and the final interval (the row
-/// the FINAL section's statistics close over). One session answers every
-/// query, first backwards (each a restore or a cold rebuild), then
-/// forwards (each continuing from the previous position), with and
-/// without checkpoints. Past-the-end queries return `None`.
+/// the FINAL section's statistics close over) — with and without
+/// checkpoints.
 #[test]
 fn estimate_interval_matches_every_serial_row() {
     let x = xcfg(2);
     let set = [Technique::GDP, Technique::GDP_O, Technique::ITCA];
     let (trace, cks) = recorded_cell(7, 2);
     let serial = ReplaySession::new(&trace, &x, &set).into_report();
-    let n = trace.intervals.len();
-    for checkpoints in [Some(&cks), None] {
-        let mut q = ReplaySession::new(&trace, &x, &set);
-        for k in (0..n).rev().chain(0..n) {
-            let row = q.estimate_interval(k, checkpoints).expect("in-range interval");
-            assert_rows_bit_identical(
-                std::slice::from_ref(&row),
-                std::slice::from_ref(&serial.intervals[k]),
-                &format!("estimate_interval({k})"),
-            );
-        }
-        assert!(q.estimate_interval(n, checkpoints).is_none(), "past-the-end query");
-        assert!(q.estimate_interval(n + 7, checkpoints).is_none());
-    }
-}
-
-/// Without checkpoints a parallel session cannot cut the trace: it runs
-/// the whole replay serially — and still bit-identically.
-#[test]
-fn parallel_replay_without_checkpoints_degrades_to_serial() {
-    let x = xcfg(2);
-    let set = [Technique::GDP];
-    let (trace, _) = recorded_cell(11, 2);
-    let serial = ReplaySession::new(&trace, &x, &set).into_report();
-    let par = ParallelReplaySession::new(&trace, &x, &set, None, Pool::new(4));
-    assert_eq!(par.segment_starts(), vec![0], "no checkpoints, no cuts");
-    assert_runs_bit_identical(&serial, &par.into_report(), "checkpoint-free parallel vs serial");
+    assert_every_interval_matches(&trace, &set, Some(&cks), &serial, "full checkpoints");
+    assert_every_interval_matches(&trace, &set, None, &serial, "no checkpoints");
 }
 
 /// A checkpoint file whose interior entries were salvaged away (as the
-/// corruption-tolerant loader does) merges segments instead of erroring;
-/// a checkpoint that *restores* badly (schema version from the future)
-/// falls back to replaying from the trace start. Both paths stay
-/// bit-identical to serial — corruption costs time, never results.
+/// corruption-tolerant loader does) serves queries from the restore
+/// points that survive; a checkpoint that *restores* badly (schema
+/// version from the future) falls back to replaying from the trace
+/// start. Both paths stay bit-identical to serial — corruption costs
+/// time, never results.
 #[test]
 fn damaged_checkpoints_degrade_without_changing_results() {
     let x = xcfg(2);
@@ -161,29 +149,17 @@ fn damaged_checkpoints_degrade_without_changing_results() {
         intervals: cks.intervals,
         checkpoints: vec![cks.checkpoints[keep].clone()],
     };
-    let par = ParallelReplaySession::new(&trace, &x, &set, Some(&sparse), Pool::new(4));
-    assert!(par.segment_starts().len() <= 2, "one surviving restore point, at most two segments");
-    assert_runs_bit_identical(&serial, &par.into_report(), "sparse checkpoints vs serial");
+    assert_every_interval_matches(&trace, &set, Some(&sparse), &serial, "sparse checkpoints");
 
     // A restore-time failure (future schema version) must not surface:
-    // the segment, or the query, silently replays from the trace start.
+    // the query silently replays from the trace start.
     let mut tampered = cks.clone();
     for cp in &mut tampered.checkpoints {
         for (_, state) in &mut cp.states {
             state.version = gdp_core::STATE_VERSION + 1;
         }
     }
-    let par = ParallelReplaySession::new(&trace, &x, &set, Some(&tampered), Pool::new(3));
-    assert_runs_bit_identical(&serial, &par.into_report(), "unrestorable checkpoints vs serial");
-    let last = trace.intervals.len() - 1;
-    let row = ReplaySession::new(&trace, &x, &set)
-        .estimate_interval(last, Some(&tampered))
-        .expect("in range");
-    assert_rows_bit_identical(
-        std::slice::from_ref(&row),
-        std::slice::from_ref(&serial.intervals[last]),
-        "estimate_interval over unrestorable checkpoints",
-    );
+    assert_every_interval_matches(&trace, &set, Some(&tampered), &serial, "unrestorable");
 }
 
 /// One checkpoint file (summarized with every registered technique)
@@ -199,8 +175,7 @@ fn one_checkpoint_file_serves_any_transparent_subset() {
         [&[Technique::GDP_O][..], &[Technique::DIEF][..], &[Technique::ITCA, Technique::PTCA][..]]
     {
         let serial = ReplaySession::new(&trace, &x, set).into_report();
-        let par = ParallelReplaySession::new(&trace, &x, set, Some(&cks), Pool::new(3));
-        assert_runs_bit_identical(&serial, &par.into_report(), "subset parallel vs serial");
+        assert_every_interval_matches(&trace, set, Some(&cks), &serial, "subset queries");
     }
 
     let cut = trace.intervals.len() / 2;

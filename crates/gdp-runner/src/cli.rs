@@ -9,7 +9,6 @@
 //! --list                      print the flattened job plan and exit
 //! --record                    store event traces after simulating
 //! --replay                    reuse cached event traces when present
-//! --replay-jobs N             replay each cached trace across N workers
 //! --trace-dir DIR             trace cache location (default results/traces)
 //! --techniques a,b,c          registry-backed technique selection (ids
 //!                             validated downstream against the registry)
@@ -70,10 +69,6 @@ pub struct RunnerArgs {
     pub record: bool,
     /// Replay cached event traces instead of simulating, when present.
     pub replay: bool,
-    /// `--replay-jobs N` if given; `None` means serial replay. Values
-    /// above 1 fan each cached trace across checkpoint-delimited
-    /// segments; output stays byte-identical for every N.
-    pub replay_jobs: Option<usize>,
     /// Trace-cache directory (`--trace-dir`; default
     /// [`DEFAULT_TRACE_DIR`]).
     pub trace_dir: String,
@@ -105,12 +100,6 @@ impl RunnerArgs {
         self.jobs.unwrap_or_else(default_parallelism).max(1)
     }
 
-    /// Effective per-trace replay fan-out: `--replay-jobs N` or 1
-    /// (serial replay).
-    pub fn replay_jobs(&self) -> usize {
-        self.replay_jobs.unwrap_or(1).max(1)
-    }
-
     /// A [`Pool`] sized by [`RunnerArgs::jobs`].
     pub fn pool(&self) -> Pool {
         Pool::new(self.jobs())
@@ -133,9 +122,6 @@ pub enum CliError {
     Unknown(String),
     /// `--jobs` without a value, or with a non-numeric / zero value.
     BadJobs(String),
-    /// `--replay-jobs` without a value, or with a non-numeric / zero
-    /// value.
-    BadReplayJobs(String),
     /// `--trace-dir` without a value.
     MissingTraceDir,
     /// `--techniques` without a value.
@@ -152,9 +138,6 @@ impl std::fmt::Display for CliError {
             CliError::Help => f.write_str("help requested"),
             CliError::Unknown(a) => write!(f, "unrecognized argument `{a}`"),
             CliError::BadJobs(v) => write!(f, "--jobs expects a positive integer, got `{v}`"),
-            CliError::BadReplayJobs(v) => {
-                write!(f, "--replay-jobs expects a positive integer, got `{v}`")
-            }
             CliError::MissingTraceDir => f.write_str("--trace-dir expects a directory path"),
             CliError::MissingTechniques => {
                 f.write_str("--techniques expects a comma-separated id list")
@@ -169,7 +152,7 @@ impl std::fmt::Display for CliError {
 pub fn usage(bin: &str) -> String {
     format!(
         "usage: {bin} [--tiny|--quick|--full] [--jobs N] [--json]\n\
-         \x20            [--list] [--record] [--replay] [--replay-jobs N]\n\
+         \x20            [--list] [--record] [--replay]\n\
          \x20            [--trace-dir DIR] [--techniques a,b,c]\n\
          \x20            [--metrics] [--metrics-out PATH] [--trace-out PATH]\n\
          \x20            [--profile] [--quiet]\n\
@@ -185,10 +168,6 @@ pub fn usage(bin: &str) -> String {
          \x20 --record        store event traces in the cache after simulating\n\
          \x20 --replay        replay cached event traces instead of simulating;\n\
          \x20                 output is byte-identical to the live run\n\
-         \x20 --replay-jobs N fan each cached trace across N workers using the\n\
-         \x20                 estimator-state checkpoints summarized at record\n\
-         \x20                 time (default 1: serial); results are identical\n\
-         \x20                 for every N\n\
          \x20 --trace-dir DIR trace cache location (default {DEFAULT_TRACE_DIR})\n\
          \x20 --techniques L  comma-separated technique ids to evaluate\n\
          \x20                 (registry-validated; unknown ids exit 2 and\n\
@@ -223,7 +202,6 @@ where
         list: false,
         record: false,
         replay: false,
-        replay_jobs: None,
         trace_dir: DEFAULT_TRACE_DIR.to_string(),
         techniques: None,
         metrics: false,
@@ -258,10 +236,6 @@ where
                 let v = it.next().ok_or_else(|| CliError::BadJobs("<missing>".into()))?;
                 out.jobs = Some(parse_jobs(&v)?);
             }
-            "--replay-jobs" => {
-                let v = it.next().ok_or_else(|| CliError::BadReplayJobs("<missing>".into()))?;
-                out.replay_jobs = Some(parse_replay_jobs(&v)?);
-            }
             "--trace-dir" => {
                 // A following flag is not a directory: reject rather
                 // than silently recording into a directory named
@@ -276,8 +250,6 @@ where
             s => {
                 if let Some(v) = s.strip_prefix("--jobs=") {
                     out.jobs = Some(parse_jobs(v)?);
-                } else if let Some(v) = s.strip_prefix("--replay-jobs=") {
-                    out.replay_jobs = Some(parse_replay_jobs(v)?);
                 } else if let Some(v) = s.strip_prefix("--trace-dir=") {
                     if v.is_empty() {
                         return Err(CliError::MissingTraceDir);
@@ -311,13 +283,6 @@ fn parse_jobs(v: &str) -> Result<usize, CliError> {
     match v.parse::<usize>() {
         Ok(n) if n >= 1 => Ok(n),
         _ => Err(CliError::BadJobs(v.into())),
-    }
-}
-
-fn parse_replay_jobs(v: &str) -> Result<usize, CliError> {
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(CliError::BadReplayJobs(v.into())),
     }
 }
 
@@ -384,28 +349,14 @@ mod tests {
     }
 
     #[test]
-    fn replay_jobs_accepts_separate_and_equals_forms() {
-        assert_eq!(p(&[]).unwrap().replay_jobs, None);
-        assert_eq!(p(&[]).unwrap().replay_jobs(), 1);
-        assert_eq!(p(&["--replay-jobs", "4"]).unwrap().replay_jobs, Some(4));
-        assert_eq!(p(&["--replay-jobs=8"]).unwrap().replay_jobs, Some(8));
-        assert_eq!(p(&["--replay-jobs", "4"]).unwrap().replay_jobs(), 4);
-    }
-
-    #[test]
-    fn bad_replay_jobs_values_are_rejected() {
-        assert!(matches!(p(&["--replay-jobs"]), Err(CliError::BadReplayJobs(_))));
-        assert!(matches!(p(&["--replay-jobs", "zero"]), Err(CliError::BadReplayJobs(_))));
-        assert!(matches!(p(&["--replay-jobs", "0"]), Err(CliError::BadReplayJobs(_))));
-        assert!(matches!(p(&["--replay-jobs=-2"]), Err(CliError::BadReplayJobs(_))));
-    }
-
-    #[test]
     fn unknown_flags_are_errors_not_ignored() {
         // The legacy `Scale::from_args` silently ran the default sweep on
         // typos like `--fulll`; that is exactly the bug this parser fixes.
         assert_eq!(p(&["--fulll"]), Err(CliError::Unknown("--fulll".into())));
         assert_eq!(p(&["extra"]), Err(CliError::Unknown("extra".into())));
+        // Replay has no fan-out flag: a command line that still passes one
+        // must fail loudly instead of running.
+        assert_eq!(p(&["--replay-jobs", "4"]), Err(CliError::Unknown("--replay-jobs".into())));
     }
 
     #[test]
@@ -422,7 +373,6 @@ mod tests {
             "--list",
             "--record",
             "--replay",
-            "--replay-jobs",
             "--trace-dir",
             "--techniques",
         ] {

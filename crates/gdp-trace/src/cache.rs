@@ -202,11 +202,13 @@ impl TraceCache {
         self.store(self.path("private", key), encode_private(t))
     }
 
-    /// Load a checkpoint (estimator-state) file; `None` (a counted miss)
-    /// when absent or when the header/META is unreadable. Individual
-    /// corrupt STATE sections are *salvaged around*, not fatal: parallel
-    /// replay then degrades to the nearest earlier good restore point,
-    /// which costs time but never correctness.
+    /// Load a checkpoint (estimator-state) file — a serving tenant's
+    /// suspended snapshot, stored by gdp-serve's evict path and read back
+    /// on resume; `None` (a counted miss) when absent or when the
+    /// header/META is unreadable. Individual corrupt STATE sections are
+    /// *salvaged around*, not fatal: the caller gets the records that
+    /// survived (counted in `salvage_dropped`), and a tenant whose
+    /// snapshot is gone starts from the cold state.
     pub fn load_checkpoints(&self, key: &CacheKey) -> Option<CheckpointFile> {
         self.load(&self.path("state", key), |b| {
             decode_checkpoints_salvage(b).map(|(f, dropped)| {
@@ -528,9 +530,9 @@ mod tests {
 
     #[test]
     fn concurrent_same_key_checkpoint_stores_leave_a_clean_entry() {
-        // Checkpoint summarization is content-addressed exactly like
-        // traces: two campaign jobs summarizing the same trace race their
-        // stores, and the survivor must decode with nothing leaked.
+        // Checkpoint entries are content-addressed exactly like traces:
+        // two writers of one key race their stores, and the survivor
+        // must decode with nothing leaked.
         use crate::model::StateCheckpoint;
         use gdp_core::state::{EstimatorState, StateValue};
 

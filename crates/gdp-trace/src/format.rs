@@ -1389,8 +1389,8 @@ mod tests {
         assert_eq!(got.checkpoints.len(), 2);
         assert_eq!(got.checkpoints[0], f.checkpoints[0]);
         assert_eq!(got.checkpoints[1], f.checkpoints[2]);
-        // The corrupt checkpoint was at=2: a segment starting at interval
-        // 3 now degrades to the earlier good restore point at=1.
+        // The corrupt checkpoint was at=2: a query of interval 3 now
+        // degrades to the earlier good restore point at=1.
         assert_eq!(got.nearest_at_or_before(3).unwrap().at, 1);
     }
 

@@ -120,8 +120,8 @@ pub struct PrivateTrace {
 
 /// Snapshots of a session's observer states at one interval boundary of
 /// a shared trace: restoring them and replaying intervals `at..` is
-/// bit-identical to replaying the whole trace — the unit of segmented
-/// parallel replay and of the serve evict/resume path.
+/// bit-identical to replaying the whole trace — the unit of on-demand
+/// per-interval queries and of the serve evict/resume path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateCheckpoint {
     /// Number of intervals fully replayed before this state was captured
@@ -140,8 +140,9 @@ impl StateCheckpoint {
     }
 }
 
-/// A checkpoint file: per-interval-boundary estimator states summarized
-/// offline from one shared trace (stored next to it in the cache).
+/// A checkpoint file: estimator states at interval boundaries of one
+/// stream — summarized on demand from a shared trace, or a serving
+/// tenant's suspended snapshot.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CheckpointFile {
     /// Workload identifier (diagnostics; must match the trace's).
@@ -156,8 +157,8 @@ pub struct CheckpointFile {
 
 impl CheckpointFile {
     /// The latest checkpoint at or before interval `k` — the restore
-    /// point for a segment (or on-demand query) starting at `k`. `None`
-    /// means replay from the cold state.
+    /// point for an on-demand query of interval `k`. `None` means replay
+    /// from the cold state.
     pub fn nearest_at_or_before(&self, k: u64) -> Option<&StateCheckpoint> {
         self.checkpoints.iter().filter(|c| c.at <= k).max_by_key(|c| c.at)
     }

@@ -20,8 +20,12 @@ Usage:
   python3 scripts/ab_gdpbench.py A_BIN B_BIN --workload campaign_warm \\
       [--pairs 10] [--seed-base 5000]
 
-Exit status: 0 = every run produced a result, 2 = bad invocation or a
-run without a result line.
+Both binary paths may be relative: they are resolved against the
+current directory before the first run.
+
+Exit status: 0 = every run produced a result, 2 = bad invocation (for
+instance a binary path that is not an executable file) or a run without
+a result line.
 """
 
 import argparse
@@ -141,6 +145,13 @@ def main():
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    # Each run starts in its own temporary directory, so a relative path
+    # must be resolved here, against the directory the script ran from.
+    args.a, args.b = os.path.abspath(args.a), os.path.abspath(args.b)
+    for binary in (args.a, args.b):
+        if not (os.path.isfile(binary) and os.access(binary, os.X_OK)):
+            print(f"ab_gdpbench: {binary} is not an executable file", file=sys.stderr)
+            return 2
     seconds, metrics = benchmark_spec()
 
     pairs = []
