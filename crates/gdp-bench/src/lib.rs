@@ -256,7 +256,6 @@ impl BenchArgs {
                 misses: s.misses,
                 stores: s.stores,
                 quarantines: s.quarantines,
-                salvage_dropped: s.salvage_dropped,
             });
             log_info!(
                 "[{}] trace cache: {} hits, {} misses, {} stores ({})",

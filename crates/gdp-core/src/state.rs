@@ -15,7 +15,7 @@
 //! Floating-point fields travel as exact bit patterns ([`StateValue::F64Bits`]),
 //! never as decimal round-trips, and hash-map contents are emitted in a
 //! canonical sorted order so identical estimator states always produce
-//! identical snapshots (checkpoint files are content-addressed).
+//! identical snapshots.
 //!
 //! [`snapshot`]: crate::model::PrivateModeEstimator::snapshot
 //! [`restore`]: crate::model::PrivateModeEstimator::restore

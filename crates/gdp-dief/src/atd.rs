@@ -107,11 +107,6 @@ impl Atd {
         (slot, tag)
     }
 
-    /// Whether the set holding `block` is sampled.
-    pub fn is_sampled(&self, block: Addr) -> bool {
-        self.split(block).0.is_some()
-    }
-
     /// The dense slot index of `block`'s sampled set, `None` when the
     /// set is not sampled (the batch partitioner's bucket key).
     #[inline]
@@ -173,11 +168,6 @@ impl Atd {
             curve[w] = (self.misses + beyond) * self.sample_interval;
         }
         curve
-    }
-
-    /// Estimated total accesses at full-cache scale.
-    pub fn scaled_accesses(&self) -> u64 {
-        self.accesses * self.sample_interval
     }
 
     /// Clear the histogram and counters for a new measurement interval

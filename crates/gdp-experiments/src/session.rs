@@ -784,8 +784,8 @@ pub(crate) fn replay_streamed(
 /// `tests/suspend_resume.rs` and the `gdp-serve` suite).
 ///
 /// Suspend/resume round-trips through the same [`StateCheckpoint`]
-/// bundle as checkpoint files: an idle tenant's session can be
-/// snapshotted, dropped, and rebuilt later with
+/// bundle as on-demand queries: an idle tenant's session can be
+/// snapshotted (one STATE entry on disk), dropped, and rebuilt later with
 /// [`StreamSession::resume_from`], after which the continued stream is
 /// bit-identical to never having suspended.
 pub struct StreamSession {

@@ -49,8 +49,8 @@ pub fn record_shared(
 
 /// One-pass offline checkpoint summarization: replay `trace` once with
 /// *every* registered technique attached, snapshotting every observer
-/// (GDP units, DIEF, ASM) at each interval boundary. One checkpoint file
-/// serves any later technique subset: an observer's state depends only
+/// (GDP units, DIEF, ASM) at each interval boundary. The returned
+/// in-memory index serves any later technique subset: an observer's state depends only
 /// on the recorded stream, never on the readouts consuming it — the
 /// same invariant that lets one trace serve every subset.
 ///
@@ -702,10 +702,7 @@ mod tests {
                 }
             }
             let s = tc.stats();
-            assert_eq!(
-                (s.hits, s.misses, s.stores, s.quarantines, s.salvage_dropped),
-                (0, 0, 0, 0, 0)
-            );
+            assert_eq!((s.hits, s.misses, s.stores, s.quarantines), (0, 0, 0, 0));
             assert!(!dir.exists(), "a no-cache router must never touch its directory");
         }
     }

@@ -7,8 +7,8 @@
 //! `ReplaySession::estimate_interval(k)` query exact rather than
 //! approximate. Over random workload mixes × registered technique
 //! subsets × restore points, a restored session must reproduce the
-//! serial `ReplaySession` row for row, bit for bit, and the checkpoint
-//! file must round-trip the binary `STATE` codec; every query, over
+//! serial `ReplaySession` row for row, bit for bit, and every summarized
+//! checkpoint must round-trip a binary STATE entry; every query, over
 //! full, sparse, unrestorable or no checkpoints, equals the serial row.
 
 use proptest::prelude::*;
@@ -18,7 +18,7 @@ use gdp_experiments::{
     StreamSession, Technique,
 };
 use gdp_sim::types::CoreId;
-use gdp_trace::{decode_checkpoints, encode_checkpoints, CheckpointFile, StateCheckpoint};
+use gdp_trace::{decode_state, encode_state, CheckpointFile, StateCheckpoint};
 use gdp_workloads::paper_workloads;
 
 mod common;
@@ -90,10 +90,17 @@ fn check_snapshot_equivalence(seed: u64, mask: usize, cut_pick: usize) {
         "restored tail vs serial",
     );
 
-    // Property 2: summarized snapshots round-trip the STATE codec and
-    // still restore bit-exactly (f64 bit transport end to end).
-    let decoded = decode_checkpoints(&encode_checkpoints(&cks)).expect("STATE codec");
-    assert_eq!(decoded, cks, "checkpoint file round-trips exactly");
+    // Property 2: every summarized snapshot round-trips a STATE entry
+    // and still restores bit-exactly (f64 bit transport end to end).
+    let decoded = CheckpointFile {
+        checkpoints: cks
+            .checkpoints
+            .iter()
+            .map(|c| decode_state(&encode_state(c)).expect("STATE codec"))
+            .collect(),
+        ..cks.clone()
+    };
+    assert_eq!(decoded, cks, "every checkpoint round-trips exactly");
     assert_every_interval_matches(&trace, &set, Some(&decoded), &serial, "decoded checkpoints");
 }
 
@@ -128,11 +135,10 @@ fn estimate_interval_matches_every_serial_row() {
     assert_every_interval_matches(&trace, &set, None, &serial, "no checkpoints");
 }
 
-/// A checkpoint file whose interior entries were salvaged away (as the
-/// corruption-tolerant loader does) serves queries from the restore
-/// points that survive; a checkpoint that *restores* badly (schema
-/// version from the future) falls back to replaying from the trace
-/// start. Both paths stay bit-identical to serial — corruption costs
+/// A sparse checkpoint index (one interior restore point left) serves
+/// queries from the restore point it holds; a checkpoint that *restores*
+/// badly (schema version from the future) falls back to replaying from
+/// the trace start. Both paths stay bit-identical to serial — corruption costs
 /// time, never results.
 #[test]
 fn damaged_checkpoints_degrade_without_changing_results() {
@@ -141,7 +147,7 @@ fn damaged_checkpoints_degrade_without_changing_results() {
     let (trace, cks) = recorded_cell(13, 2);
     let serial = ReplaySession::new(&trace, &x, &set).into_report();
 
-    // Salvage dropped all but one interior checkpoint.
+    // All but one interior checkpoint gone.
     let keep = cks.checkpoints.len() / 2;
     let sparse = CheckpointFile {
         workload: cks.workload.clone(),
@@ -162,7 +168,7 @@ fn damaged_checkpoints_degrade_without_changing_results() {
     assert_every_interval_matches(&trace, &set, Some(&tampered), &serial, "unrestorable");
 }
 
-/// One checkpoint file (summarized with every registered technique)
+/// One checkpoint index (summarized with every registered technique)
 /// serves any transparent replay subset: an observer's state depends
 /// only on the recorded stream, never on which readouts consume it. And
 /// a suspended {GDP, GDP-O} stream — one GDP-unit tree — resumes into

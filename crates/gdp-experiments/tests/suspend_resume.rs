@@ -22,7 +22,7 @@ use gdp_experiments::{
     record_shared, session_state_key, CoreInterval, ExperimentConfig, ReplaySession,
     SessionBuilder, StreamSession, Technique,
 };
-use gdp_trace::{decode_checkpoints, encode_checkpoints, CheckpointFile, Recorder, SharedTrace};
+use gdp_trace::{decode_state, encode_state, Recorder, SharedTrace};
 use gdp_workloads::paper_workloads;
 
 mod common;
@@ -70,16 +70,10 @@ fn check_stream_suspend_resume(seed: u64, mask: usize, cut_pick: usize) {
     let cp = head.suspend();
     assert_eq!(cp.at, cut as u64, "suspend stamps the fed-interval count");
     drop(head);
-    let file = CheckpointFile {
-        workload: trace.workload.clone(),
-        cores,
-        intervals: n as u64,
-        checkpoints: vec![cp],
-    };
-    let decoded = decode_checkpoints(&encode_checkpoints(&file)).expect("STATE codec");
-    assert_eq!(decoded, file, "suspend bundle round-trips the codec exactly");
+    let decoded = decode_state(&encode_state(&cp)).expect("STATE codec");
+    assert_eq!(decoded, cp, "suspend bundle round-trips the codec exactly");
     let mut tail = StreamSession::new(&x, &set);
-    tail.resume_from(&decoded.checkpoints[0]).expect("resume a just-taken bundle");
+    tail.resume_from(&decoded).expect("resume a just-taken bundle");
     assert_eq!(tail.intervals_fed(), cut as u64, "resume continues the interval index");
     rows.extend(
         trace.intervals[cut..].iter().map(|iv| tail.feed_interval(&iv.events, &iv.boundaries)),

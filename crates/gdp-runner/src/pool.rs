@@ -389,9 +389,6 @@ mod tests {
 
     #[test]
     fn tracer_records_job_slices_on_worker_lanes() {
-        if !gdp_telemetry::COMPILED_IN {
-            return;
-        }
         // A 2-participant barrier inside the first job of each worker's
         // deque guarantees both workers execute at least one job.
         let tr = TraceRecorder::shared();

@@ -44,8 +44,6 @@ pub struct CacheCounters {
     pub stores: u64,
     /// Corrupt cache files quarantined (removed) on load.
     pub quarantines: u64,
-    /// Checkpoint records dropped by the salvage decoder on load.
-    pub salvage_dropped: u64,
 }
 
 /// An in-flight campaign: identity plus a wall-clock timer.
@@ -108,7 +106,6 @@ impl Campaign {
                     ("misses", Json::from(c.misses)),
                     ("stores", Json::from(c.stores)),
                     ("quarantines", Json::from(c.quarantines)),
-                    ("salvage_dropped", Json::from(c.salvage_dropped)),
                 ]),
             ));
         }
@@ -168,20 +165,13 @@ mod tests {
     #[test]
     fn cache_counters_appear_in_the_run_record() {
         let mut c = Campaign::new("figX", "tiny", 2018, 1);
-        c.set_cache(CacheCounters {
-            hits: 5,
-            misses: 2,
-            stores: 3,
-            quarantines: 1,
-            salvage_dropped: 4,
-        });
+        c.set_cache(CacheCounters { hits: 5, misses: 2, stores: 3, quarantines: 1 });
         let doc = c.document(7, Json::Null);
         let cache = doc.get("run").unwrap().get("cache").expect("cache object");
         assert_eq!(cache.get("hits").unwrap().as_f64(), Some(5.0));
         assert_eq!(cache.get("misses").unwrap().as_f64(), Some(2.0));
         assert_eq!(cache.get("stores").unwrap().as_f64(), Some(3.0));
         assert_eq!(cache.get("quarantines").unwrap().as_f64(), Some(1.0));
-        assert_eq!(cache.get("salvage_dropped").unwrap().as_f64(), Some(4.0));
     }
 
     #[test]

@@ -36,10 +36,12 @@
 //! The rows served for a tenant's stream are **bit-identical** to an
 //! embedded [`ReplaySession`](gdp_experiments::ReplaySession) fed the
 //! same intervals — for any shard count, any event-frame chunking, and
-//! across a suspend/evict/resume cycle (idle or disconnected tenants
-//! are checkpointed to disk via PR 6's
-//! [`EstimatorState`](gdp_core::state::EstimatorState) bundles and
-//! restored bit-exactly on reconnect). The `tests/` suite and the CI
+//! across a suspend/evict/resume cycle (a disconnected tenant's
+//! [`EstimatorState`](gdp_core::state::EstimatorState) bundle is
+//! suspended to disk as one STATE entry and restored bit-exactly on
+//! reconnect; a corrupt entry is a quarantined miss that welcomes the
+//! tenant at interval 0, and one that decodes but does not restore is
+//! dropped after a typed error). The `tests/` suite and the CI
 //! `serve-smoke` job pin this from both ends.
 //!
 //! ## Telemetry (`serve.*` glossary)

@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 
 use gdp_experiments::{session_state_key, ExperimentConfig, StreamSession, Technique};
 use gdp_telemetry::log_info;
-use gdp_trace::{CheckpointFile, TraceCache, TraceInterval};
+use gdp_trace::{TraceCache, TraceInterval};
 
 use crate::proto::{encode_server, ServerMsg};
 use crate::server::ServeMetrics;
@@ -228,26 +228,27 @@ fn admit(
     let mut resumed_at = 0u64;
     if let Some(cache) = &ctx.snapshots {
         let key = session_state_key(&ctx.xcfg, tenant, &techniques);
-        if let Some(file) = cache.load_checkpoints(&key) {
-            if let Some(cp) = file.checkpoints.last() {
-                match session.resume_from(cp) {
-                    Ok(()) => {
-                        resumed_at = cp.at;
-                        if let Some(mx) = &ctx.metrics {
-                            mx.resume.inc();
-                        }
+        if let Some(cp) = cache.load_state(&key) {
+            match session.resume_from(&cp) {
+                Ok(()) => {
+                    resumed_at = cp.at;
+                    if let Some(mx) = &ctx.metrics {
+                        mx.resume.inc();
                     }
-                    Err(e) => {
-                        // A snapshot that does not restore bit-exactly
-                        // must not silently serve a diverged stream.
-                        let msg = format!("cannot restore tenant snapshot: {e:?}");
-                        let _ = tx.send(&encode_server(&ServerMsg::Error(msg)));
-                        if let Some(mx) = &ctx.metrics {
-                            mx.errors.inc();
-                        }
-                        ctx.release(tenant, gen);
-                        return;
+                }
+                Err(e) => {
+                    // A snapshot that does not restore bit-exactly must
+                    // not silently serve a diverged stream. Drop it
+                    // before replying, so the tenant's next Hello starts
+                    // fresh instead of failing on the same bytes.
+                    let _ = std::fs::remove_file(cache.path("state", &key));
+                    let msg = format!("cannot restore tenant snapshot: {e:?}");
+                    let _ = tx.send(&encode_server(&ServerMsg::Error(msg)));
+                    if let Some(mx) = &ctx.metrics {
+                        mx.errors.inc();
                     }
+                    ctx.release(tenant, gen);
+                    return;
                 }
             }
         }
@@ -271,15 +272,8 @@ fn admit(
 fn suspend_tenant(ctx: &Arc<ShardCtx>, tenants: &mut HashMap<u64, Tenant>, tenant: u64) {
     let Some(t) = tenants.remove(&tenant) else { return };
     if let Some(cache) = &ctx.snapshots {
-        let cp = t.session.suspend();
         let key = session_state_key(&ctx.xcfg, tenant, &t.techniques);
-        let file = CheckpointFile {
-            workload: format!("tenant-{tenant}"),
-            cores: t.session.cores(),
-            intervals: cp.at,
-            checkpoints: vec![cp],
-        };
-        match cache.store_checkpoints(&key, &file) {
+        match cache.store_state(&key, &t.session.suspend()) {
             Ok(path) => log_info!("gdp-serve: suspended tenant {tenant} to {}", path.display()),
             Err(e) => log_info!("gdp-serve: cannot suspend tenant {tenant}: {e}"),
         }

@@ -1,17 +1,22 @@
 //! Session evict/resume: a killed connection's session is checkpointed
 //! to the snapshot store and restored bit-exactly on reconnect, and a
 //! graceful shutdown drains every live session the same way so a
-//! restarted server resumes them.
+//! restarted server resumes them. A snapshot that is corrupt, or that
+//! decodes but does not restore, never locks its tenant out: the next
+//! admission starts over at interval 0.
 
 mod common;
 
+use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 use common::{assert_rows_bit_identical, embedded_rows, recorded, unique_dir, xcfg};
 
-use gdp_experiments::Technique;
-use gdp_serve::{serve_channel, ChannelConnector, ClientError, ServeConfig, TenantClient};
+use gdp_experiments::{session_state_key, Technique};
+use gdp_serve::{serve_channel, ChannelConnector, ClientError, ServeConfig, Server, TenantClient};
 use gdp_telemetry::MetricsRegistry;
+use gdp_trace::{decode_state, encode_state, SharedTrace, TraceCache};
 
 /// Reconnect `tenant`, retrying while the previous connection's hangup
 /// is still being processed (the slot frees only once the old session
@@ -165,4 +170,110 @@ fn without_a_snapshot_store_a_hangup_starts_over() {
     let rows = c.stream(&trace.intervals, 2).expect("fresh stream");
     assert_rows_bit_identical(&rows, &embedded_rows(&trace, &x, &set), "fresh after drop");
     server.shutdown();
+}
+
+/// Start a snapshot-backed server, stream `k` intervals as `tenant`, kill
+/// the connection, and return the server once the hangup has suspended
+/// the session to its STATE entry, with that entry's path.
+fn suspend_after(
+    trace: &SharedTrace,
+    k: usize,
+    tenant: u64,
+    set: &[Technique],
+    tag: &str,
+) -> (Server, ChannelConnector, Arc<MetricsRegistry>, PathBuf) {
+    let x = xcfg(trace.cores);
+    let dir = unique_dir(tag);
+    let path = TraceCache::new(&dir).path("state", &session_state_key(&x, tenant, set));
+    let registry = MetricsRegistry::shared();
+    let mut cfg = ServeConfig::new(x);
+    cfg.snapshot_dir = Some(dir);
+    cfg.metrics = Some(registry.clone());
+    let (server, connector) = serve_channel(cfg);
+    let mut c = TenantClient::over(connector.connect().expect("dial"));
+    c.hello(tenant, trace.cores, set).expect("admission");
+    for iv in &trace.intervals[..k] {
+        c.send_interval(iv).expect("send");
+        c.recv_row().expect("row");
+    }
+    c.kill();
+    for _ in 0..1000 {
+        if path.exists() {
+            return (server, connector, registry, path);
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    panic!("tenant {tenant}: no snapshot at {}", path.display());
+}
+
+#[test]
+fn a_corrupt_snapshot_is_a_quarantined_miss() {
+    let trace = recorded(5, 2);
+    let set = [Technique::GDP, Technique::GDP_O];
+    let embedded = embedded_rows(&trace, &xcfg(2), &set);
+    let k = trace.intervals.len() / 2;
+    let (server, connector, registry, path) = suspend_after(&trace, k, 42, &set, "corrupt");
+
+    // One flipped byte in the middle of the entry: inside its STATE
+    // payload, which is all but the ~20 bytes of header, framing and CRC.
+    let mut bytes = std::fs::read(&path).expect("snapshot");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(&path, &bytes).expect("rewrite");
+
+    // The reconnect is welcomed at interval 0, the entry is already gone
+    // when the Welcome arrives, and the full stream is the embedded one.
+    let mut c = reconnect(&connector, 42, &set, 0);
+    assert!(!path.exists(), "the corrupt snapshot must be quarantined");
+    let rows = c.stream(&trace.intervals, 2).expect("full stream");
+    assert_rows_bit_identical(&rows, &embedded, "fresh stream after a corrupt snapshot");
+
+    server.shutdown();
+    assert_eq!(registry.counter("serve.resume").get(), 0, "nothing was restored");
+    let _ = std::fs::remove_dir_all(path.parent().expect("snapshot dir"));
+}
+
+#[test]
+fn an_unrestorable_snapshot_is_refused_once_then_dropped() {
+    let trace = recorded(11, 2);
+    let set = [Technique::GDP, Technique::GDP_O];
+    let embedded = embedded_rows(&trace, &xcfg(2), &set);
+    let k = trace.intervals.len() / 2;
+    let (server, connector, registry, path) = suspend_after(&trace, k, 9, &set, "unrestorable");
+
+    // A CRC-valid snapshot that lacks the GDP units' state.
+    let mut cp = decode_state(&std::fs::read(&path).expect("snapshot")).expect("clean entry");
+    let before = cp.states.len();
+    cp.states.retain(|(id, _)| id != "gdp-units");
+    assert_eq!(cp.states.len(), before - 1, "the snapshot held the GDP units' state");
+    std::fs::write(&path, encode_state(&cp)).expect("rewrite");
+
+    // The first Hello gets the typed restore error, and the entry is
+    // gone by the time it arrives…
+    let mut err = None;
+    for _ in 0..1000 {
+        let mut c = TenantClient::over(connector.connect().expect("dial"));
+        match c.hello(9, 2, &set) {
+            Err(ClientError::Server(m)) if m.contains("already connected") => {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            Err(ClientError::Server(m)) => {
+                err = Some(m);
+                break;
+            }
+            other => panic!("expected a restore error, got {other:?}"),
+        }
+    }
+    let err = err.expect("tenant 9: slot never released");
+    assert!(err.contains("cannot restore tenant snapshot"), "{err}");
+    assert!(!path.exists(), "the unrestorable snapshot must be dropped");
+
+    // …so the next is welcomed at interval 0 with the embedded rows.
+    let mut c = reconnect(&connector, 9, &set, 0);
+    let rows = c.stream(&trace.intervals, 2).expect("full stream");
+    assert_rows_bit_identical(&rows, &embedded, "fresh stream after an unrestorable snapshot");
+
+    server.shutdown();
+    assert_eq!(registry.counter("serve.resume").get(), 0, "nothing was restored");
+    let _ = std::fs::remove_dir_all(path.parent().expect("snapshot dir"));
 }

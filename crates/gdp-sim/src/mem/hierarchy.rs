@@ -213,11 +213,6 @@ impl MemorySystem {
         &mut self.mc
     }
 
-    /// Immutable access to the memory controller.
-    pub fn mc_ref(&self) -> &MemoryController {
-        &self.mc
-    }
-
     /// Per-core L1 data cache (statistics, tests).
     pub fn l1d(&self, core: CoreId) -> &Cache {
         &self.l1d[core.idx()]
@@ -236,11 +231,6 @@ impl MemorySystem {
     /// Whether the core's L1 can currently accept a new miss.
     pub fn l1_can_accept(&self, core: CoreId) -> bool {
         !self.l1_mshr[core.idx()].is_full()
-    }
-
-    /// Number of outstanding L1 misses for `core`.
-    pub fn l1_outstanding(&self, core: CoreId) -> usize {
-        self.l1_mshr[core.idx()].len()
     }
 
     /// Number of outstanding L1 *load* misses for `core` (pending loads in

@@ -115,11 +115,6 @@ impl System {
         self.now
     }
 
-    /// Number of active cores.
-    pub fn active_cores(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Statistics of core `idx`.
     ///
     /// # Panics
@@ -323,16 +318,6 @@ impl System {
         while self.now < deadline {
             self.advance(deadline);
         }
-    }
-
-    /// Run until every active core has committed at least `target`
-    /// instructions, or `max_cycles` elapse. Returns the cycle reached.
-    pub fn run_until_committed(&mut self, target: u64, max_cycles: u64) -> Cycle {
-        let deadline = self.now + max_cycles;
-        while self.now < deadline && self.cores.iter().any(|c| c.committed() < target) {
-            self.advance(deadline);
-        }
-        self.now
     }
 
     /// Run until core `idx` has committed at least `target` instructions,

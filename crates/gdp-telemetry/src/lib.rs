@@ -32,9 +32,8 @@
 //!   diagnostics; default level `info` keeps output byte-identical to
 //!   the pre-logger tree.
 //!
-//! Instrumentation compiles out entirely with the `telemetry-off`
-//! feature ([`COMPILED_IN`]); at runtime it costs nothing unless a
-//! registry is attached (hot paths hold `Option` handles).
+//! Instrumentation costs nothing unless a registry is attached (hot
+//! paths hold `Option` handles).
 
 pub mod log;
 pub mod profile;
@@ -49,8 +48,3 @@ pub use registry::{
 };
 pub use timeseries::{TimeSeries, TimeSeriesSnapshot};
 pub use trace_event::TraceRecorder;
-
-/// `false` when the `telemetry-off` feature compiled the instrumentation
-/// layer out; every handle method early-returns on this constant, so the
-/// optimizer removes the calls entirely.
-pub const COMPILED_IN: bool = !cfg!(feature = "telemetry-off");

@@ -34,7 +34,6 @@ use std::time::{Duration, Instant};
 
 use crate::timeseries::{TimeSeries, TimeSeriesSnapshot};
 use crate::trace_event::{current_lane, TraceRecorder};
-use crate::COMPILED_IN;
 
 /// Number of power-of-two buckets a [`Histogram`] keeps (bucket `i`
 /// counts values `v` with `2^(i-1) < v <= 2^i`, bucket 0 counts 0..=1).
@@ -48,9 +47,7 @@ impl Counter {
     /// Add `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        if COMPILED_IN {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Add 1.
@@ -73,26 +70,20 @@ impl Gauge {
     /// Set the gauge to `v`.
     #[inline]
     pub fn set(&self, v: u64) {
-        if COMPILED_IN {
-            self.0.store(v, Ordering::Relaxed);
-        }
+        self.0.store(v, Ordering::Relaxed);
     }
 
     /// Raise the gauge to `v` if larger (high-water-mark semantics).
     #[inline]
     pub fn set_max(&self, v: u64) {
-        if COMPILED_IN {
-            self.0.fetch_max(v, Ordering::Relaxed);
-        }
+        self.0.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Add `n` (running-total semantics for nondeterministic counts,
     /// e.g. work steals).
     #[inline]
     pub fn add(&self, n: u64) {
-        if COMPILED_IN {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -133,9 +124,6 @@ impl Histogram {
     /// Record one observation of `v`.
     #[inline]
     pub fn record(&self, v: u64) {
-        if !COMPILED_IN {
-            return;
-        }
         let idx = (64 - u64::leading_zeros(v.max(1)) as usize - 1).min(HISTOGRAM_BUCKETS - 1);
         self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.0.count.fetch_add(1, Ordering::Relaxed);
@@ -204,11 +192,8 @@ impl SpanHandle {
     /// records a timeline slice.
     #[inline]
     pub fn enter(&self) -> Span {
-        let start = COMPILED_IN.then(Instant::now);
-        if start.is_some() {
-            SPAN_STACK.with(|s| s.borrow_mut().push(Arc::clone(&self.stat)));
-        }
-        Span { stat: Arc::clone(&self.stat), trace: self.trace.clone(), start }
+        SPAN_STACK.with(|s| s.borrow_mut().push(Arc::clone(&self.stat)));
+        Span { stat: Arc::clone(&self.stat), trace: self.trace.clone(), start: Instant::now() }
     }
 
     /// Fold a pre-measured duration (and `count` entries) into the
@@ -216,10 +201,8 @@ impl SpanHandle {
     /// with plain atomics (e.g. the job pool). No child attribution, no
     /// trace slice: the measurement happened outside any span scope.
     pub fn add(&self, count: u64, total: Duration) {
-        if COMPILED_IN {
-            self.stat.total_ns.fetch_add(total.as_nanos() as u64, Ordering::Relaxed);
-            self.stat.count.fetch_add(count, Ordering::Relaxed);
-        }
+        self.stat.total_ns.fetch_add(total.as_nanos() as u64, Ordering::Relaxed);
+        self.stat.count.fetch_add(count, Ordering::Relaxed);
     }
 
     /// Total recorded wall-clock.
@@ -245,7 +228,7 @@ impl SpanHandle {
 pub struct Span {
     stat: Arc<SpanStat>,
     trace: Option<(Arc<str>, Arc<TraceRecorder>)>,
-    start: Option<Instant>,
+    start: Instant,
 }
 
 impl Span {
@@ -255,8 +238,7 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(start) = self.start else { return };
-        let elapsed = start.elapsed();
+        let elapsed = self.start.elapsed();
         let ns = elapsed.as_nanos() as u64;
         self.stat.total_ns.fetch_add(ns, Ordering::Relaxed);
         self.stat.count.fetch_add(1, Ordering::Relaxed);
@@ -268,7 +250,7 @@ impl Drop for Span {
             }
         });
         if let Some((name, tracer)) = &self.trace {
-            tracer.record_complete(name, current_lane(), start, elapsed);
+            tracer.record_complete(name, current_lane(), self.start, elapsed);
         }
     }
 }
@@ -754,7 +736,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        assert_eq!(outer.child_total() > Duration::ZERO, COMPILED_IN);
+        assert!(outer.child_total() > Duration::ZERO);
         assert!(outer.child_total() <= outer.total(), "child time nests inside the parent");
         assert_eq!(inner.child_total(), Duration::ZERO, "leaf spans have no children");
         let snap = r.snapshot();
@@ -779,10 +761,8 @@ mod tests {
         {
             let _g = r.span("traced.phase").enter();
         }
-        assert_eq!(tracer.len(), usize::from(COMPILED_IN));
-        if COMPILED_IN {
-            assert!(tracer.to_json().contains("traced.phase"));
-        }
+        assert_eq!(tracer.len(), 1);
+        assert!(tracer.to_json().contains("traced.phase"));
     }
 
     #[test]

@@ -32,8 +32,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::COMPILED_IN;
-
 /// Bins a [`TimeSeries`] ring keeps. Tiny-scale campaigns produce ~26
 /// intervals per session (no wrap); longer runs fold modulo this.
 pub const TIMESERIES_BINS: usize = 64;
@@ -78,9 +76,6 @@ impl TimeSeries {
     /// Fold `v` into the bin for interval `index` (order-free sum).
     #[inline]
     pub fn record(&self, index: u64, v: u64) {
-        if !COMPILED_IN {
-            return;
-        }
         let cap = self.0.bins.len() as u64;
         self.0.bins[(index % cap) as usize].fetch_add(v, Ordering::Relaxed);
         self.0.samples.fetch_add(1, Ordering::Relaxed);

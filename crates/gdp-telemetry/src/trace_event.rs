@@ -22,8 +22,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::COMPILED_IN;
-
 thread_local! {
     /// The trace lane (Perfetto `tid`) slices from this thread land on:
     /// 0 = main, `w + 1` = pool worker `w`.
@@ -83,9 +81,6 @@ impl TraceRecorder {
     /// same monotonic clock as the recorder (any `Instant::now()` after
     /// construction); earlier starts clamp to the epoch.
     pub fn record_complete(&self, name: &str, lane: u32, start: Instant, dur: Duration) {
-        if !COMPILED_IN {
-            return;
-        }
         let mut events = self.events.lock().expect("trace recorder poisoned");
         if events.len() >= Self::MAX_EVENTS {
             self.dropped.fetch_add(1, Ordering::Relaxed);

@@ -4,12 +4,14 @@
 //! named `<kind>-<16-hex-key>.gdpt`, where the key is an FNV-1a-64 hash
 //! fed with every input that determines the run: simulator configuration,
 //! experiment parameters, workload spec and the trace format version.
-//! Loads count hits and misses (a corrupt or version-skewed file is a
-//! miss, never an error — the campaign falls back to simulating, and the
-//! bad entry is quarantined so later runs do not re-fail on the same
-//! bytes); stores write via a temp file that is fsynced before the
-//! rename, so concurrent campaign jobs never observe half-written traces
-//! and a crash never publishes a truncated entry.
+//! gdp-serve keeps its suspended tenants in the same store, one
+//! `state-*` entry each. Loads count hits and misses (a corrupt or
+//! version-skewed file is a miss, never an error — the campaign falls
+//! back to simulating, a tenant to interval 0, and the bad entry is
+//! quarantined so later loads do not re-fail on the same bytes); stores
+//! write via a temp file that is fsynced before the rename, so concurrent
+//! jobs never observe half-written entries and a crash never publishes a
+//! truncated one.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -19,10 +21,10 @@ use gdp_telemetry::{log_info, MetricsRegistry};
 
 use crate::codec::TraceError;
 use crate::format::{
-    decode_checkpoints_salvage, decode_private, decode_shared, encode_checkpoints, encode_private,
-    encode_shared, SharedTraceReader,
+    decode_private, decode_shared, decode_state, encode_private, encode_shared, encode_state,
+    SharedTraceReader,
 };
-use crate::model::{CheckpointFile, PrivateTrace, SharedTrace};
+use crate::model::{PrivateTrace, SharedTrace, StateCheckpoint};
 
 // The campaign-facing default directory lives in `gdp-runner::cli`
 // (`DEFAULT_TRACE_DIR`, "results/traces"); the cache itself always takes
@@ -102,20 +104,17 @@ pub struct CacheStatsSnapshot {
     pub stores: u64,
     /// Corrupt entries quarantined (removed) on load.
     pub quarantines: u64,
-    /// Checkpoint records dropped by the salvage decoder on load.
-    pub salvage_dropped: u64,
 }
 
 impl CacheStatsSnapshot {
     /// Export the counters into `registry` under the `cache.*` names.
-    /// All five are deterministic for a given campaign + cache state, so
+    /// All four are deterministic for a given campaign + cache state, so
     /// they register as counters.
     pub fn export(&self, registry: &MetricsRegistry) {
         registry.counter("cache.hits").add(self.hits);
         registry.counter("cache.misses").add(self.misses);
         registry.counter("cache.stores").add(self.stores);
         registry.counter("cache.quarantines").add(self.quarantines);
-        registry.counter("cache.salvage_dropped").add(self.salvage_dropped);
     }
 }
 
@@ -128,7 +127,6 @@ pub struct TraceCache {
     misses: AtomicU64,
     stores: AtomicU64,
     quarantines: AtomicU64,
-    salvage_dropped: AtomicU64,
 }
 
 impl TraceCache {
@@ -140,7 +138,6 @@ impl TraceCache {
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
             quarantines: AtomicU64::new(0),
-            salvage_dropped: AtomicU64::new(0),
         }
     }
 
@@ -156,11 +153,11 @@ impl TraceCache {
             misses: self.misses.load(Ordering::Relaxed),
             stores: self.stores.load(Ordering::Relaxed),
             quarantines: self.quarantines.load(Ordering::Relaxed),
-            salvage_dropped: self.salvage_dropped.load(Ordering::Relaxed),
         }
     }
 
-    /// Path of the entry `key` under `kind` (`"shared"`/`"private"`).
+    /// Path of the entry `key` under `kind` (`"shared"`, `"private"` or
+    /// `"state"`).
     pub fn path(&self, kind: &str, key: &CacheKey) -> PathBuf {
         self.dir.join(format!("{kind}-{}.gdpt", key.hex()))
     }
@@ -202,30 +199,17 @@ impl TraceCache {
         self.store(self.path("private", key), encode_private(t))
     }
 
-    /// Load a checkpoint (estimator-state) file — a serving tenant's
-    /// suspended snapshot, stored by gdp-serve's evict path and read back
-    /// on resume; `None` (a counted miss) when absent or when the
-    /// header/META is unreadable. Individual corrupt STATE sections are
-    /// *salvaged around*, not fatal: the caller gets the records that
-    /// survived (counted in `salvage_dropped`), and a tenant whose
-    /// snapshot is gone starts from the cold state.
-    pub fn load_checkpoints(&self, key: &CacheKey) -> Option<CheckpointFile> {
-        self.load(&self.path("state", key), |b| {
-            decode_checkpoints_salvage(b).map(|(f, dropped)| {
-                if dropped > 0 {
-                    self.salvage_dropped.fetch_add(dropped as u64, Ordering::Relaxed);
-                    log_info!(
-                        "gdp-trace: salvaged checkpoint file dropped {dropped} corrupt record(s)"
-                    );
-                }
-                f
-            })
-        })
+    /// Load a suspended session's snapshot (a STATE entry, stored by
+    /// gdp-serve's evict path and read back on resume); `None` (a counted
+    /// miss) on any failure, and a corrupt entry is quarantined.
+    pub fn load_state(&self, key: &CacheKey) -> Option<StateCheckpoint> {
+        self.load(&self.path("state", key), decode_state)
     }
 
-    /// Store a checkpoint file; returns the entry path.
-    pub fn store_checkpoints(&self, key: &CacheKey, f: &CheckpointFile) -> io::Result<PathBuf> {
-        self.store(self.path("state", key), encode_checkpoints(f))
+    /// Store a suspended session's snapshot as a STATE entry; returns the
+    /// entry path.
+    pub fn store_state(&self, key: &CacheKey, c: &StateCheckpoint) -> io::Result<PathBuf> {
+        self.store(self.path("state", key), encode_state(c))
     }
 
     fn load<T>(
@@ -481,79 +465,56 @@ mod tests {
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
-    #[test]
-    fn checkpoint_entries_store_load_and_salvage() {
-        use crate::model::StateCheckpoint;
+    fn sample_state() -> StateCheckpoint {
         use gdp_core::state::{EstimatorState, StateValue};
+        StateCheckpoint {
+            at: 3,
+            states: vec![(
+                "gdp-units".into(),
+                EstimatorState::new("GDP", StateValue::List(vec![StateValue::U64(9); 16])),
+            )],
+        }
+    }
 
+    #[test]
+    fn corrupt_state_entries_are_quarantined_misses() {
         let cache = TraceCache::new(tmpdir("state"));
         let mut key = CacheKey::new("state");
         key.u64(3);
-        let f = CheckpointFile {
-            workload: "2c-H-00".into(),
-            cores: 2,
-            intervals: 4,
-            checkpoints: vec![
-                StateCheckpoint {
-                    at: 1,
-                    states: vec![("gdp".into(), EstimatorState::new("GDP", StateValue::U64(7)))],
-                },
-                StateCheckpoint {
-                    at: 3,
-                    states: vec![("gdp".into(), EstimatorState::new("GDP", StateValue::U64(9)))],
-                },
-            ],
-        };
-        assert!(cache.load_checkpoints(&key).is_none(), "cold cache misses");
-        cache.store_checkpoints(&key, &f).expect("stores");
-        assert_eq!(cache.load_checkpoints(&key), Some(f.clone()));
+        let c = sample_state();
+        assert!(cache.load_state(&key).is_none(), "cold cache misses");
+        cache.store_state(&key, &c).expect("stores");
+        assert_eq!(cache.load_state(&key), Some(c));
 
-        // Corrupt the *last* STATE section's bytes in place: the salvage
-        // loader still returns the file, minus that checkpoint.
+        // One flipped byte inside the STATE payload: the whole entry is a
+        // counted miss and is quarantined, like any other corrupt entry.
         let path = cache.path("state", &key);
         let mut bytes = std::fs::read(&path).unwrap();
-        let n = bytes.len();
-        bytes[n - 6] ^= 0xFF;
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        let got = cache.load_checkpoints(&key).expect("salvaged");
-        assert_eq!(got.checkpoints, f.checkpoints[..1]);
-        assert!(path.exists(), "partially-salvaged entries are kept, not quarantined");
-        assert_eq!(cache.stats().salvage_dropped, 1, "dropped records must be counted");
-
-        // A corrupt header is beyond salvage: counted miss + quarantine.
-        bytes[0] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(cache.load_checkpoints(&key).is_none());
-        assert!(!path.exists(), "unsalvageable entry must be quarantined");
+        assert!(cache.load_state(&key).is_none());
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.stores, s.quarantines), (1, 2, 1, 1));
+        assert!(!path.exists(), "the corrupt entry must be quarantined");
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]
-    fn concurrent_same_key_checkpoint_stores_leave_a_clean_entry() {
-        // Checkpoint entries are content-addressed exactly like traces:
-        // two writers of one key race their stores, and the survivor
-        // must decode with nothing leaked.
-        use crate::model::StateCheckpoint;
-        use gdp_core::state::{EstimatorState, StateValue};
-
+    fn concurrent_same_key_state_stores_leave_a_clean_entry() {
+        // STATE entries share the traces' temp-then-rename store: writers
+        // of one key race their stores, and the survivor must decode with
+        // nothing leaked.
         let cache = TraceCache::new(tmpdir("state-race"));
         let mut key = CacheKey::new("state");
         key.u64(11);
-        let f = CheckpointFile {
-            workload: "w".into(),
-            cores: 1,
-            intervals: 2,
-            checkpoints: vec![StateCheckpoint {
-                at: 1,
-                states: vec![("gdp".into(), EstimatorState::new("GDP", StateValue::U64(1)))],
-            }],
-        };
+        let c = sample_state();
         std::thread::scope(|s| {
             for _ in 0..8 {
-                s.spawn(|| cache.store_checkpoints(&key, &f).expect("stores"));
+                s.spawn(|| cache.store_state(&key, &c).expect("stores"));
             }
         });
-        assert_eq!(cache.load_checkpoints(&key), Some(f));
+        assert_eq!(cache.load_state(&key), Some(c));
         let leftovers: Vec<_> = std::fs::read_dir(cache.dir())
             .unwrap()
             .filter_map(|e| e.ok())
@@ -565,13 +526,7 @@ mod tests {
 
     #[test]
     fn stats_export_registers_cache_counters() {
-        let snap = CacheStatsSnapshot {
-            hits: 3,
-            misses: 1,
-            stores: 2,
-            quarantines: 1,
-            salvage_dropped: 5,
-        };
+        let snap = CacheStatsSnapshot { hits: 3, misses: 1, stores: 2, quarantines: 1 };
         let reg = MetricsRegistry::new();
         snap.export(&reg);
         let s = reg.snapshot();
@@ -579,7 +534,6 @@ mod tests {
         assert_eq!(s.counter("cache.misses"), Some(1));
         assert_eq!(s.counter("cache.stores"), Some(2));
         assert_eq!(s.counter("cache.quarantines"), Some(1));
-        assert_eq!(s.counter("cache.salvage_dropped"), Some(5));
         assert!(s.gauges.is_empty(), "cache counters are all deterministic");
     }
 

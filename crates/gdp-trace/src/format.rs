@@ -6,15 +6,15 @@
 //! ```
 //!
 //! Shared traces carry sections META, INTERVALS, FINAL; private traces
-//! META, CHECKPOINTS; checkpoint (estimator-state) files META followed
-//! by one independently-CRC'd STATE section per interval-boundary
-//! snapshot. Integers are LEB128 varints, signed values zigzag,
-//! floats exact little-endian bits, and event timestamps are
-//! delta-encoded against the previous event's visibility cycle (probe
-//! streams are near-sorted, so deltas stay short). The decoder is
-//! strict: unknown tags, truncation, CRC mismatches and trailing bytes
-//! are all typed [`TraceError`]s — a corrupt cache entry can never decode
-//! into a silently-wrong campaign.
+//! META, CHECKPOINTS; a STATE entry — one suspended session's observer
+//! snapshots — exactly one STATE section. Integers are LEB128 varints,
+//! signed values zigzag, floats exact little-endian bits, and event
+//! timestamps are delta-encoded against the previous event's visibility
+//! cycle (probe streams are near-sorted, so deltas stay short). Each kind
+//! has one decoder, and it is strict: unknown tags, truncation, CRC
+//! mismatches and trailing bytes are all typed [`TraceError`]s — a
+//! corrupt cache entry can never decode into a silently-wrong campaign
+//! or a diverged tenant session.
 
 use gdp_core::state::{EstimatorState, StateValue};
 use gdp_sim::mem::Interference;
@@ -24,8 +24,7 @@ use gdp_sim::types::{CoreId, ReqId};
 
 use crate::codec::{crc32, Reader, TraceError, Writer};
 use crate::model::{
-    Boundary, CheckpointFile, PrivateTrace, SharedTrace, StateCheckpoint, TraceCheckpoint,
-    TraceInterval,
+    Boundary, PrivateTrace, SharedTrace, StateCheckpoint, TraceCheckpoint, TraceInterval,
 };
 
 /// Current format version; bump on any layout change (also folded into
@@ -38,7 +37,7 @@ const MAGIC: &[u8; 8] = b"GDPTRACE";
 pub const KIND_SHARED: u8 = 0;
 /// Header kind byte of a private-mode trace.
 pub const KIND_PRIVATE: u8 = 1;
-/// Header kind byte of a checkpoint (estimator-state) file.
+/// Header kind byte of a STATE entry (a suspended session's snapshot).
 pub const KIND_STATE: u8 = 2;
 
 const SEC_META: u8 = 1;
@@ -417,8 +416,6 @@ const MIN_PRIVATE_CHECKPOINT_BYTES: usize = 3 + MIN_STATS_BYTES;
 const MIN_STATE_VALUE_BYTES: usize = 2;
 /// An observer id, a technique name, a version and a state value.
 const MIN_STATE_ENTRY_BYTES: usize = 3 + MIN_STATE_VALUE_BYTES;
-/// A STATE section: tag, length, an `at` and a count, and the CRC.
-const MIN_STATE_SECTION_BYTES: usize = 2 + 2 + 4;
 
 /// How many items a declared count may reserve: no more than the bytes
 /// left in `r` could hold at `min_bytes` apiece.
@@ -655,25 +652,14 @@ fn decode_checkpoint_payload(p: &mut Reader<'_>) -> Result<StateCheckpoint, Trac
     Ok(StateCheckpoint { at, states })
 }
 
-/// Encode a checkpoint file. Each checkpoint gets its own CRC'd STATE
-/// section so a single corrupt snapshot costs one restore point, not the
-/// whole file (see [`decode_checkpoints_salvage`]).
-pub fn encode_checkpoints(f: &CheckpointFile) -> Vec<u8> {
+/// Encode a suspended session's snapshot as one STATE entry: the header
+/// and exactly one CRC'd STATE section carrying `c`.
+pub fn encode_state(c: &StateCheckpoint) -> Vec<u8> {
     let mut out = Writer::new();
     out.bytes(MAGIC);
     out.u32_le(FORMAT_VERSION);
     out.u8(KIND_STATE);
-
-    let mut meta = Writer::new();
-    meta.str(&f.workload);
-    meta.varint(f.cores as u64);
-    meta.varint(f.intervals);
-    meta.varint(f.checkpoints.len() as u64);
-    write_section(&mut out, SEC_META, meta);
-
-    for c in &f.checkpoints {
-        write_section(&mut out, SEC_STATE, encode_checkpoint_payload(c));
-    }
+    write_section(&mut out, SEC_STATE, encode_checkpoint_payload(c));
     out.into_bytes()
 }
 
@@ -873,88 +859,17 @@ pub fn decode_private(bytes: &[u8]) -> Result<PrivateTrace, TraceError> {
     Ok(PrivateTrace { bench, base, checkpoints, total })
 }
 
-/// Decode the header and META section of a checkpoint file, returning
-/// the reader positioned at the first STATE section plus the declared
-/// section count.
-fn decode_checkpoints_meta(
-    bytes: &[u8],
-) -> Result<(Reader<'_>, CheckpointFile, usize), TraceError> {
+/// Decode a STATE entry (inverse of [`encode_state`]); strict — the
+/// header, the one STATE section's CRC, a fully consumed payload and no
+/// trailing bytes.
+pub fn decode_state(bytes: &[u8]) -> Result<StateCheckpoint, TraceError> {
     let mut r = Reader::new(bytes);
     decode_header(&mut r, KIND_STATE)?;
-
-    let mut meta = read_section(&mut r, SEC_META, "META")?;
-    let workload = meta.str()?;
-    let cores = meta.varint()? as usize;
-    if cores > 256 {
-        return Err(TraceError::BadSection { section: "META" });
-    }
-    let intervals = meta.varint()?;
-    let declared = meta.varint()? as usize;
-    expect_drained(&meta, "META")?;
-
-    let file = CheckpointFile { workload, cores, intervals, checkpoints: Vec::new() };
-    Ok((r, file, declared))
-}
-
-/// Decode a checkpoint file; strict (every byte accounted for, every
-/// STATE section CRC-verified, checkpoint indices strictly ascending and
-/// inside the summarized trace).
-pub fn decode_checkpoints(bytes: &[u8]) -> Result<CheckpointFile, TraceError> {
-    let (mut r, mut file, declared) = decode_checkpoints_meta(bytes)?;
-    file.checkpoints.reserve(bounded(declared, &r, MIN_STATE_SECTION_BYTES));
-    for _ in 0..declared {
-        let mut sec = read_section(&mut r, SEC_STATE, "STATE")?;
-        let c = decode_checkpoint_payload(&mut sec)?;
-        let ascending = file.checkpoints.last().map_or(true, |last| last.at < c.at);
-        if !ascending || c.at > file.intervals {
-            return Err(TraceError::BadSection { section: "STATE" });
-        }
-        file.checkpoints.push(c);
-    }
+    let c = decode_checkpoint_payload(&mut read_section(&mut r, SEC_STATE, "STATE")?)?;
     if r.remaining() != 0 {
         return Err(TraceError::TrailingBytes { len: r.remaining() });
     }
-    Ok(file)
-}
-
-/// Decode a checkpoint file, salvaging what survives corruption: the
-/// header and META must be intact, but each STATE section stands alone —
-/// a CRC or parse failure drops that one checkpoint and the next section
-/// is tried, so replay degrades to the nearest earlier good restore
-/// point instead of erroring the campaign. Stops at the first structural
-/// break (section framing no longer parses). Returns the surviving file
-/// and the number of checkpoints dropped.
-pub fn decode_checkpoints_salvage(bytes: &[u8]) -> Result<(CheckpointFile, usize), TraceError> {
-    let (mut r, mut file, declared) = decode_checkpoints_meta(bytes)?;
-    let mut dropped = 0usize;
-    let mut processed = 0usize;
-    while processed < declared {
-        // Section framing: a failure here means section boundaries are
-        // lost and everything after is unreachable — stop salvaging.
-        let Ok(tag) = r.u8() else { break };
-        if tag != SEC_STATE {
-            break;
-        }
-        let Ok(len) = r.varint() else { break };
-        let Ok(payload) = r.bytes(len as usize) else { break };
-        let Ok(stored) = r.u32_le() else { break };
-        processed += 1;
-        if stored != crc32(payload) {
-            dropped += 1;
-            continue;
-        }
-        match decode_checkpoint_payload(&mut Reader::new(payload)) {
-            Ok(c)
-                if c.at <= file.intervals
-                    && file.checkpoints.last().map_or(true, |last| last.at < c.at) =>
-            {
-                file.checkpoints.push(c)
-            }
-            _ => dropped += 1,
-        }
-    }
-    dropped += declared - processed;
-    Ok((file, dropped))
+    Ok(c)
 }
 
 #[cfg(test)]
@@ -1268,7 +1183,7 @@ mod tests {
         );
     }
 
-    // ------------------------------------------------- checkpoint files
+    // ------------------------------------------------------ STATE entries
 
     fn sample_state(seed: u64) -> EstimatorState {
         EstimatorState::new(
@@ -1284,130 +1199,59 @@ mod tests {
         )
     }
 
-    fn sample_checkpoints() -> CheckpointFile {
-        CheckpointFile {
-            workload: "2c-H-00".to_string(),
-            cores: 2,
-            intervals: 5,
-            checkpoints: [1u64, 2, 4]
-                .into_iter()
-                .map(|at| StateCheckpoint {
-                    at,
-                    states: vec![
-                        ("gdp".to_string(), sample_state(at)),
-                        ("ptca".to_string(), sample_state(at + 9)),
-                    ],
-                })
-                .collect(),
+    fn sample_checkpoint() -> StateCheckpoint {
+        StateCheckpoint {
+            at: 4,
+            states: vec![
+                ("gdp-units".to_string(), sample_state(4)),
+                ("dief".to_string(), sample_state(13)),
+            ],
         }
     }
 
-    /// Byte range of the `want`-th STATE section's payload.
-    fn state_payload_range(bytes: &[u8], want: usize) -> std::ops::Range<usize> {
-        let mut r = Reader::new(bytes);
-        r.bytes(13).unwrap(); // magic + version + kind
-        let mut seen = 0usize;
-        loop {
-            let tag = r.u8().unwrap();
-            let len = r.varint().unwrap() as usize;
-            let start = r.pos();
-            r.bytes(len).unwrap();
-            r.u32_le().unwrap();
-            if tag == SEC_STATE {
-                if seen == want {
-                    return start..start + len;
-                }
-                seen += 1;
+    #[test]
+    fn state_entries_round_trip_exactly() {
+        // NaN bits survive: PartialEq on F64Bits compares bit patterns.
+        let c = sample_checkpoint();
+        assert_eq!(decode_state(&encode_state(&c)).unwrap(), c);
+        let cold = StateCheckpoint { at: 0, states: Vec::new() };
+        assert_eq!(decode_state(&encode_state(&cold)).unwrap(), cold);
+    }
+
+    #[test]
+    fn state_bitflips_are_all_detected() {
+        // Every single-bit corruption anywhere in the entry — header,
+        // section framing, payload or CRC — is a typed error.
+        let clean = encode_state(&sample_checkpoint());
+        for pos in 0..clean.len() {
+            for bit in 0..8 {
+                let mut bytes = clean.clone();
+                bytes[pos] ^= 1 << bit;
+                assert!(decode_state(&bytes).is_err(), "flip of bit {bit} at byte {pos} accepted");
             }
         }
     }
 
     #[test]
-    fn checkpoint_files_round_trip_exactly() {
-        let f = sample_checkpoints();
-        let bytes = encode_checkpoints(&f);
-        assert_eq!(decode_checkpoints(&bytes).unwrap(), f);
-        // NaN λ̂ bits survive (PartialEq on F64Bits compares bit patterns).
-        assert_eq!(decode_checkpoints_salvage(&bytes).unwrap(), (f, 0));
-
-        let empty = CheckpointFile { workload: "w".into(), cores: 1, ..Default::default() };
-        assert_eq!(decode_checkpoints(&encode_checkpoints(&empty)).unwrap(), empty);
-    }
-
-    #[test]
-    fn state_bitflips_are_all_detected() {
-        // Mirror of `crc_catches_bitflips_that_still_parse` for the STATE
-        // format: every single-bit corruption anywhere in the file must
-        // surface as a TraceError from the strict decoder.
-        let clean = encode_checkpoints(&sample_checkpoints());
-        for pos in 0..clean.len() {
-            let mut bytes = clean.clone();
-            bytes[pos] ^= 0x01;
-            assert!(decode_checkpoints(&bytes).is_err(), "bitflip at byte {pos} must be detected");
-        }
-    }
-
-    #[test]
     fn state_truncation_and_trailing_bytes_are_rejected() {
-        let bytes = encode_checkpoints(&sample_checkpoints());
-        for cut in [0, 5, 12, 13, 20, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_checkpoints(&bytes[..cut]).is_err(), "cut at {cut} must fail");
+        let bytes = encode_state(&sample_checkpoint());
+        for cut in 0..bytes.len() {
+            assert!(decode_state(&bytes[..cut]).is_err(), "cut at {cut} must fail");
         }
         let mut bytes = bytes;
         bytes.push(0);
-        assert_eq!(decode_checkpoints(&bytes), Err(TraceError::TrailingBytes { len: 1 }));
+        assert_eq!(decode_state(&bytes), Err(TraceError::TrailingBytes { len: 1 }));
     }
 
     #[test]
-    fn checkpoints_must_ascend_within_the_trace() {
-        let mut f = sample_checkpoints();
-        f.checkpoints[1].at = f.checkpoints[0].at; // duplicate boundary
+    fn state_decoder_rejects_other_kinds() {
         assert_eq!(
-            decode_checkpoints(&encode_checkpoints(&f)),
-            Err(TraceError::BadSection { section: "STATE" })
+            decode_state(&encode_shared(&sample_shared())),
+            Err(TraceError::WrongKind { want: KIND_STATE, got: KIND_SHARED })
         );
-        let mut f = sample_checkpoints();
-        f.checkpoints[2].at = f.intervals + 1; // outside the trace
         assert_eq!(
-            decode_checkpoints(&encode_checkpoints(&f)),
-            Err(TraceError::BadSection { section: "STATE" })
+            decode_shared(&encode_state(&sample_checkpoint())),
+            Err(TraceError::WrongKind { want: KIND_SHARED, got: KIND_STATE })
         );
-    }
-
-    #[test]
-    fn salvage_drops_only_the_corrupt_checkpoint() {
-        let f = sample_checkpoints();
-        let mut bytes = encode_checkpoints(&f);
-        let range = state_payload_range(&bytes, 1);
-        bytes[range.start + range.len() / 2] ^= 0xFF;
-
-        // Strict decode refuses the file outright…
-        assert!(decode_checkpoints(&bytes).is_err());
-        // …salvage keeps the intact restore points either side.
-        let (got, dropped) = decode_checkpoints_salvage(&bytes).unwrap();
-        assert_eq!(dropped, 1);
-        assert_eq!(got.checkpoints.len(), 2);
-        assert_eq!(got.checkpoints[0], f.checkpoints[0]);
-        assert_eq!(got.checkpoints[1], f.checkpoints[2]);
-        // The corrupt checkpoint was at=2: a query of interval 3 now
-        // degrades to the earlier good restore point at=1.
-        assert_eq!(got.nearest_at_or_before(3).unwrap().at, 1);
-    }
-
-    #[test]
-    fn salvage_stops_at_structural_breaks() {
-        let f = sample_checkpoints();
-        let bytes = encode_checkpoints(&f);
-        // Truncate inside the last STATE section: its framing no longer
-        // parses, so salvage keeps the first two and reports one dropped.
-        let range = state_payload_range(&bytes, 2);
-        let (got, dropped) = decode_checkpoints_salvage(&bytes[..range.start + 1]).unwrap();
-        assert_eq!(dropped, 1);
-        assert_eq!(got.checkpoints, f.checkpoints[..2]);
-
-        // A corrupt META is not salvageable — the file identity is gone.
-        let mut bytes = encode_checkpoints(&f);
-        bytes[15] ^= 0xFF; // inside the META payload
-        assert!(decode_checkpoints_salvage(&bytes).is_err());
     }
 }

@@ -20,15 +20,17 @@
 //!   [`TraceError`](codec::TraceError) decoder errors (no serde; the same
 //!   hand-rolled discipline as `gdp-runner::json`).
 //! * [`format`] — the versioned, sectioned binary file format with
-//!   per-section CRCs and a strict decoder, whole or streamed one
-//!   interval at a time ([`SharedTraceReader`]).
+//!   per-section CRCs and one strict decoder per kind: shared traces
+//!   (whole, or streamed one interval at a time by [`SharedTraceReader`]),
+//!   private traces, and STATE entries (a suspended session's snapshot).
 //! * [`frame`] — the section discipline over a byte *stream*: an
 //!   incremental [`FrameAssembler`](frame::FrameAssembler) reassembling
 //!   CRC-checked frames from arbitrarily-chunked reads (the serve wire
 //!   protocol's receive half).
 //! * [`cache`] — the content-addressed trace store under
 //!   `results/traces/`, keyed by an FNV-1a hash of (simulator config,
-//!   workload spec, scale) so a warm campaign never re-simulates.
+//!   workload spec, scale) so a warm campaign never re-simulates; it also
+//!   holds gdp-serve's suspended-tenant STATE entries.
 //!
 //! Replaying a trace through the estimator stack is `gdp-experiments`'
 //! `ReplaySession`.
@@ -42,9 +44,8 @@ pub mod model;
 pub use cache::{CacheKey, CacheStatsSnapshot, TraceCache};
 pub use codec::TraceError;
 pub use format::{
-    decode_checkpoints, decode_checkpoints_salvage, decode_interval_payload, decode_private,
-    decode_shared, encode_checkpoints, encode_interval_payload, encode_private, encode_shared,
-    SharedTraceReader, FORMAT_VERSION,
+    decode_interval_payload, decode_private, decode_shared, decode_state, encode_interval_payload,
+    encode_private, encode_shared, encode_state, SharedTraceReader, FORMAT_VERSION,
 };
 pub use frame::{encode_frame, Frame, FrameAssembler};
 pub use model::{

@@ -5,7 +5,10 @@
 //! batch followed by one [`Boundary`] per core, plus the run's final
 //! cumulative statistics. A [`PrivateTrace`] is the private-mode
 //! ground-truth record (per-checkpoint CPIs and reference CPLs) — pure
-//! data whose "replay" is just decoding.
+//! data whose "replay" is just decoding. A [`StateCheckpoint`] is a
+//! session's observer states at one interval boundary: a suspended
+//! session is stored as one, and a [`CheckpointFile`] indexes many in
+//! memory.
 //!
 //! [`PrivateModeEstimator`]: gdp_core::model::PrivateModeEstimator
 
@@ -121,7 +124,8 @@ pub struct PrivateTrace {
 /// Snapshots of a session's observer states at one interval boundary of
 /// a shared trace: restoring them and replaying intervals `at..` is
 /// bit-identical to replaying the whole trace — the unit of on-demand
-/// per-interval queries and of the serve evict/resume path.
+/// per-interval queries and of the serve evict/resume path (one per
+/// STATE entry on disk).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateCheckpoint {
     /// Number of intervals fully replayed before this state was captured
@@ -140,9 +144,11 @@ impl StateCheckpoint {
     }
 }
 
-/// A checkpoint file: estimator states at interval boundaries of one
-/// stream — summarized on demand from a shared trace, or a serving
-/// tenant's suspended snapshot.
+/// The in-memory index of restore points over one shared trace:
+/// observer states at interval boundaries, summarized on demand from the
+/// trace and read by per-interval queries. Never written to disk — the
+/// one snapshot that is, a suspended session's, is a single
+/// [`StateCheckpoint`] in a STATE entry.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CheckpointFile {
     /// Workload identifier (diagnostics; must match the trace's).
