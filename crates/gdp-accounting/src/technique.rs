@@ -82,7 +82,7 @@ mod tests {
         }
         assert!(ITCA_TECHNIQUE.caps.is_transparent());
         assert!(PTCA_TECHNIQUE.caps.is_transparent());
-        assert!(ASM_TECHNIQUE.caps.invasive);
+        const _: () = assert!(ASM_TECHNIQUE.caps.invasive);
         assert_eq!(ASM_TECHNIQUE.mc_priority_epoch, Some(crate::asm::DEFAULT_EPOCH_CYCLES));
     }
 }

@@ -623,15 +623,9 @@ mod tests {
         ];
         // Tiny: 2 H workloads, 1 M workload. With ASM: per workload
         // 2 shared + cores private jobs.
-        assert_eq!(
-            sweep_job_count(&cells, Scale::Tiny, &Technique::ALL),
-            2 * (2 + 2) + 1 * (2 + 4)
-        );
+        assert_eq!(sweep_job_count(&cells, Scale::Tiny, &Technique::ALL), 2 * (2 + 2) + (2 + 4));
         // Without ASM, one shared job per workload.
-        assert_eq!(
-            sweep_job_count(&cells, Scale::Tiny, &[Technique::GDP]),
-            2 * (1 + 2) + 1 * (1 + 4)
-        );
+        assert_eq!(sweep_job_count(&cells, Scale::Tiny, &[Technique::GDP]), 2 * (1 + 2) + (1 + 4));
         assert_eq!(all_cells().len(), 9);
         assert_eq!(all_cells()[0].label(), "2c-H");
     }

@@ -93,7 +93,7 @@ pub trait PrivateModeEstimator: Send {
 
     /// Feed one interval's probe-event batch.
     ///
-    /// Must be observationally identical to calling [`observe`] for each
+    /// Must be observationally identical to calling [`observe`](Self::observe) for each
     /// event in order. The default is the per-event loop; because default
     /// methods are compiled per concrete type, it devirtualizes the inner
     /// `observe` calls (one virtual call per batch, not per event).

@@ -324,7 +324,7 @@ impl GdpUnit {
     ///
     /// `by_addr` is serialized explicitly (in sorted address order, so
     /// identical states give identical snapshots): it is *not*
-    /// reconstructible from the PRB entries, because [`GdpUnit::forget`]
+    /// reconstructible from the PRB entries, because `GdpUnit::forget`
     /// only clears a mapping that still points at the departing uid —
     /// an address re-issued after an eviction keeps the newer mapping.
     pub fn snapshot_value(&self) -> StateValue {

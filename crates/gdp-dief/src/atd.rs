@@ -1,11 +1,11 @@
-//! Auxiliary Tag Directory with set sampling (Qureshi & Patt's UMON [8],
+//! Auxiliary Tag Directory with set sampling (Qureshi & Patt's UMON \[8\],
 //! as used by DIEF, ASM, ITCA and PTCA).
 //!
 //! An ATD shadows the tag array of the LLC *as if the observed core owned
 //! the whole cache*: every access by the core updates a fully-LRU set of
 //! the full associativity. Hits record their LRU stack position, giving
 //! the classic stack-distance histogram from which the miss count for any
-//! way allocation is read off directly. Set sampling (paper §IV-B, [22])
+//! way allocation is read off directly. Set sampling (paper §IV-B, \[22\])
 //! keeps only a subset of sets, cutting storage from megabytes to
 //! kilobytes; counts are scaled back up by the sampling factor.
 

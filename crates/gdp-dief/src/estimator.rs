@@ -61,7 +61,7 @@ pub struct Dief {
 
 impl Dief {
     /// Build DIEF for `cfg`, sampling `sampled_sets` LLC sets per core
-    /// (the paper samples 32 [8]).
+    /// (the paper samples 32 \[8\]).
     pub fn new(cfg: &SimConfig, sampled_sets: usize) -> Self {
         let total_sets = cfg.llc.sets();
         // Uncontended SMS hit path: L1 + L2 lookups, ring out and back,

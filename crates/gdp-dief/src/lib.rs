@@ -10,7 +10,7 @@
 //!
 //! * **Interconnect and memory-controller counters** — maintained by the
 //!   simulator per request ([`gdp_sim::mem::Interference`]) and delivered
-//!   via [`ProbeEvent::LoadL1MissDone`].
+//!   via [`ProbeEvent::LoadL1MissDone`](gdp_sim::ProbeEvent::LoadL1MissDone).
 //! * **Auxiliary Tag Directories (ATDs) with set sampling** ([`Atd`]) —
 //!   per-core shadow tag arrays over a sampled subset of LLC sets that
 //!   emulate the private-mode LLC; a shared-mode miss that the ATD says

@@ -131,7 +131,7 @@ mod tests {
             prb_entries: 32,
         };
         assert_eq!(DIEF_TECHNIQUE.build(&cfg).name(), DIEF_TECHNIQUE.label);
-        assert!(!DIEF_TECHNIQUE.caps.needs_probe_stream);
-        assert!(!DIEF_TECHNIQUE.default_member);
+        const _: () = assert!(!DIEF_TECHNIQUE.caps.needs_probe_stream);
+        const _: () = assert!(!DIEF_TECHNIQUE.default_member);
     }
 }

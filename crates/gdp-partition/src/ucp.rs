@@ -67,7 +67,7 @@ impl PartitionPolicy for Ucp {
     }
 }
 
-/// ASM-driven cache partitioning (paper §VII-C compares against [15]):
+/// ASM-driven cache partitioning (paper §VII-C compares against \[15\]):
 /// repeatedly grants a way to the core with the highest estimated
 /// slowdown, where slowdown is the ratio of the miss-curve-projected
 /// shared CPI at the candidate allocation to ASM's private-mode CPI

@@ -56,14 +56,20 @@
 //! | `serve.events` | counter | probe events fed to tenant sessions |
 //! | `serve.intervals` | counter | interval frames fed (= rows served) |
 //! | `serve.suspends` | counter | sessions checkpointed on hangup/drain |
-//! | `serve.errors` | counter | per-tenant protocol/restore failures |
+//! | `serve.errors` | counter | per-tenant protocol/restore failures, and connections refused for want of a reader thread |
 //! | `serve.done` | counter | tenants that finished cleanly |
 //! | `serve.active` | gauge | currently admitted tenants (high-water) |
 //! | `serve.shard.<i>` | span | wall-clock each shard spent serving |
+//! | `cache.hits` | counter | admissions that restored a suspended session's snapshot |
+//! | `cache.misses` | counter | admissions that found no usable snapshot (absent or corrupt) |
+//! | `cache.stores` | counter | snapshots written on hangup/drain |
+//! | `cache.quarantines` | counter | corrupt snapshots deleted on load |
 //!
-//! All `serve.*` counters are deterministic for a deterministic client
-//! schedule; the per-shard spans are wall-clock and stay out of the
-//! counters-only snapshot.
+//! The `cache.*` counters are the snapshot store's own, exported once by
+//! [`Server::shutdown`](server::Server::shutdown) when snapshots are
+//! configured. All `serve.*` and `cache.*` counters are deterministic
+//! for a deterministic client schedule; the per-shard spans are
+//! wall-clock and stay out of the counters-only snapshot.
 
 pub mod client;
 pub mod proto;

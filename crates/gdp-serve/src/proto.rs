@@ -2,10 +2,10 @@
 //! `gdp-trace` stream frames.
 //!
 //! Every message is one CRC-checked frame
-//! ([`encode_frame`](gdp_trace::encode_frame)): `tag | len | payload |
+//! ([`encode_frame`]): `tag | len | payload |
 //! crc32(tag ‖ payload)`. Interval payloads are *exactly* the trace file
 //! format's event/boundary codecs
-//! ([`encode_interval_payload`](gdp_trace::encode_interval_payload)), so
+//! ([`encode_interval_payload`]), so
 //! a recorded `SharedTrace` streams to the server without re-encoding
 //! loss: every `f64` travels as raw bits, which is what makes the
 //! served-vs-embedded bit-equality contract possible at all.

@@ -5,9 +5,16 @@
 //! reader thread per live connection (blocking reads feed a
 //! [`FrameAssembler`]), and `shards` worker threads owning the tenant
 //! sessions. Readers forward decoded ops to their tenant's shard over a
-//! bounded `sync_channel` — when a shard falls behind, its readers
-//! block, which propagates backpressure down the transport to the
-//! tenant. Admitted tenants therefore never lose messages.
+//! bounded `sync_channel` of [`INBOX_CAPACITY`] ops — when a shard
+//! falls behind, its readers block, which propagates backpressure down
+//! the transport to the tenant. Admitted tenants therefore never lose
+//! messages.
+//!
+//! A connection holds server resources only while it is open: its
+//! reader deregisters itself when the connection ends, which releases
+//! the connection's closer (for TCP, the last server-side clone of the
+//! socket) and detaches the finished thread. Only connections still
+//! open at [`Server::shutdown`] are closed and joined there.
 //!
 //! ## Load shedding
 //!
@@ -33,12 +40,22 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use gdp_experiments::{ExperimentConfig, Technique};
-use gdp_telemetry::{Counter, Gauge, MetricsRegistry, SpanHandle};
+use gdp_telemetry::{log_info, Counter, Gauge, MetricsRegistry, SpanHandle};
 use gdp_trace::{FrameAssembler, TraceCache};
 
 use crate::proto::{decode_client, encode_server, ClientMsg, ServerMsg};
 use crate::shard::{run_shard, shard_of, ShardCtx, ShardOp};
-use crate::transport::{ChannelConnector, ChannelTransport, Connection, Listener, TcpTransport};
+use crate::transport::{
+    ChannelConnector, ChannelTransport, Closer, Connection, Listener, TcpTransport,
+};
+
+/// Depth of each shard's bounded op inbox, in ops: how far a shard may
+/// fall behind before its readers block (backpressure).
+pub const INBOX_CAPACITY: usize = 64;
+
+/// Most events one interval frame may carry. A tenant exceeding it gets
+/// a typed error; the cap bounds a single frame's memory.
+pub const MAX_EVENTS_PER_INTERVAL: usize = 1 << 20;
 
 /// Server configuration. One server serves one experiment
 /// configuration: every tenant's CMP size and estimator parameters are
@@ -52,11 +69,6 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Global concurrent-tenant capacity; Hellos beyond it are shed.
     pub max_tenants: usize,
-    /// Bounded per-shard op inbox (backpressure depth).
-    pub inbox_capacity: usize,
-    /// Per-interval event-batch cap (a tenant exceeding it gets a typed
-    /// error; bounds a single frame's memory).
-    pub max_events_per_interval: usize,
     /// Snapshot directory for suspended tenants (`None` disables
     /// evict/resume; hangups then drop session state).
     pub snapshot_dir: Option<PathBuf>,
@@ -65,18 +77,9 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: 2 shards, 1024 tenants, inbox of 64 ops, 1M events per
-    /// interval, no snapshots, no telemetry.
+    /// Defaults: 2 shards, 1024 tenants, no snapshots, no telemetry.
     pub fn new(xcfg: ExperimentConfig) -> ServeConfig {
-        ServeConfig {
-            xcfg,
-            shards: 2,
-            max_tenants: 1024,
-            inbox_capacity: 64,
-            max_events_per_interval: 1 << 20,
-            snapshot_dir: None,
-            metrics: None,
-        }
+        ServeConfig { xcfg, shards: 2, max_tenants: 1024, snapshot_dir: None, metrics: None }
     }
 }
 
@@ -96,7 +99,8 @@ pub struct ServeMetrics {
     pub intervals: Counter,
     /// `serve.suspends`: sessions checkpointed on hangup/drain.
     pub suspends: Counter,
-    /// `serve.errors`: per-tenant failures.
+    /// `serve.errors`: per-tenant failures, and connections refused
+    /// because no reader thread could be spawned.
     pub errors: Counter,
     /// `serve.done`: tenants that finished cleanly.
     pub done: Counter,
@@ -132,9 +136,16 @@ struct Inner {
     next_gen: AtomicU64,
     ctx: Arc<ShardCtx>,
     shard_txs: Vec<SyncSender<ShardOp>>,
-    max_tenants: usize,
-    readers: Mutex<Vec<JoinHandle<()>>>,
-    closers: Mutex<Vec<crate::transport::Closer>>,
+    /// Open connections by accept sequence number; each reader removes
+    /// its own entry when its connection ends.
+    live: Mutex<HashMap<u64, LiveConn>>,
+}
+
+/// What the server holds of one open connection: the closer that
+/// unblocks its reader at shutdown, and the reader thread to join.
+struct LiveConn {
+    closer: Closer,
+    reader: JoinHandle<()>,
 }
 
 /// A running server. Dropping it without [`Server::shutdown`] detaches
@@ -176,7 +187,7 @@ impl Server {
         let mut shard_txs = Vec::with_capacity(shards);
         let mut shard_handles = Vec::with_capacity(shards);
         for s in 0..shards {
-            let (tx, rx) = mpsc::sync_channel(cfg.inbox_capacity.max(1));
+            let (tx, rx) = mpsc::sync_channel(INBOX_CAPACITY);
             let ctx = Arc::clone(&ctx);
             shard_handles.push(
                 std::thread::Builder::new()
@@ -187,22 +198,24 @@ impl Server {
             shard_txs.push(tx);
         }
         let inner = Arc::new(Inner {
-            max_tenants: cfg.max_tenants,
             shutdown: AtomicBool::new(false),
             next_gen: AtomicU64::new(1),
             ctx,
             shard_txs,
-            readers: Mutex::new(Vec::new()),
-            closers: Mutex::new(Vec::new()),
+            live: Mutex::new(HashMap::new()),
             cfg,
         });
         let accept_inner = Arc::clone(&inner);
         let accept = std::thread::Builder::new()
             .name("gdp-serve-accept".into())
             .spawn(move || {
+                let mut next_conn = 0u64;
                 while !accept_inner.shutdown.load(Ordering::Acquire) {
                     match listener.poll_accept() {
-                        Ok(Some(conn)) => spawn_reader(&accept_inner, conn),
+                        Ok(Some(conn)) => {
+                            spawn_reader(&accept_inner, next_conn, conn);
+                            next_conn += 1;
+                        }
                         Ok(None) => std::thread::sleep(Duration::from_millis(2)),
                         Err(_) => std::thread::sleep(Duration::from_millis(10)),
                     }
@@ -215,19 +228,21 @@ impl Server {
     /// Graceful drain: stop accepting, close every live connection,
     /// join the readers, then have every shard suspend its remaining
     /// sessions and exit. Returns when all state is on disk (when
-    /// snapshots are configured) and every thread has joined.
+    /// snapshots are configured) and every thread has joined. With a
+    /// registry attached, the snapshot store's counters are exported
+    /// at this point as `cache.{hits,misses,stores,quarantines}`.
     pub fn shutdown(mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
         // Unblock readers stuck in transport reads.
-        for c in self.inner.closers.lock().expect("closers").drain(..) {
-            c();
+        let live = std::mem::take(&mut *self.inner.live.lock().expect("live connections"));
+        for conn in live.values() {
+            (conn.closer)();
         }
-        let readers: Vec<_> = std::mem::take(&mut *self.inner.readers.lock().expect("readers"));
-        for r in readers {
-            let _ = r.join();
+        for (_, conn) in live {
+            let _ = conn.reader.join();
         }
         for tx in &self.inner.shard_txs {
             let _ = tx.send(ShardOp::Drain);
@@ -235,19 +250,41 @@ impl Server {
         for h in self.shards.drain(..) {
             let _ = h.join();
         }
+        if let (Some(registry), Some(cache)) = (&self.inner.cfg.metrics, &self.inner.ctx.snapshots)
+        {
+            cache.stats().export(registry);
+        }
     }
 }
 
-/// Spawn the reader thread for one accepted connection.
-fn spawn_reader(inner: &Arc<Inner>, conn: Connection) {
+/// Spawn the reader thread for connection `id` and register it as
+/// live; the reader deregisters itself once the connection is over. A
+/// connection whose reader cannot be spawned is closed unserved and
+/// counted in `serve.errors`.
+fn spawn_reader(inner: &Arc<Inner>, id: u64, conn: Connection) {
     let Connection { rx, tx, closer } = conn;
-    inner.closers.lock().expect("closers").push(closer);
     let inner2 = Arc::clone(inner);
-    let h = std::thread::Builder::new()
-        .name("gdp-serve-reader".into())
-        .spawn(move || read_connection(&inner2, rx, tx))
-        .expect("spawn reader");
-    inner.readers.lock().expect("readers").push(h);
+    // The table stays locked across the spawn, so the reader cannot
+    // deregister before it is registered.
+    let mut live = inner.live.lock().expect("live connections");
+    let spawned = std::thread::Builder::new().name("gdp-serve-reader".into()).spawn(move || {
+        read_connection(&inner2, rx, tx);
+        // Dropping our own entry releases the closer and detaches this
+        // thread, which is about to exit.
+        inner2.live.lock().expect("live connections").remove(&id);
+    });
+    match spawned {
+        Ok(reader) => {
+            live.insert(id, LiveConn { closer, reader });
+        }
+        Err(e) => {
+            closer();
+            if let Some(mx) = &inner.ctx.metrics {
+                mx.errors.inc();
+            }
+            log_info!("gdp-serve: connection refused, cannot spawn its reader: {e}");
+        }
+    }
 }
 
 /// Read one connection to completion: Hello → admission → forward ops
@@ -291,7 +328,7 @@ fn read_connection(
                     break 'conn;
                 }
             };
-            let msg = match decode_client(&frame, cores, cfg.max_events_per_interval) {
+            let msg = match decode_client(&frame, cores, MAX_EVENTS_PER_INTERVAL) {
                 Ok(m) => m,
                 Err(e) => {
                     let msg = format!("bad message: {e:?}");
@@ -414,7 +451,7 @@ fn admit_hello(
             refuse(tx, format!("tenant {tenant} already connected"));
             return None;
         }
-        if adm.len() >= inner.max_tenants {
+        if adm.len() >= inner.cfg.max_tenants {
             drop(adm);
             let _ = tx.send(&encode_server(&ServerMsg::Shed));
             if let Some(mx) = &inner.ctx.metrics {

@@ -93,7 +93,7 @@ fn graceful_shutdown_drains_and_a_restarted_server_resumes() {
     let x = xcfg(cores);
     let trace = recorded(19, cores);
     let n = trace.intervals.len();
-    let k = (n + 1) / 2;
+    let k = n.div_ceil(2);
     assert!(k >= 1 && k < n);
     let set = [Technique::ITCA, Technique::GDP];
     let embedded = embedded_rows(&trace, &x, &set);
@@ -230,6 +230,8 @@ fn a_corrupt_snapshot_is_a_quarantined_miss() {
 
     server.shutdown();
     assert_eq!(registry.counter("serve.resume").get(), 0, "nothing was restored");
+    assert_eq!(registry.counter("cache.quarantines").get(), 1, "the corrupt entry");
+    assert_eq!(registry.counter("cache.hits").get(), 0, "nothing was restored");
     let _ = std::fs::remove_dir_all(path.parent().expect("snapshot dir"));
 }
 

@@ -14,6 +14,9 @@ use gdp_trace::SharedTrace;
 const CAPACITY: usize = 3;
 const OFFERED: u64 = 8;
 
+/// Each surviving tenant's id and served rows.
+type Survivors = Vec<(u64, Vec<Vec<CoreInterval>>)>;
+
 /// Offer `OFFERED` tenants in id order to a capacity-`CAPACITY` server
 /// with `shards` shards; return the shed tenant ids and each survivor's
 /// served rows.
@@ -21,7 +24,7 @@ fn run_overloaded(
     shards: usize,
     trace: &SharedTrace,
     x: &ExperimentConfig,
-) -> (Vec<u64>, Vec<(u64, Vec<Vec<CoreInterval>>)>) {
+) -> (Vec<u64>, Survivors) {
     let mut cfg = ServeConfig::new(x.clone());
     cfg.shards = shards;
     cfg.max_tenants = CAPACITY;

@@ -5,7 +5,7 @@
 //! placement behaviour, not values. Way partitioning restricts which ways a
 //! core may *allocate* into (replacement victims are chosen among the core's
 //! quota), while lookups hit in any way — exactly how way-partitioned LLCs
-//! behave (paper §V, UCP [8]).
+//! behave (paper §V, UCP \[8\]).
 
 use crate::config::CacheConfig;
 use crate::types::{block_addr, Addr, CoreId};

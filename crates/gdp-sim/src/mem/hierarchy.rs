@@ -446,7 +446,7 @@ impl MemorySystem {
     }
 
     /// Replay `n` skipped cycles of the pending stably-blocked retries
-    /// (see [`retries_stably_blocked`](Self::retries_stably_blocked)):
+    /// (see `retries_stably_blocked`):
     /// each retry fails `n` more times, counting `n` backpressure events,
     /// and a read blocked on a full read queue accrues `n` more rival
     /// queue-share charges — the exact per-cycle effects of the step-by-1

@@ -749,7 +749,7 @@ mod tests {
         }
         // A span measured outside any scope attributes nothing.
         inner.add(1, Duration::from_millis(3));
-        assert_eq!(outer.child_total() <= outer.total(), true);
+        assert!(outer.child_total() <= outer.total());
     }
 
     #[test]

@@ -14,17 +14,17 @@
 //!
 //! Layers:
 //!
-//! * [`model`] — the trace data model and the [`TraceSink`](model::TraceSink)
+//! * [`model`] — the trace data model and the [`TraceSink`]
 //!   capture hook the experiment drivers call into.
 //! * [`codec`] — varint/zigzag primitives, CRC32 and the typed
-//!   [`TraceError`](codec::TraceError) decoder errors (no serde; the same
+//!   [`TraceError`] decoder errors (no serde; the same
 //!   hand-rolled discipline as `gdp-runner::json`).
-//! * [`format`] — the versioned, sectioned binary file format with
+//! * [`format`](mod@format) — the versioned, sectioned binary file format with
 //!   per-section CRCs and one strict decoder per kind: shared traces
 //!   (whole, or streamed one interval at a time by [`SharedTraceReader`]),
 //!   private traces, and STATE entries (a suspended session's snapshot).
 //! * [`frame`] — the section discipline over a byte *stream*: an
-//!   incremental [`FrameAssembler`](frame::FrameAssembler) reassembling
+//!   incremental [`FrameAssembler`] reassembling
 //!   CRC-checked frames from arbitrarily-chunked reads (the serve wire
 //!   protocol's receive half).
 //! * [`cache`] — the content-addressed trace store under

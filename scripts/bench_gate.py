@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Perf-regression gate over the committed BENCH baselines.
 
-Compares a fresh ``--metrics-out`` snapshot (and optionally a criterion
-bench log) against the committed ``BENCH_gate.json`` baseline:
+Compares a fresh ``--metrics-out`` snapshot against the committed
+``BENCH_gate.json`` baseline:
 
 * **strict** — deterministic work counters (session events/intervals,
   engine cycles and skip counts, cache hits/misses/stores, pool jobs)
@@ -10,20 +10,20 @@ bench log) against the committed ``BENCH_gate.json`` baseline:
   byte-identical for every ``--jobs N`` and every machine, so any drift
   means the estimation stack changed behaviour. Drift always fails
   (exit 1), even under ``--advisory``.
-* **advisory** — wall-clock span totals and criterion medians are
-  machine-dependent; deltas beyond the threshold (default: the
-  baseline's ``wall_threshold_pct``) are reported. Under ``--advisory``
-  they only warn; without it a wall regression beyond threshold fails.
+* **advisory** — wall-clock span totals are machine-dependent; deltas
+  beyond the threshold (default: the baseline's ``wall_threshold_pct``)
+  are reported. Under ``--advisory`` they only warn; without it a wall
+  regression beyond threshold fails.
 
 ``--append`` records the fresh measurements as a new entry in the
 baseline's ``trajectory`` list and rewrites the baseline file, keeping
-the committed perf history growing alongside BENCH_sim.json /
-BENCH_session.json.
+the committed perf history growing. Speed claims are measured with
+gdpbench and ``scripts/ab_gdpbench.py``, not with this gate.
 
 Usage:
   python3 scripts/bench_gate.py --metrics results/gate.metrics.json \
-      --baseline BENCH_gate.json [--criterion-log criterion.log] \
-      [--advisory] [--append] [--label "PR 9"] [--wall-threshold 30]
+      --baseline BENCH_gate.json [--advisory] [--append] \
+      [--label "PR 9"] [--wall-threshold 30]
 
 Exit status: 0 = pass (possibly with warnings), 1 = regression,
 2 = bad invocation / unreadable input.
@@ -32,26 +32,7 @@ Exit status: 0 = pass (possibly with warnings), 1 = regression,
 import argparse
 import datetime
 import json
-import re
 import sys
-
-# `{id:<44} median {:>12} mean {:>12} ({n} samples)` from the vendored
-# criterion stub, with values like "3.22 ms" / "812.4 µs".
-CRITERION_LINE = re.compile(
-    r"^(?P<id>\S+)\s+median\s+(?P<val>[0-9.]+)\s*(?P<unit>ns|µs|us|ms|s)\b"
-)
-UNIT_MS = {"ns": 1e-6, "µs": 1e-3, "us": 1e-3, "ms": 1.0, "s": 1e3}
-
-
-def parse_criterion_log(path):
-    """Scenario id -> median in milliseconds."""
-    medians = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            m = CRITERION_LINE.match(line.strip())
-            if m:
-                medians[m.group("id")] = float(m.group("val")) * UNIT_MS[m.group("unit")]
-    return medians
 
 
 def check_strict(baseline_counters, counters):
@@ -67,19 +48,19 @@ def check_strict(baseline_counters, counters):
     return drifts
 
 
-def check_wall(reference, measured, threshold_pct, kind):
+def check_wall(reference, measured, threshold_pct):
     """Relative-delta check; returns (regressions, notes) line lists."""
     regressions, notes = [], []
     for key in sorted(reference):
         want = reference[key]
         got = measured.get(key)
         if got is None:
-            notes.append(f"{kind} `{key}` not measured this run (baseline {want:g})")
+            notes.append(f"span `{key}` not measured this run (baseline {want:g})")
             continue
         if want <= 0:
             continue
         delta_pct = 100.0 * (got - want) / want
-        line = f"{kind} `{key}`: baseline {want:g}, got {got:g} ({delta_pct:+.1f}%)"
+        line = f"span `{key}`: baseline {want:g}, got {got:g} ({delta_pct:+.1f}%)"
         if delta_pct > threshold_pct:
             regressions.append(line)
         elif delta_pct < -threshold_pct:
@@ -93,7 +74,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--metrics", required=True, help="fresh --metrics-out snapshot")
     ap.add_argument("--baseline", required=True, help="committed BENCH_gate.json")
-    ap.add_argument("--criterion-log", help="captured `cargo bench` stdout")
     ap.add_argument(
         "--advisory",
         action="store_true",
@@ -138,22 +118,8 @@ def main():
         n = len(baseline.get("strict_counters", {}))
         print(f"PASS  {n} deterministic counters match the baseline exactly")
 
-    # --- advisory: wall-clock spans and criterion medians ------------
-    wall_regressions, wall_notes = check_wall(
-        advisory.get("spans", {}), spans, threshold, "span"
-    )
-    crit_measured = {}
-    if args.criterion_log:
-        try:
-            crit_measured = parse_criterion_log(args.criterion_log)
-        except OSError as e:
-            print(f"bench_gate: cannot read criterion log: {e}", file=sys.stderr)
-            return 2
-        regs, notes = check_wall(
-            advisory.get("criterion", {}), crit_measured, threshold, "bench"
-        )
-        wall_regressions += regs
-        wall_notes += notes
+    # --- advisory: wall-clock spans ----------------------------------
+    wall_regressions, wall_notes = check_wall(advisory.get("spans", {}), spans, threshold)
     for line in wall_notes:
         print(f"OK    {line}")
     tag = "WARN" if args.advisory else "FAIL"
@@ -166,7 +132,6 @@ def main():
             "label": args.label or "unlabeled",
             "date": datetime.date.today().isoformat(),
             "spans_total_secs": {k: spans[k] for k in sorted(advisory.get("spans", {})) if k in spans},
-            "criterion_median_ms": {k: crit_measured[k] for k in sorted(crit_measured)},
             "counters_ok": not drifts,
         }
         baseline.setdefault("trajectory", []).append(entry)
