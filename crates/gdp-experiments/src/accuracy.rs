@@ -7,7 +7,7 @@ use gdp_metrics::ErrorSeries;
 use gdp_runner::{Pool, Progress};
 use gdp_workloads::{Benchmark, Workload};
 
-use crate::config::ExperimentConfig;
+use crate::config::{ExperimentConfig, WARMUP_INTERVALS};
 use crate::private::PrivateRun;
 use crate::shared::SharedRun;
 pub use crate::techniques::{transparent_subset, Technique};
@@ -328,21 +328,11 @@ impl WorkloadEval {
                 lambda_err: ErrorSeries::new(),
             };
 
-            let warmup = self.xcfg.warmup_intervals;
             // Transparent techniques.
-            score_run(
-                &self.t_run,
-                &self.techniques,
-                core,
-                private,
-                &by_target,
-                &mut acc,
-                true,
-                warmup,
-            );
+            score_run(&self.t_run, &self.techniques, core, private, &by_target, &mut acc, true);
             // Invasive techniques (separate run).
             if let Some(ar) = &self.a_run {
-                score_run(ar, &self.techniques, core, private, &by_target, &mut acc, false, warmup);
+                score_run(ar, &self.techniques, core, private, &by_target, &mut acc, false);
                 let t_cpi = self.t_run.final_stats[core].cpi();
                 let a_cpi = ar.final_stats[core].cpi();
                 invasive_slowdown.push(if t_cpi.is_finite() && t_cpi > 0.0 {
@@ -366,8 +356,8 @@ impl WorkloadEval {
     }
 }
 
-/// Score one shared run's estimates for `core` against the private record.
-#[allow(clippy::too_many_arguments)]
+/// Score one shared run's estimates for `core` against the private
+/// record, skipping the first [`WARMUP_INTERVALS`] intervals.
 fn score_run(
     run: &SharedRun,
     eval_set: &[Technique],
@@ -376,7 +366,6 @@ fn score_run(
     by_target: &HashMap<u64, usize>,
     acc: &mut BenchAccuracy,
     component_errors: bool,
-    warmup_intervals: usize,
 ) {
     let mut prev_end = 0u64;
     for (interval_idx, row) in run.intervals.iter().enumerate() {
@@ -405,7 +394,7 @@ fn score_run(
             prev_end = iv.instr_end;
             continue;
         }
-        if interval_idx < warmup_intervals {
+        if interval_idx < WARMUP_INTERVALS {
             // Cold-start interval: caches warming in both modes but at
             // different rates; the paper measures from warm checkpoints.
             prev_end = iv.instr_end;

@@ -2,6 +2,11 @@
 
 use gdp_sim::SimConfig;
 
+/// Accuracy intervals skipped at the start of each run: the paper's
+/// checkpoints carry warm cache state (20B-instruction fast-forward,
+/// §VI); we approximate that by excluding cold-start intervals.
+pub(crate) const WARMUP_INTERVALS: usize = 1;
+
 /// Parameters governing an evaluation run (paper values in comments,
 /// scaled defaults chosen to match the scaled [`SimConfig`]).
 #[derive(Debug, Clone)]
@@ -20,10 +25,6 @@ pub struct ExperimentConfig {
     pub prb_entries: usize,
     /// Safety cap: maximum cycles per run, expressed per instruction.
     pub max_cycles_per_instr: u64,
-    /// Accuracy intervals skipped at the start of each run: the paper's
-    /// checkpoints carry warm cache state (20B-instruction fast-forward,
-    /// §VI); we approximate that by excluding cold-start intervals.
-    pub warmup_intervals: usize,
 }
 
 impl ExperimentConfig {
@@ -36,7 +37,6 @@ impl ExperimentConfig {
             sampled_sets: 32,
             prb_entries: 32,
             max_cycles_per_instr: 600,
-            warmup_intervals: 1,
         }
     }
 

@@ -18,9 +18,11 @@
 //! * [`plane`] — the [`ObservationPlane`]: the probe stream's observers
 //!   (one GDP unit per core, one DIEF) fed once per interval, with every
 //!   transparent technique a readout of their per-core summary.
-//! * [`session`] — the streaming [`EstimationSession`]: a host embeds
-//!   it to consume per-interval private-mode estimates online;
-//!   [`run_shared`] is a one-line convenience over it.
+//! * [`session`] — the two sessions that drive the interval pipeline:
+//!   the live [`EstimationSession`], which a host embeds to consume
+//!   per-interval private-mode estimates online ([`run_shared`] is a
+//!   one-line convenience over it), and the [`StreamSession`] that every
+//!   recorded, cached or pushed stream feeds.
 //! * [`interval`] — accounting-interval bookkeeping shared by the run
 //!   loops: the engine's advance limit and exact, lossless boundary
 //!   emission under multi-cycle clock jumps.
@@ -61,6 +63,6 @@ pub use session::{EstimationSession, ReplaySession, SessionBuilder, StreamSessio
 pub use shared::{run_shared, CoreInterval, SharedRun};
 pub use techniques::{registry, transparent_subset, Technique};
 pub use trace::{
-    private_from_trace, private_to_trace, private_trace_key, record_shared, session_state_key,
-    shared_trace_key, shared_trace_key_for, summarize_checkpoints, CampaignTraces,
+    private_trace_key, record_shared, session_state_key, shared_trace_key, shared_trace_key_for,
+    summarize_checkpoints, CampaignTraces,
 };

@@ -9,36 +9,22 @@
 //! CPL* at every checkpoint (the Fig. 5a reference).
 
 use gdp_core::GdpUnit;
-use gdp_sim::stats::CoreStats;
 use gdp_sim::System;
 use gdp_telemetry::MetricsRegistry;
+use gdp_trace::{PrivateTrace, TraceCheckpoint};
 use gdp_workloads::Benchmark;
 
 use crate::config::ExperimentConfig;
 use crate::metrics::export_engine_counters;
 
-/// Cumulative private-mode state at one instruction checkpoint.
-#[derive(Debug, Clone, Copy)]
-pub struct PrivateCheckpoint {
-    /// Requested committed-instruction count.
-    pub instrs: u64,
-    /// Cycle at which the count was reached.
-    pub cycle: u64,
-    /// Cumulative statistics at that point.
-    pub stats: CoreStats,
-    /// Private-mode CPL harvested since the previous checkpoint
-    /// (unbounded-buffer reference implementation).
-    pub cpl: u64,
-}
+/// Cumulative private-mode state at one instruction checkpoint: the
+/// trace record itself, so a cached run is stored and loaded as is.
+pub type PrivateCheckpoint = TraceCheckpoint;
 
-/// A complete private-mode run.
-#[derive(Debug, Clone)]
-pub struct PrivateRun {
-    /// One record per requested checkpoint, in order.
-    pub checkpoints: Vec<PrivateCheckpoint>,
-    /// Final cumulative statistics.
-    pub total: CoreStats,
-}
+/// A complete private-mode run: the benchmark, its address base, one
+/// [`PrivateCheckpoint`] per requested checkpoint and the final
+/// statistics — the trace record itself.
+pub type PrivateRun = PrivateTrace;
 
 /// Run `bench` alone with addresses offset by `base`, recording state at
 /// each committed-instruction checkpoint (must be sorted ascending).
@@ -85,7 +71,7 @@ pub fn run_private(
     if let Some(reg) = metrics {
         export_engine_counters(reg, &sys.engine_counters());
     }
-    PrivateRun { checkpoints: out, total: *sys.core_stats(0) }
+    PrivateRun { bench: bench.name.to_string(), base, checkpoints: out, total: *sys.core_stats(0) }
 }
 
 #[cfg(test)]

@@ -14,26 +14,26 @@
 //! * [`EstimationSession::into_report`] — finish the run and assemble
 //!   the classic [`SharedRun`].
 //!
-//! [`ReplaySession`] feeds the same pipeline from a recorded trace and
-//! [`StreamSession`] from intervals pushed in from outside. All three
-//! drive one interval pipeline (observe, harvest, read out, count), so
-//! they differ only in where an interval's events and boundaries come
-//! from. The batch drivers are thin shims over these sessions, and a host
-//! system embeds one to consume live interference-free estimates online
-//! (see `examples/quickstart.rs`).
+//! [`StreamSession`] drives the same interval pipeline (observe, harvest,
+//! read out, count) from intervals fed in from outside: a recorded trace
+//! ([`ReplaySession`], the campaign cache's streamed replay), an on-demand
+//! query resumed from a summarized checkpoint
+//! ([`summarize_checkpoints`](crate::trace::summarize_checkpoints)), or a
+//! serving tenant's pushed stream. The two sessions differ only in where
+//! an interval's events and boundaries come from. The batch entry points
+//! ([`run_shared`](crate::shared::run_shared)) are thin shims over them,
+//! and a host system embeds one to consume live interference-free
+//! estimates online (see `examples/quickstart.rs`).
 
 use std::sync::Arc;
 
-use gdp_core::state::{EstimatorState, StateError};
+use gdp_core::state::StateError;
 use gdp_sim::probe::ProbeEvent;
 use gdp_sim::stats::CoreStats;
 use gdp_sim::types::{CoreId, Cycle};
 use gdp_sim::{EngineCounters, System};
-use gdp_telemetry::{log_info, Counter, MetricsRegistry, SpanHandle, TimeSeries};
-use gdp_trace::{
-    Boundary, CheckpointFile, SharedTrace, SharedTraceReader, StateCheckpoint, TraceError,
-    TraceInterval, TraceSink,
-};
+use gdp_telemetry::{Counter, MetricsRegistry, SpanHandle, TimeSeries};
+use gdp_trace::{Boundary, Recorder, SharedTrace, StateCheckpoint};
 use gdp_workloads::Workload;
 
 use crate::config::ExperimentConfig;
@@ -257,7 +257,7 @@ pub struct SessionBuilder<'s> {
     workload: Workload,
     xcfg: ExperimentConfig,
     techniques: Vec<Technique>,
-    sink: Option<&'s mut dyn TraceSink>,
+    sink: Option<&'s mut Recorder>,
     metrics: Option<Arc<MetricsRegistry>>,
 }
 
@@ -284,9 +284,9 @@ impl<'s> SessionBuilder<'s> {
         self
     }
 
-    /// Attach a trace capture sink: it sees exactly the event batches
-    /// and boundary measurements the observation plane sees.
-    pub fn sink<'b>(self, sink: &'b mut dyn TraceSink) -> SessionBuilder<'b> {
+    /// Attach a trace recorder: it sees exactly the event batches and
+    /// boundary measurements the observation plane sees.
+    pub fn sink<'b>(self, sink: &'b mut Recorder) -> SessionBuilder<'b> {
         SessionBuilder {
             workload: self.workload,
             xcfg: self.xcfg,
@@ -359,7 +359,7 @@ pub struct EstimationSession<'s> {
     /// [`EstimationSession::take_estimates`] drains `intervals`.
     emitted: u64,
     fresh: usize,
-    sink: Option<&'s mut dyn TraceSink>,
+    sink: Option<&'s mut Recorder>,
 }
 
 impl EstimationSession<'_> {
@@ -427,7 +427,7 @@ impl EstimationSession<'_> {
 
     /// One accounting-interval boundary: close stall runs, drain the
     /// probe batch, run it through the pipeline (whose DIEF supplies each
-    /// core's λ̂), and hand the capture sink the same batch and the
+    /// core's λ̂), and hand the recorder the same batch and the
     /// boundaries the pipeline completed — `record_events`, then one
     /// `record_boundary` per core in core order.
     fn emit_boundary_row(&mut self) {
@@ -502,26 +502,15 @@ impl EstimationSession<'_> {
     /// suspended (the contract `tests/suspend_resume.rs` pins).
     ///
     /// The simulator is not captured, and neither is a DIEF that only
-    /// supplies λ̂: the intended resume targets are stream-fed consumers
-    /// ([`StreamSession`], [`ReplaySession`]) that receive events and
-    /// boundary measurements, λ̂ included, from outside.
+    /// supplies λ̂: the resume target is a [`StreamSession`], which
+    /// receives events and boundary measurements, λ̂ included, from
+    /// outside.
     pub fn suspend(&self) -> StateCheckpoint {
         self.pipeline.checkpoint(self.emitted)
     }
 
-    /// Restore the observers from `cp` and continue the flight-recorder
-    /// interval index from `cp.at`, mirroring
-    /// [`ReplaySession::restore_checkpoint`]. Fails — leaving the session
-    /// unfit for bit-exact work — when the checkpoint lacks an observer's
-    /// state or a state does not fit this configuration.
-    pub fn resume_from(&mut self, cp: &StateCheckpoint) -> Result<(), StateError> {
-        self.pipeline.plane.restore(cp)?;
-        self.emitted = cp.at;
-        Ok(())
-    }
-
     /// Finish the run (if not already at its end condition), record the
-    /// final statistics with any attached sink, and assemble the
+    /// final statistics with any attached recorder, and assemble the
     /// [`SharedRun`] report.
     pub fn into_report(mut self) -> SharedRun {
         self.run_to_end();
@@ -542,21 +531,17 @@ impl EstimationSession<'_> {
     }
 }
 
-/// A streaming session over a *recorded* trace: the same pipeline and
-/// the same per-interval surface as [`EstimationSession`], fed from a
-/// [`SharedTrace`] at memory speed instead of a live simulator.
+/// A replay of a *recorded* trace: the trace's intervals fed, in order,
+/// through a [`StreamSession`], and the run's report assembled from the
+/// rows and the trace's final statistics.
 ///
 /// Because every observer is a pure function of its observed stream, a
-/// replay session's estimates are bit-identical to the live session that
+/// replay's estimates are bit-identical to the live session that
 /// recorded the trace — for *any* registered technique subset (the
 /// recorded stream does not depend on who observes it).
 pub struct ReplaySession<'t> {
     trace: &'t SharedTrace,
-    xcfg: ExperimentConfig,
-    pipeline: Pipeline,
-    next: usize,
-    intervals: Vec<Vec<CoreInterval>>,
-    fresh: usize,
+    stream: StreamSession,
 }
 
 impl<'t> ReplaySession<'t> {
@@ -576,14 +561,7 @@ impl<'t> ReplaySession<'t> {
         xcfg: &ExperimentConfig,
         techniques: &[Technique],
     ) -> ReplaySession<'t> {
-        ReplaySession {
-            trace,
-            xcfg: xcfg.clone(),
-            pipeline: Pipeline::new(techniques, xcfg, false),
-            next: 0,
-            intervals: Vec::new(),
-            fresh: 0,
-        }
+        ReplaySession { trace, stream: StreamSession::new(xcfg, techniques) }
     }
 
     /// Attach a metrics registry: the replayed stream feeds the same
@@ -591,203 +569,61 @@ impl<'t> ReplaySession<'t> {
     /// (there is no `session.advance`/`engine.*` activity — replay never
     /// touches a simulator). Estimates are unaffected.
     pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> ReplaySession<'t> {
-        self.pipeline.attach_metrics(registry);
+        self.stream = self.stream.with_metrics(registry);
         self
     }
 
     /// The canonical technique set under replay.
     pub fn techniques(&self) -> &[Technique] {
-        self.pipeline.techniques()
+        self.stream.techniques()
     }
 
-    /// Whether every recorded interval has been replayed.
-    pub fn done(&self) -> bool {
-        self.next >= self.trace.intervals.len()
-    }
-
-    /// Replay the next recorded interval and return its row.
-    fn replay_next(&mut self) -> Vec<CoreInterval> {
-        // Replay's flight-recorder interval index is the position in the
-        // recorded trace — the same session-local index the live run
-        // used, so live and replay series line up bin-for-bin.
-        let idx = self.next;
-        let iv = &self.trace.intervals[idx];
-        assert!(
-            iv.boundaries.len() <= self.trace.cores,
-            "{} boundaries in a {}-core trace",
-            iv.boundaries.len(),
-            self.trace.cores
-        );
-        self.next += 1;
-        self.pipeline.step(idx as u64, &iv.events, &iv.boundaries)
-    }
-
-    /// Replay up to `count` recorded intervals; returns how many were
-    /// processed (fewer at the end of the trace).
-    pub fn advance_intervals(&mut self, count: usize) -> usize {
-        let upto = self.next.saturating_add(count).min(self.trace.intervals.len());
-        let done = upto - self.next;
-        while self.next < upto {
-            let row = self.replay_next();
-            self.intervals.push(row);
-        }
-        done
-    }
-
-    /// Drain the estimate rows produced since the last poll (rows stay
-    /// retained for [`ReplaySession::into_report`]).
-    pub fn poll_estimates(&mut self) -> &[Vec<CoreInterval>] {
-        let from = self.fresh;
-        self.fresh = self.intervals.len();
-        &self.intervals[from..]
-    }
-
-    /// Drain the retained rows by value (bounded-memory streaming; see
-    /// [`EstimationSession::take_estimates`]).
-    pub fn take_estimates(&mut self) -> Vec<Vec<CoreInterval>> {
-        self.fresh = 0;
-        std::mem::take(&mut self.intervals)
-    }
-
-    /// Replay any remaining intervals and assemble the [`SharedRun`],
+    /// Replay every recorded interval and assemble the [`SharedRun`],
     /// bit-identical to the live run with the same technique set.
+    ///
+    /// # Panics
+    /// Panics if an interval does not carry exactly one boundary per
+    /// core of `xcfg` (see [`StreamSession::feed_interval`]); a trace
+    /// decoded from a file always does when its core count matches.
     pub fn into_report(mut self) -> SharedRun {
-        self.advance_intervals(usize::MAX);
+        let intervals = self
+            .trace
+            .intervals
+            .iter()
+            .map(|iv| self.stream.feed_interval(&iv.events, &iv.boundaries))
+            .collect();
         SharedRun {
-            techniques: self.pipeline.techniques().to_vec(),
-            intervals: self.intervals,
+            techniques: self.stream.techniques().to_vec(),
+            intervals,
             cycles: self.trace.cycles,
             final_stats: self.trace.final_stats.clone(),
         }
     }
-
-    /// Snapshot every observer the attached techniques read, keyed by
-    /// observer id — the per-boundary payload the offline checkpoint
-    /// summarizer stores
-    /// ([`summarize_checkpoints`](crate::trace::summarize_checkpoints)).
-    pub fn snapshot_states(&self) -> Vec<(String, EstimatorState)> {
-        self.pipeline.plane.snapshot()
-    }
-
-    /// Restore from a checkpoint: seeks the session to interval `cp.at`
-    /// with every observer's state restored, after which replay is
-    /// bit-identical to a serial session that already replayed intervals
-    /// `0..cp.at`. Fails — leaving the session unfit for bit-exact work
-    /// until re-restored or rebuilt — when the checkpoint lacks an
-    /// observer's state or a state does not fit this configuration.
-    pub fn restore_checkpoint(&mut self, cp: &StateCheckpoint) -> Result<(), StateError> {
-        self.pipeline.plane.restore(cp)?;
-        self.next = (cp.at as usize).min(self.trace.intervals.len());
-        Ok(())
-    }
-
-    /// Position the session at interval `k`: restore the nearest
-    /// checkpoint at or before `k` when that beats replaying forward from
-    /// here, rebuild the cold state when the session is already past `k`,
-    /// then replay (discarding rows) up to `k`. A checkpoint that fails
-    /// to restore degrades to replay from the trace start.
-    fn seek(&mut self, k: usize, checkpoints: Option<&CheckpointFile>) {
-        let cp = checkpoints
-            .and_then(|f| f.nearest_at_or_before(k as u64))
-            .filter(|cp| self.next > k || cp.at as usize > self.next);
-        let mut failed = false;
-        if let Some(cp) = cp {
-            if let Err(e) = self.restore_checkpoint(cp) {
-                log_info!(
-                    "gdp: checkpoint at interval {} unusable ({e}); replaying from the start",
-                    cp.at
-                );
-                failed = true;
-            }
-        }
-        if failed || (cp.is_none() && self.next > k) {
-            let metrics = self.pipeline.metrics.take();
-            self.pipeline = Pipeline::new(self.pipeline.techniques(), &self.xcfg, false);
-            self.pipeline.metrics = metrics;
-            self.next = 0;
-        }
-        while self.next < k {
-            self.replay_next();
-        }
-    }
-
-    /// On-demand single-interval query: restore the nearest checkpoint of
-    /// `checkpoints` at or before `k` (or continue from the session's
-    /// position, or from the cold state) and replay forward just far
-    /// enough to produce interval `k`'s row — bit-identical to the `k`-th
-    /// row of a full serial replay. Rows replayed on the way are not
-    /// retained; the session is left positioned at `k + 1`. `None` when
-    /// `k` is past the end of the trace.
-    pub fn estimate_interval(
-        &mut self,
-        k: usize,
-        checkpoints: Option<&CheckpointFile>,
-    ) -> Option<Vec<CoreInterval>> {
-        if k >= self.trace.intervals.len() {
-            return None;
-        }
-        self.seek(k, checkpoints);
-        Some(self.replay_next())
-    }
-}
-
-/// Replay a verified trace straight from its reader: decode one interval
-/// at a time into a reused buffer and step it through the pipeline —
-/// [`ReplaySession`]'s interval step without building a [`SharedTrace`].
-/// The report, and with `metrics` attached the `session.*` counters and
-/// `ts.*` series, equal those of a [`ReplaySession`] over the decoded
-/// trace. `decode` (the `trace.decode` span) times each interval's
-/// decode. A decode error ends the replay and drops its rows; counters
-/// already fed by the intervals before it stay counted.
-pub(crate) fn replay_streamed(
-    mut reader: SharedTraceReader<'_>,
-    xcfg: &ExperimentConfig,
-    techniques: &[Technique],
-    metrics: Option<Arc<MetricsRegistry>>,
-    decode: Option<&SpanHandle>,
-) -> Result<SharedRun, TraceError> {
-    let mut pipeline = Pipeline::new(techniques, xcfg, false);
-    if let Some(reg) = metrics {
-        pipeline.attach_metrics(reg);
-    }
-    let mut next = |iv: &mut TraceInterval| {
-        let _g = decode.map(SpanHandle::enter);
-        reader.read_interval(iv)
-    };
-    let mut iv = TraceInterval::default();
-    let mut intervals = Vec::new();
-    while next(&mut iv)? {
-        let row = pipeline.step(intervals.len() as u64, &iv.events, &iv.boundaries);
-        intervals.push(row);
-    }
-    Ok(SharedRun {
-        techniques: pipeline.techniques().to_vec(),
-        intervals,
-        cycles: reader.cycles(),
-        final_stats: reader.final_stats().to_vec(),
-    })
 }
 
 /// A push-fed streaming session: the same pipeline as
-/// [`EstimationSession`]/[`ReplaySession`], fed one interval at a time
-/// from *outside* — the estimation core of a serving host, where each
-/// tenant's probe stream arrives over a wire rather than from a local
-/// simulator or an in-memory trace.
+/// [`EstimationSession`], fed one interval at a time from *outside* —
+/// every stream that does not come from a live simulator: a recorded
+/// trace in memory ([`ReplaySession`]) or streamed from the campaign
+/// cache, and a serving host's tenant, whose probe stream arrives over
+/// a wire.
 ///
 /// Each [`StreamSession::feed_interval`] call returns that interval's
 /// row *by value* and retains nothing, so a long-running host's memory
 /// stays bounded by construction. Because observers are pure functions
-/// of their observed stream, the rows are bit-identical to a
-/// [`ReplaySession`] over the same intervals — for any technique subset
-/// and any chunking of the transport that delivered them (the serve
-/// correctness contract, pinned from both ends by
-/// `tests/suspend_resume.rs` and the `gdp-serve` suite).
+/// of their observed stream, the rows are bit-identical to the live run
+/// that recorded the intervals — for any technique subset and any
+/// chunking of the transport that delivered them (the serve correctness
+/// contract, pinned from both ends by `tests/suspend_resume.rs` and the
+/// `gdp-serve` suite).
 ///
 /// Suspend/resume round-trips through the same [`StateCheckpoint`]
 /// bundle as on-demand queries: an idle tenant's session can be
 /// snapshotted (one STATE entry on disk), dropped, and rebuilt later with
 /// [`StreamSession::resume_from`], after which the continued stream is
-/// bit-identical to never having suspended.
+/// bit-identical to never having suspended. A session resumed from a
+/// summarized checkpoint answers one interval's query the same way
+/// ([`summarize_checkpoints`](crate::trace::summarize_checkpoints)).
 pub struct StreamSession {
     pipeline: Pipeline,
     cores: usize,
@@ -809,8 +645,9 @@ impl StreamSession {
     }
 
     /// Attach a metrics registry: the fed stream drives the same
-    /// `session.*` counters and estimate spans a replay would. Estimates
-    /// are unaffected.
+    /// `session.*` counters and estimate spans a live session would
+    /// (there is no `session.advance`/`engine.*` activity — a stream
+    /// session never touches a simulator). Estimates are unaffected.
     pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> StreamSession {
         self.pipeline.attach_metrics(registry);
         self
@@ -840,8 +677,10 @@ impl StreamSession {
     /// # Panics
     /// Panics if `boundaries` does not hold exactly one entry per core —
     /// a malformed interval would silently desynchronize every later
-    /// estimate, so the caller (the serve shard) must validate tenant
-    /// input *before* feeding it.
+    /// estimate, so the caller must validate its input *before* feeding
+    /// it (the serve shard checks each tenant frame; the trace reader
+    /// accepts no other count, and the campaign's replay checks the
+    /// file's core count).
     pub fn feed_interval(
         &mut self,
         events: &[ProbeEvent],

@@ -3,11 +3,14 @@
 //!
 //! * [`record_shared`] runs a shared-mode simulation with a recorder
 //!   attached and returns both the live [`SharedRun`] and the trace. A
-//!   [`ReplaySession`] over that trace rebuilds the run for *any*
-//!   technique subset, bit-identically — the event stream of a
-//!   transparent run does not depend on which transparent techniques
-//!   observe it, so one trace serves them all (the invasive ASM perturbs
-//!   execution and records its own trace).
+//!   [`ReplaySession`](crate::ReplaySession) over that trace rebuilds the
+//!   run for *any* technique subset, bit-identically — the event stream
+//!   of a transparent run does not depend on which transparent
+//!   techniques observe it, so one trace serves them all (the invasive
+//!   ASM perturbs execution and records its own trace).
+//! * [`summarize_checkpoints`] indexes a trace's observer states at
+//!   every interval boundary, so a [`StreamSession`] resumed from one
+//!   answers a single interval's query.
 //! * [`CampaignTraces`] is the campaign router: every shared and private
 //!   job of an evaluation goes through it. It combines a
 //!   content-addressed [`TraceCache`] with the `--record`/`--replay`
@@ -18,17 +21,17 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use gdp_sim::{CacheConfig, SimConfig};
-use gdp_telemetry::{log_info, MetricsRegistry};
+use gdp_telemetry::{log_info, MetricsRegistry, SpanHandle};
 use gdp_trace::{
-    CacheKey, CacheStatsSnapshot, CheckpointFile, NullSink, PrivateTrace, Recorder, SharedTrace,
-    StateCheckpoint, TraceCache, TraceCheckpoint, TraceSink, FORMAT_VERSION,
+    CacheKey, CacheStatsSnapshot, CheckpointFile, Recorder, SharedTrace, TraceCache, TraceError,
+    TraceInterval, FORMAT_VERSION,
 };
 use gdp_workloads::Workload;
 
 use crate::accuracy::{private_base, Technique, WorkloadEval};
-use crate::config::ExperimentConfig;
-use crate::private::{run_private, PrivateCheckpoint, PrivateRun};
-use crate::session::{replay_streamed, ReplaySession, SessionBuilder};
+use crate::config::{ExperimentConfig, WARMUP_INTERVALS};
+use crate::private::{run_private, PrivateRun};
+use crate::session::{SessionBuilder, StreamSession};
 use crate::shared::SharedRun;
 
 /// Run `workload` in shared mode with a recorder attached; returns the
@@ -47,69 +50,63 @@ pub fn record_shared(
     (run, rec.into_trace())
 }
 
-/// One-pass offline checkpoint summarization: replay `trace` once with
-/// *every* registered technique attached, snapshotting every observer
-/// (GDP units, DIEF, ASM) at each interval boundary. The returned
-/// in-memory index serves any later technique subset: an observer's state depends only
-/// on the recorded stream, never on the readouts consuming it — the
-/// same invariant that lets one trace serve every subset.
+/// One-pass offline checkpoint summarization: a [`StreamSession`] with
+/// *every* registered technique attached is fed `trace` and suspended
+/// after each interval, snapshotting every observer (GDP units, DIEF,
+/// ASM). The returned in-memory index holds one checkpoint per interior
+/// boundary, `checkpoints[k - 1].at == k`, and serves any later technique
+/// subset: an observer's state depends only on the recorded stream, never
+/// on the readouts consuming it — the same invariant that lets one trace
+/// serve every subset.
 ///
-/// Computed on demand, for a caller about to ask many random-access
-/// [`ReplaySession::estimate_interval`] queries of one trace; the
-/// campaign record path never calls it.
+/// Computed on demand, for a caller about to ask many single-interval
+/// queries of one trace; the campaign record path never calls it. A
+/// query of interval `k` resumes a fresh session from
+/// `checkpoints[k - 1]` (interval 0 starts cold) and feeds it interval
+/// `k` alone; the row is bit-identical to row `k` of a serial replay:
+///
+/// ```
+/// use gdp_experiments::{record_shared, summarize_checkpoints, ExperimentConfig};
+/// use gdp_experiments::{StreamSession, Technique};
+/// use gdp_workloads::paper_workloads;
+///
+/// let mut xcfg = ExperimentConfig::tiny(2);
+/// xcfg.sample_instrs = 3_000;
+/// xcfg.interval_cycles = 9_000;
+/// let set = [Technique::GDP, Technique::ITCA];
+/// let (serial, trace) = record_shared(&paper_workloads(2, 7)[0], &xcfg, &set);
+/// let summary = summarize_checkpoints(&trace, &xcfg);
+///
+/// for (k, iv) in trace.intervals.iter().enumerate() {
+///     let mut s = StreamSession::new(&xcfg, &set);
+///     if k > 0 {
+///         s.resume_from(&summary.checkpoints[k - 1])?;
+///     }
+///     let row = s.feed_interval(&iv.events, &iv.boundaries);
+///     assert_eq!(
+///         row[0].estimates[0].cpi.to_bits(),
+///         serial.intervals[k][0].estimates[0].cpi.to_bits()
+///     );
+/// }
+/// # Ok::<(), gdp_core::state::StateError>(())
+/// ```
 pub fn summarize_checkpoints(trace: &SharedTrace, xcfg: &ExperimentConfig) -> CheckpointFile {
-    let techniques = Technique::all_registered();
-    let mut s = ReplaySession::new(trace, xcfg, &techniques);
-    let n = trace.intervals.len() as u64;
-    let mut f = CheckpointFile {
-        workload: trace.workload.clone(),
-        cores: trace.cores,
-        intervals: n,
-        checkpoints: Vec::with_capacity(n.saturating_sub(1) as usize),
-    };
+    let mut s = StreamSession::new(xcfg, &Technique::all_registered());
+    let n = trace.intervals.len();
     // Boundary n would have no intervals left to replay; boundary 0 is
     // the cold state every fresh session already has.
-    for at in 1..n {
-        s.advance_intervals(1);
-        let _ = s.take_estimates(); // bounded memory: keep states, not rows
-        f.checkpoints.push(StateCheckpoint { at, states: s.snapshot_states() });
-    }
-    f
-}
-
-/// Convert a private run to its trace record.
-pub fn private_to_trace(run: &PrivateRun, bench: &str, base: u64) -> PrivateTrace {
-    PrivateTrace {
-        bench: bench.to_string(),
-        base,
-        checkpoints: run
-            .checkpoints
-            .iter()
-            .map(|c| TraceCheckpoint {
-                instrs: c.instrs,
-                cycle: c.cycle,
-                stats: c.stats,
-                cpl: c.cpl,
-            })
-            .collect(),
-        total: run.total,
-    }
-}
-
-/// Rebuild a private run from its trace record ("replay" of pure data).
-pub fn private_from_trace(t: &PrivateTrace) -> PrivateRun {
-    PrivateRun {
-        checkpoints: t
-            .checkpoints
-            .iter()
-            .map(|c| PrivateCheckpoint {
-                instrs: c.instrs,
-                cycle: c.cycle,
-                stats: c.stats,
-                cpl: c.cpl,
-            })
-            .collect(),
-        total: t.total,
+    let checkpoints = trace.intervals[..n.saturating_sub(1)]
+        .iter()
+        .map(|iv| {
+            s.feed_interval(&iv.events, &iv.boundaries);
+            s.suspend()
+        })
+        .collect();
+    CheckpointFile {
+        workload: trace.workload.clone(),
+        cores: trace.cores,
+        intervals: n as u64,
+        checkpoints,
     }
 }
 
@@ -177,7 +174,7 @@ fn key_material(kind: &str, x: &ExperimentConfig) -> CacheKey {
         .usize(x.sampled_sets)
         .usize(x.prb_entries)
         .u64(x.max_cycles_per_instr)
-        .usize(x.warmup_intervals);
+        .usize(WARMUP_INTERVALS);
     k
 }
 
@@ -301,10 +298,13 @@ impl CampaignTraces {
     /// A shared-mode run through the cache: replayed when a trace
     /// exists, simulated (and, under `record`, stored) otherwise.
     /// Bit-identical to [`run_shared`](crate::shared::run_shared) either
-    /// way. A replay streams the entry through the session pipeline one
-    /// interval at a time, after the whole file has been verified, and
-    /// never builds a [`SharedTrace`]; an entry that fails mid-stream is
-    /// a quarantined miss and the run is simulated.
+    /// way. A replay feeds the entry to a [`StreamSession`] one interval
+    /// at a time, decoded into a reused buffer after the whole file has
+    /// been verified, and never builds a [`SharedTrace`]; `trace.decode`
+    /// times each interval's decode. An entry whose core count differs
+    /// from the configuration's, or that fails mid-stream, is a
+    /// quarantined miss and the run is simulated; counters already fed by
+    /// the intervals before a mid-stream error stay counted.
     pub fn shared(
         &self,
         workload: &Workload,
@@ -320,24 +320,44 @@ impl CampaignTraces {
             // before that and drops the replay closure holding it.
             let read = spans.as_ref().map(|(read, _)| read.enter());
             let decode = spans.as_ref().map(|(_, decode)| decode);
-            let streamed = self.cache.stream_shared(&key, |reader| {
+            let streamed = self.cache.stream_shared(&key, |mut reader| {
                 drop(read);
-                replay_streamed(reader, xcfg, techniques, self.metrics.clone(), decode)
+                if reader.cores() != xcfg.sim.cores {
+                    return Err(TraceError::BadSection { section: "META" });
+                }
+                let mut session = StreamSession::new(xcfg, techniques);
+                if let Some(reg) = &self.metrics {
+                    session = session.with_metrics(Arc::clone(reg));
+                }
+                let mut next = |iv: &mut TraceInterval| {
+                    let _g = decode.map(SpanHandle::enter);
+                    reader.read_interval(iv)
+                };
+                let mut iv = TraceInterval::default();
+                let mut intervals = Vec::new();
+                while next(&mut iv)? {
+                    intervals.push(session.feed_interval(&iv.events, &iv.boundaries));
+                }
+                Ok(SharedRun {
+                    techniques: session.techniques().to_vec(),
+                    intervals,
+                    cycles: reader.cycles(),
+                    final_stats: reader.final_stats().to_vec(),
+                })
             });
             if let Some(run) = streamed {
                 return run;
             }
         }
         let mut rec = self.record.then(|| Recorder::new(xcfg.sim.cores, &workload.name));
-        let mut null = NullSink;
-        let sink: &mut dyn TraceSink = match rec.as_mut() {
-            Some(rec) => rec,
-            None => &mut null,
-        };
-        let mut session = SessionBuilder::new(workload, xcfg).techniques(techniques).sink(sink);
+        let mut session = SessionBuilder::new(workload, xcfg).techniques(techniques);
         if let Some(reg) = &self.metrics {
             session = session.with_metrics(Arc::clone(reg));
         }
+        let session = match rec.as_mut() {
+            Some(rec) => session.sink(rec),
+            None => session,
+        };
         let run = session.build().into_report();
         if let Some(rec) = rec {
             if let Err(e) = self.cache.store_shared(&key, &rec.into_trace()) {
@@ -355,15 +375,13 @@ impl CampaignTraces {
         let base = private_base(core);
         let key = private_trace_key(eval.xcfg(), bench.name, base, &checkpoints);
         if self.replay {
-            if let Some(trace) = self.cache.load_private(&key) {
-                return private_from_trace(&trace);
+            if let Some(run) = self.cache.load_private(&key) {
+                return run;
             }
         }
         let run = run_private(bench, base, eval.xcfg(), &checkpoints, self.metrics.as_deref());
         if self.record {
-            if let Err(e) =
-                self.cache.store_private(&key, &private_to_trace(&run, bench.name, base))
-            {
+            if let Err(e) = self.cache.store_private(&key, &run) {
                 log_info!("gdp-trace: cannot store private trace: {e}");
             }
         }
@@ -375,6 +393,7 @@ impl CampaignTraces {
 mod tests {
     use super::*;
     use crate::accuracy::{evaluate, evaluate_job_count, EvalGroup};
+    use crate::session::ReplaySession;
     use crate::shared::run_shared;
     use gdp_runner::{Pool, Progress};
     use gdp_trace::SharedTraceReader;
@@ -456,17 +475,9 @@ mod tests {
         let tc = CampaignTraces::no_cache();
         let eval = WorkloadEval::from_runs(w, &x, tc.shared(w, &x, &[Technique::GDP]), None);
         let run = tc.private(&eval, 0);
-        let t = private_to_trace(&run, eval.bench_name(0), private_base(0));
-        let decoded = gdp_trace::decode_private(&gdp_trace::encode_private(&t)).expect("codec");
-        let back = private_from_trace(&decoded);
-        assert_eq!(back.checkpoints.len(), run.checkpoints.len());
-        for (a, b) in back.checkpoints.iter().zip(&run.checkpoints) {
-            assert_eq!(a.instrs, b.instrs);
-            assert_eq!(a.cycle, b.cycle);
-            assert_eq!(a.stats, b.stats);
-            assert_eq!(a.cpl, b.cpl);
-        }
-        assert_eq!(back.total, run.total);
+        assert_eq!((run.bench.as_str(), run.base), (eval.bench_name(0), private_base(0)));
+        let decoded = gdp_trace::decode_private(&gdp_trace::encode_private(&run)).expect("codec");
+        assert_eq!(decoded, run);
     }
 
     #[test]
@@ -666,6 +677,37 @@ mod tests {
             want.counter("session.events").map(|n| n + prefix_events)
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_trace_without_one_boundary_per_core_is_a_quarantined_miss_that_simulates() {
+        let w = &paper_workloads(2, 5)[0];
+        let x = xcfg();
+        let set = [Technique::GDP, Technique::PTCA];
+        let key = shared_trace_key_for(&x, w, &set);
+        let (live, trace) = record_shared(w, &x, &set);
+        // Every CRC holds in both: the last interval lacks core 1's
+        // boundary, or the whole trace is a 1-core run under this 2-core
+        // key.
+        let mut short = trace.clone();
+        short.intervals.last_mut().unwrap().boundaries.truncate(1);
+        let mut narrow = trace;
+        narrow.cores = 1;
+        narrow.final_stats.truncate(1);
+        for iv in &mut narrow.intervals {
+            iv.boundaries.truncate(1);
+        }
+        for (what, bad) in [("short interval", short), ("core count", narrow)] {
+            let dir = tmp_cache_dir("boundary-count");
+            let cache = TraceCache::new(&dir);
+            cache.store_shared(&key, &bad).unwrap();
+            let replay = CampaignTraces::new(&dir, false, true);
+            assert_runs_bit_identical(&replay.shared(w, &x, &set), &live);
+            let s = replay.stats();
+            assert_eq!((s.hits, s.misses, s.quarantines), (0, 1, 1), "{what}");
+            assert!(!cache.path("shared", &key).exists(), "{what}: entry quarantined");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -14,16 +14,15 @@ use gdp_core::model::{IntervalMeasurement, PrivateModeEstimator};
 use gdp_dief::Dief;
 use gdp_experiments::{
     record_shared, run_shared, CoreInterval, ExperimentConfig, IntervalSchedule, ReplaySession,
-    SessionBuilder, SharedRun, Technique,
+    SessionBuilder, SharedRun, StreamSession, Technique,
 };
 use gdp_sim::stats::CoreStats;
 use gdp_sim::types::CoreId;
 use gdp_sim::System;
-use gdp_trace::StateCheckpoint;
 use gdp_workloads::paper_workloads;
 
 mod common;
-use common::{assert_runs_bit_identical, subset_from_mask, xcfg};
+use common::{assert_rows_bit_identical, assert_runs_bit_identical, subset_from_mask, xcfg};
 
 /// The shared-mode run loop exactly as it existed before the session
 /// refactor (minus the trace sink): the bit-equality oracle.
@@ -144,60 +143,51 @@ fn four_core_full_set_session_matches_legacy() {
     assert_session_matches_legacy(42, 4, 0b111111, 7_777);
 }
 
-/// Chunked replay of a recorded trace against the legacy loop: random
-/// event mixes (workload seed), technique subsets and replay chunk sizes
-/// (chunk boundaries land mid-trace), with a mid-replay snapshot restored
-/// into a fresh session — every row, and the restored suffix, must match
-/// the per-event standalone estimators bit for bit.
-fn assert_replay_matches_legacy(seed: u64, cores: usize, mask: usize, chunks: &[usize]) {
+/// Stream replay of a recorded trace against the legacy loop: random
+/// event mixes (workload seed) and technique subsets, with a snapshot
+/// taken mid-stream and resumed into a fresh session — every row, and
+/// the resumed suffix, must match the per-event standalone estimators
+/// bit for bit.
+fn assert_replay_matches_legacy(seed: u64, cores: usize, mask: usize, cut_pick: usize) {
     let w = &paper_workloads(cores, seed)[0];
     let x = xcfg(cores);
     let set = subset_from_mask(mask);
     let legacy = legacy_run_shared(w, &x, &set);
     let (_, trace) = record_shared(w, &x, &set);
+    assert_runs_bit_identical(
+        &legacy,
+        &ReplaySession::new(&trace, &x, &set).into_report(),
+        "replay vs legacy",
+    );
 
-    let mut s = ReplaySession::new(&trace, &x, &set);
-    let mut done = 0usize;
-    let mut chunk_i = 0usize;
-    let mut checkpoint: Option<StateCheckpoint> = None;
-    while !s.done() {
-        done += s.advance_intervals(chunks[chunk_i % chunks.len()].max(1));
-        chunk_i += 1;
-        if checkpoint.is_none() && done > 0 {
-            checkpoint = Some(StateCheckpoint { at: done as u64, states: s.snapshot_states() });
-        }
-    }
-    assert_runs_bit_identical(&legacy, &s.into_report(), "chunked replay vs legacy");
-
-    let cp = checkpoint.expect("a recorded trace yields at least one interval");
-    let mut resumed = ReplaySession::new(&trace, &x, &set);
-    resumed.restore_checkpoint(&cp).expect("a mid-replay snapshot restores");
-    let resumed = resumed.into_report();
-    let suffix = &legacy.intervals[cp.at as usize..];
-    assert_eq!(resumed.intervals.len(), suffix.len(), "resumed suffix length");
-    for (i, (ra, rb)) in resumed.intervals.iter().zip(suffix).enumerate() {
-        for (c, (ca, cb)) in ra.iter().zip(rb).enumerate() {
-            for (ea, eb) in ca.estimates.iter().zip(&cb.estimates) {
-                assert_eq!(ea.cpi.to_bits(), eb.cpi.to_bits(), "resumed iv {i} core {c} cpi");
-                assert_eq!(ea.sigma_sms.to_bits(), eb.sigma_sms.to_bits(), "resumed iv {i} σ");
-            }
-        }
-    }
+    let cut = cut_pick % (trace.intervals.len() + 1);
+    let mut s = StreamSession::new(&x, &set);
+    let mut rows: Vec<Vec<CoreInterval>> = trace.intervals[..cut]
+        .iter()
+        .map(|iv| s.feed_interval(&iv.events, &iv.boundaries))
+        .collect();
+    let cp = s.suspend();
+    assert_eq!(cp.at, cut as u64, "suspend stamps the fed-interval count");
+    let mut resumed = StreamSession::new(&x, &set);
+    resumed.resume_from(&cp).expect("a mid-stream snapshot restores");
+    rows.extend(
+        trace.intervals[cut..].iter().map(|iv| resumed.feed_interval(&iv.events, &iv.boundaries)),
+    );
+    assert_rows_bit_identical(&rows, &legacy.intervals, "suspended and resumed stream vs legacy");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random event mixes × technique subsets × replay chunk sizes: the
+    /// Random event mixes × technique subsets × suspend points: the
     /// observation plane's readouts match the legacy loop, including
     /// across a snapshot/restore.
     #[test]
-    fn chunked_replay_with_restore_matches_the_legacy_loop(
+    fn stream_replay_with_restore_matches_the_legacy_loop(
         seed in 0u64..1_000,
         mask in 1usize..64,
-        chunk_a in 1usize..7,
-        chunk_b in 1usize..7,
+        cut_pick in 0usize..1_000,
     ) {
-        assert_replay_matches_legacy(seed, 2, mask, &[chunk_a, chunk_b]);
+        assert_replay_matches_legacy(seed, 2, mask, cut_pick);
     }
 }

@@ -1,15 +1,16 @@
 //! Snapshot/restore equivalence: extending the session-equivalence
 //! harness to the checkpointable observer surface.
 //!
-//! The pinned property: restoring a summarized observer-state snapshot
-//! at *any* interval boundary is bit-identical to having replayed every
-//! interval before it — which is exactly what makes the on-demand
-//! `ReplaySession::estimate_interval(k)` query exact rather than
-//! approximate. Over random workload mixes × registered technique
-//! subsets × restore points, a restored session must reproduce the
-//! serial `ReplaySession` row for row, bit for bit, and every summarized
-//! checkpoint must round-trip a binary STATE entry; every query, over
-//! full, sparse, unrestorable or no checkpoints, equals the serial row.
+//! The pinned property: a `StreamSession` resumed from an observer-state
+//! snapshot taken at *any* interval boundary is bit-identical to one that
+//! was fed every interval before it — which is exactly what makes an
+//! on-demand query of interval k (`summarize_checkpoints`, then a fresh
+//! session resumed from `checkpoints[k - 1]` and fed interval k) exact
+//! rather than approximate. Over random workload mixes × registered
+//! technique subsets × restore points, a resumed session must reproduce
+//! the serial `ReplaySession` row for row, bit for bit, and every
+//! summarized checkpoint must round-trip a binary STATE entry and still
+//! answer every query exactly.
 
 use proptest::prelude::*;
 
@@ -18,7 +19,7 @@ use gdp_experiments::{
     StreamSession, Technique,
 };
 use gdp_sim::types::CoreId;
-use gdp_trace::{decode_state, encode_state, CheckpointFile, StateCheckpoint};
+use gdp_trace::{decode_state, encode_state, CheckpointFile};
 use gdp_workloads::paper_workloads;
 
 mod common;
@@ -36,29 +37,32 @@ fn recorded_cell(seed: u64, cores: usize) -> (gdp_trace::SharedTrace, Checkpoint
     (trace, cks)
 }
 
-/// `estimate_interval(k, checkpoints)` for **every** k equals the k-th
-/// row of `serial`. One session answers every query, first backwards
-/// (each a restore or a cold rebuild), then forwards (each continuing
-/// from the previous position); past-the-end queries return `None`.
+/// The on-demand query of interval `k` for **every** k equals the k-th
+/// row of `serial`: a fresh session resumed from `checkpoints[k - 1]`
+/// (cold for k = 0) and fed interval k alone.
 fn assert_every_interval_matches(
     trace: &gdp_trace::SharedTrace,
     set: &[Technique],
-    checkpoints: Option<&CheckpointFile>,
+    checkpoints: &CheckpointFile,
     serial: &SharedRun,
     what: &str,
 ) {
-    let n = trace.intervals.len();
-    let mut q = ReplaySession::new(trace, &xcfg(trace.cores), set);
-    for k in (0..n).rev().chain(0..n) {
-        let row = q.estimate_interval(k, checkpoints).expect("in-range interval");
+    let x = xcfg(trace.cores);
+    assert_eq!(checkpoints.checkpoints.len() + 1, trace.intervals.len(), "{what}: index size");
+    for (k, iv) in trace.intervals.iter().enumerate() {
+        let mut s = StreamSession::new(&x, set);
+        if k > 0 {
+            let cp = &checkpoints.checkpoints[k - 1];
+            assert_eq!(cp.at, k as u64, "{what}: checkpoint {} stamp", k - 1);
+            s.resume_from(cp).expect("a summarized checkpoint restores");
+        }
+        let row = s.feed_interval(&iv.events, &iv.boundaries);
         assert_rows_bit_identical(
             std::slice::from_ref(&row),
             std::slice::from_ref(&serial.intervals[k]),
-            &format!("{what}: estimate_interval({k})"),
+            &format!("{what}: query of interval {k}"),
         );
     }
-    assert!(q.estimate_interval(n, checkpoints).is_none(), "{what}: past-the-end query");
-    assert!(q.estimate_interval(n + 7, checkpoints).is_none());
 }
 
 fn check_snapshot_equivalence(seed: u64, mask: usize, cut_pick: usize) {
@@ -68,27 +72,26 @@ fn check_snapshot_equivalence(seed: u64, mask: usize, cut_pick: usize) {
     let (trace, cks) = recorded_cell(seed, cores);
     let n = trace.intervals.len();
     assert!(n >= 2, "a tiny run must cross at least two boundaries");
-    assert_eq!(cks.checkpoints.len(), n - 1, "one checkpoint per interior boundary");
 
     // Serial oracle.
     let serial = ReplaySession::new(&trace, &x, &set).into_report();
 
-    // Property 1: restore-at-any-boundary. Replay to `cut`, snapshot,
-    // restore into a *fresh* session, finish both; the restored tail
-    // must be bit-identical to the oracle's tail.
+    // Property 1: restore-at-any-boundary. Feed up to `cut`, suspend,
+    // resume a *fresh* session, feed it the tail; the resumed tail must
+    // be bit-identical to the oracle's tail.
     let cut = 1 + cut_pick % (n - 1); // an interior boundary 1..n-1
-    let mut warm = ReplaySession::new(&trace, &x, &set);
-    warm.advance_intervals(cut);
-    let _ = warm.take_estimates();
-    let cp = StateCheckpoint { at: cut as u64, states: warm.snapshot_states() };
-    let mut restored = ReplaySession::new(&trace, &x, &set);
-    restored.restore_checkpoint(&cp).expect("restore a just-taken snapshot");
-    restored.advance_intervals(usize::MAX);
-    assert_rows_bit_identical(
-        &restored.take_estimates(),
-        &serial.intervals[cut..],
-        "restored tail vs serial",
-    );
+    let mut warm = StreamSession::new(&x, &set);
+    for iv in &trace.intervals[..cut] {
+        warm.feed_interval(&iv.events, &iv.boundaries);
+    }
+    let cp = warm.suspend();
+    let mut restored = StreamSession::new(&x, &set);
+    restored.resume_from(&cp).expect("restore a just-taken snapshot");
+    let tail: Vec<Vec<CoreInterval>> = trace.intervals[cut..]
+        .iter()
+        .map(|iv| restored.feed_interval(&iv.events, &iv.boundaries))
+        .collect();
+    assert_rows_bit_identical(&tail, &serial.intervals[cut..], "restored tail vs serial");
 
     // Property 2: every summarized snapshot round-trips a STATE entry
     // and still restores bit-exactly (f64 bit transport end to end).
@@ -101,7 +104,7 @@ fn check_snapshot_equivalence(seed: u64, mask: usize, cut_pick: usize) {
         ..cks.clone()
     };
     assert_eq!(decoded, cks, "every checkpoint round-trips exactly");
-    assert_every_interval_matches(&trace, &set, Some(&decoded), &serial, "decoded checkpoints");
+    assert_every_interval_matches(&trace, &set, &decoded, &serial, "decoded checkpoints");
 }
 
 proptest! {
@@ -120,70 +123,35 @@ proptest! {
     }
 }
 
-/// `ReplaySession::estimate_interval(k)` for **every** k of a recorded
-/// cell equals the k-th row of a full serial replay — including k=0
-/// (cold state, no checkpoint restored) and the final interval (the row
-/// the FINAL section's statistics close over) — with and without
-/// checkpoints.
+/// The on-demand query of **every** interval of a recorded cell equals
+/// the matching row of a full serial replay — including interval 0 (cold
+/// state, nothing restored) and the final interval (the row the FINAL
+/// section's statistics close over). One index, summarized with every
+/// registered technique, serves every transparent set: an observer's
+/// state depends only on the recorded stream, never on which readouts
+/// consume it.
 #[test]
-fn estimate_interval_matches_every_serial_row() {
+fn a_resumed_stream_session_answers_every_interval_query() {
     let x = xcfg(2);
-    let set = [Technique::GDP, Technique::GDP_O, Technique::ITCA];
     let (trace, cks) = recorded_cell(7, 2);
-    let serial = ReplaySession::new(&trace, &x, &set).into_report();
-    assert_every_interval_matches(&trace, &set, Some(&cks), &serial, "full checkpoints");
-    assert_every_interval_matches(&trace, &set, None, &serial, "no checkpoints");
-}
-
-/// A sparse checkpoint index (one interior restore point left) serves
-/// queries from the restore point it holds; a checkpoint that *restores*
-/// badly (schema version from the future) falls back to replaying from
-/// the trace start. Both paths stay bit-identical to serial — corruption costs
-/// time, never results.
-#[test]
-fn damaged_checkpoints_degrade_without_changing_results() {
-    let x = xcfg(2);
-    let set = [Technique::GDP, Technique::PTCA];
-    let (trace, cks) = recorded_cell(13, 2);
-    let serial = ReplaySession::new(&trace, &x, &set).into_report();
-
-    // All but one interior checkpoint gone.
-    let keep = cks.checkpoints.len() / 2;
-    let sparse = CheckpointFile {
-        workload: cks.workload.clone(),
-        cores: cks.cores,
-        intervals: cks.intervals,
-        checkpoints: vec![cks.checkpoints[keep].clone()],
-    };
-    assert_every_interval_matches(&trace, &set, Some(&sparse), &serial, "sparse checkpoints");
-
-    // A restore-time failure (future schema version) must not surface:
-    // the query silently replays from the trace start.
-    let mut tampered = cks.clone();
-    for cp in &mut tampered.checkpoints {
-        for (_, state) in &mut cp.states {
-            state.version = gdp_core::STATE_VERSION + 1;
-        }
+    for set in [
+        &[Technique::GDP, Technique::GDP_O, Technique::ITCA][..],
+        &[Technique::GDP_O],
+        &[Technique::DIEF],
+        &[Technique::ITCA, Technique::PTCA],
+    ] {
+        let serial = ReplaySession::new(&trace, &x, set).into_report();
+        assert_every_interval_matches(&trace, set, &cks, &serial, &format!("{set:?}"));
     }
-    assert_every_interval_matches(&trace, &set, Some(&tampered), &serial, "unrestorable");
 }
 
-/// One checkpoint index (summarized with every registered technique)
-/// serves any transparent replay subset: an observer's state depends
-/// only on the recorded stream, never on which readouts consume it. And
-/// a suspended {GDP, GDP-O} stream — one GDP-unit tree — resumes into
-/// {GDP}, {GDP-O} and {GDP, GDP-O} sessions bit-exactly.
+/// One checkpoint serves any subset of the techniques that read its
+/// observers: a suspended {GDP, GDP-O} stream — one GDP-unit tree —
+/// resumes into {GDP}, {GDP-O} and {GDP, GDP-O} sessions bit-exactly.
 #[test]
 fn one_checkpoint_file_serves_any_transparent_subset() {
     let x = xcfg(2);
-    let (trace, cks) = recorded_cell(17, 2);
-    for set in
-        [&[Technique::GDP_O][..], &[Technique::DIEF][..], &[Technique::ITCA, Technique::PTCA][..]]
-    {
-        let serial = ReplaySession::new(&trace, &x, set).into_report();
-        assert_every_interval_matches(&trace, set, Some(&cks), &serial, "subset queries");
-    }
-
+    let (trace, _) = recorded_cell(17, 2);
     let cut = trace.intervals.len() / 2;
     let mut head = StreamSession::new(&x, &[Technique::GDP, Technique::GDP_O]);
     for iv in &trace.intervals[..cut] {

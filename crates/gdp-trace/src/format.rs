@@ -16,6 +16,8 @@
 //! corrupt cache entry can never decode into a silently-wrong campaign
 //! or a diverged tenant session.
 
+use std::ops::RangeInclusive;
+
 use gdp_core::state::{EstimatorState, StateValue};
 use gdp_sim::mem::Interference;
 use gdp_sim::probe::{ProbeEvent, StallCause};
@@ -363,6 +365,21 @@ pub fn decode_boundary(r: &mut Reader<'_>) -> Result<Boundary, TraceError> {
     })
 }
 
+/// Encode one interval record — event count, events, boundary count,
+/// boundaries — the inverse of [`decode_interval_into`] and the one
+/// event-encoding loop of the format. `prev` is the delta base of the
+/// event timestamps.
+fn encode_interval_into(w: &mut Writer, iv: &TraceInterval, prev: &mut u64) {
+    w.varint(iv.events.len() as u64);
+    for ev in &iv.events {
+        encode_event(w, ev, prev);
+    }
+    w.varint(iv.boundaries.len() as u64);
+    for b in &iv.boundaries {
+        encode_boundary(w, b);
+    }
+}
+
 /// Encode one accounting interval as a **self-contained** payload for
 /// the stream protocol: events (timestamps delta-encoded against a base
 /// that resets to zero per payload, unlike the file's section-wide
@@ -370,15 +387,7 @@ pub fn decode_boundary(r: &mut Reader<'_>) -> Result<Boundary, TraceError> {
 /// followed by the per-core boundary records.
 pub fn encode_interval_payload(iv: &TraceInterval) -> Vec<u8> {
     let mut w = Writer::new();
-    w.varint(iv.events.len() as u64);
-    let mut prev = 0u64;
-    for ev in &iv.events {
-        encode_event(&mut w, ev, &mut prev);
-    }
-    w.varint(iv.boundaries.len() as u64);
-    for b in &iv.boundaries {
-        encode_boundary(&mut w, b);
-    }
+    encode_interval_into(&mut w, iv, &mut 0);
     w.into_bytes()
 }
 
@@ -394,7 +403,7 @@ pub fn decode_interval_payload(
 ) -> Result<TraceInterval, TraceError> {
     let mut r = Reader::new(bytes);
     let mut iv = TraceInterval::default();
-    let limits = IntervalLimits { max_events, max_cores, section: "INTERVAL" };
+    let limits = IntervalLimits { max_events, boundaries: 0..=max_cores, section: "INTERVAL" };
     decode_interval_into(&mut r, &mut 0, None, &limits, &mut iv)?;
     expect_drained(&r, "INTERVAL")?;
     Ok(iv)
@@ -427,8 +436,11 @@ fn bounded(declared: usize, r: &Reader<'_>, min_bytes: usize) -> usize {
 struct IntervalLimits {
     /// Most events one interval may declare.
     max_events: usize,
-    /// Most boundaries one interval may carry (the CMP's core count).
-    max_cores: usize,
+    /// Boundary counts one interval may carry: exactly the core count in
+    /// a trace file (the recorder writes no other), at most that in a
+    /// serve frame (whose exact count the serve shard checks per
+    /// tenant). More would hand replay an out-of-range core index.
+    boundaries: RangeInclusive<usize>,
     /// Section named by errors.
     section: &'static str,
 }
@@ -457,15 +469,14 @@ fn decode_interval_into(
     for _ in 0..n_events {
         iv.events.push(decode_event(r, prev)?);
     }
-    // At most one boundary per core: more would hand replay an
-    // out-of-range core index.
     let n_bounds = r.varint()?;
-    if n_bounds > limits.max_cores as u64 {
+    if !usize::try_from(n_bounds).is_ok_and(|n| limits.boundaries.contains(&n)) {
         return Err(bad);
     }
+    let n_bounds = n_bounds as usize;
     iv.boundaries.clear();
-    iv.boundaries.reserve(bounded(n_bounds as usize, r, MIN_BOUNDARY_BYTES));
-    for core in 0..n_bounds as usize {
+    iv.boundaries.reserve(bounded(n_bounds, r, MIN_BOUNDARY_BYTES));
+    for core in 0..n_bounds {
         let b = decode_boundary(r)?;
         if b.instr_end < b.instr_start {
             return Err(bad);
@@ -497,14 +508,7 @@ pub fn encode_shared(t: &SharedTrace) -> Vec<u8> {
     ivs.varint(t.intervals.len() as u64);
     let mut prev = 0u64;
     for iv in &t.intervals {
-        ivs.varint(iv.events.len() as u64);
-        for ev in &iv.events {
-            encode_event(&mut ivs, ev, &mut prev);
-        }
-        ivs.varint(iv.boundaries.len() as u64);
-        for b in &iv.boundaries {
-            encode_boundary(&mut ivs, b);
-        }
+        encode_interval_into(&mut ivs, iv, &mut prev);
     }
     write_section(&mut out, SEC_INTERVALS, ivs);
 
@@ -715,7 +719,7 @@ fn expect_drained(r: &Reader<'_>, section: &'static str) -> Result<(), TraceErro
 /// META, FINAL and that no bytes trail the last section, so no interval
 /// is handed out of a file that fails any of those. The INTERVALS
 /// payload is then decoded lazily by [`SharedTraceReader::read_interval`]
-/// with the strict checks of [`decode_shared`] — tags, bounds, at most
+/// with the strict checks of [`decode_shared`] — tags, bounds, exactly
 /// one boundary per core, the per-core instruction watermark, and a
 /// fully consumed section after the last declared interval — so a
 /// structural error can still surface mid-stream, after earlier
@@ -733,8 +737,8 @@ pub struct SharedTraceReader<'a> {
     /// Delta base of the next event timestamp (runs across intervals).
     prev: u64,
     /// Per-core committed-instruction watermark: boundary windows must
-    /// be non-decreasing (gaps are fine — not every interval reports
-    /// every core — but a window running backwards would replay garbage).
+    /// be non-decreasing (gaps are fine, but a window running backwards
+    /// would replay garbage).
     watermark: Vec<u64>,
 }
 
@@ -783,6 +787,12 @@ impl<'a> SharedTraceReader<'a> {
         })
     }
 
+    /// Number of cores in the CMP (META): every interval carries
+    /// exactly this many boundaries.
+    pub fn cores(&self) -> usize {
+        self.cores
+    }
+
     /// Total cycles simulated.
     pub fn cycles(&self) -> u64 {
         self.cycles
@@ -802,8 +812,11 @@ impl<'a> SharedTraceReader<'a> {
             return Ok(false);
         }
         self.left -= 1;
-        let limits =
-            IntervalLimits { max_events: usize::MAX, max_cores: self.cores, section: "INTERVALS" };
+        let limits = IntervalLimits {
+            max_events: usize::MAX,
+            boundaries: self.cores..=self.cores,
+            section: "INTERVALS",
+        };
         decode_interval_into(
             &mut self.ivs,
             &mut self.prev,
@@ -1134,9 +1147,10 @@ mod tests {
 
     #[test]
     fn core_count_and_boundary_overflows_are_rejected() {
-        // A CRC-valid trace claiming > 256 cores (CoreId is a u8) or
-        // more boundaries than cores must not decode: replay would wrap
-        // core indices and produce silently wrong estimates.
+        // A CRC-valid trace claiming > 256 cores (CoreId is a u8) or an
+        // interval without exactly one boundary per core must not
+        // decode: replay would wrap or drop core indices and produce
+        // silently wrong estimates.
         let mut t = sample_shared();
         t.cores = 300;
         assert_eq!(
@@ -1145,6 +1159,14 @@ mod tests {
         );
         let mut t = sample_shared();
         t.cores = 1; // fewer cores than the 2 boundaries per interval
+        assert_eq!(
+            decode_shared(&encode_shared(&t)),
+            Err(TraceError::BadSection { section: "INTERVALS" })
+        );
+        // Fewer boundaries than cores: the recorder writes one per core,
+        // and a short interval would replay as a row missing a core.
+        let mut t = sample_shared();
+        t.intervals[1].boundaries.pop();
         assert_eq!(
             decode_shared(&encode_shared(&t)),
             Err(TraceError::BadSection { section: "INTERVALS" })

@@ -14,8 +14,8 @@
 //!
 //! Layers:
 //!
-//! * [`model`] — the trace data model and the [`TraceSink`]
-//!   capture hook the experiment drivers call into.
+//! * [`model`] — the trace data model and the [`Recorder`] a
+//!   shared-mode run captures it with.
 //! * [`codec`] — varint/zigzag primitives, CRC32 and the typed
 //!   [`TraceError`] decoder errors (no serde; the same
 //!   hand-rolled discipline as `gdp-runner::json`).
@@ -33,7 +33,7 @@
 //!   holds gdp-serve's suspended-tenant STATE entries.
 //!
 //! Replaying a trace through the estimator stack is `gdp-experiments`'
-//! `ReplaySession`.
+//! `StreamSession`, fed one interval at a time.
 
 pub mod cache;
 pub mod codec;
@@ -49,6 +49,6 @@ pub use format::{
 };
 pub use frame::{encode_frame, Frame, FrameAssembler};
 pub use model::{
-    Boundary, CheckpointFile, NullSink, PrivateTrace, Recorder, SharedTrace, StateCheckpoint,
-    TraceCheckpoint, TraceInterval, TraceSink,
+    Boundary, CheckpointFile, PrivateTrace, Recorder, SharedTrace, StateCheckpoint,
+    TraceCheckpoint, TraceInterval,
 };

@@ -1,4 +1,4 @@
-//! The trace data model and the capture hook.
+//! The trace data model and the [`Recorder`] that captures it.
 //!
 //! A [`SharedTrace`] is exactly what a [`PrivateModeEstimator`] sees over
 //! a shared-mode run: per accounting interval, the drained probe-event
@@ -7,8 +7,8 @@
 //! ground-truth record (per-checkpoint CPIs and reference CPLs) — pure
 //! data whose "replay" is just decoding. A [`StateCheckpoint`] is a
 //! session's observer states at one interval boundary: a suspended
-//! session is stored as one, and a [`CheckpointFile`] indexes many in
-//! memory.
+//! session is stored as one, and a [`CheckpointFile`] indexes one per
+//! interior boundary in memory.
 //!
 //! [`PrivateModeEstimator`]: gdp_core::model::PrivateModeEstimator
 
@@ -93,9 +93,9 @@ impl SharedTrace {
     }
 }
 
-/// Cumulative private-mode state at one instruction checkpoint (mirrors
-/// the experiment driver's record; gdp-trace cannot depend on
-/// gdp-experiments, which depends on this crate).
+/// Cumulative private-mode state at one instruction checkpoint — the
+/// record gdp-experiments' private runs produce (it names the type
+/// `PrivateCheckpoint`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceCheckpoint {
     /// Requested committed-instruction count.
@@ -108,7 +108,7 @@ pub struct TraceCheckpoint {
     pub cpl: u64,
 }
 
-/// A recorded private-mode ground-truth run.
+/// A recorded private-mode ground-truth run (gdp-experiments' `PrivateRun`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PrivateTrace {
     /// Benchmark name (diagnostics).
@@ -122,8 +122,8 @@ pub struct PrivateTrace {
 }
 
 /// Snapshots of a session's observer states at one interval boundary of
-/// a shared trace: restoring them and replaying intervals `at..` is
-/// bit-identical to replaying the whole trace — the unit of on-demand
+/// a stream: a session resumed from them and fed intervals `at..` is
+/// bit-identical to one fed the whole stream — the unit of on-demand
 /// per-interval queries and of the serve evict/resume path (one per
 /// STATE entry on disk).
 #[derive(Debug, Clone, PartialEq)]
@@ -144,11 +144,12 @@ impl StateCheckpoint {
     }
 }
 
-/// The in-memory index of restore points over one shared trace:
-/// observer states at interval boundaries, summarized on demand from the
-/// trace and read by per-interval queries. Never written to disk — the
-/// one snapshot that is, a suspended session's, is a single
-/// [`StateCheckpoint`] in a STATE entry.
+/// The in-memory index of restore points over one shared trace: observer
+/// states at every interior interval boundary, summarized on demand from
+/// the trace, so a query of interval `k` restores `checkpoints[k - 1]`
+/// (interval 0 starts cold). Never written to disk — the one snapshot
+/// that is, a suspended session's, is a single [`StateCheckpoint`] in a
+/// STATE entry.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CheckpointFile {
     /// Workload identifier (diagnostics; must match the trace's).
@@ -161,35 +162,10 @@ pub struct CheckpointFile {
     pub checkpoints: Vec<StateCheckpoint>,
 }
 
-impl CheckpointFile {
-    /// The latest checkpoint at or before interval `k` — the restore
-    /// point for an on-demand query of interval `k`. `None` means replay
-    /// from the cold state.
-    pub fn nearest_at_or_before(&self, k: u64) -> Option<&StateCheckpoint> {
-        self.checkpoints.iter().filter(|c| c.at <= k).max_by_key(|c| c.at)
-    }
-}
-
-/// Capture hook called by the shared-mode experiment driver. The calls
-/// mirror the run's structure: one [`TraceSink::record_events`] per
-/// drained interval batch, then one [`TraceSink::record_boundary`] per
-/// core, and a final [`TraceSink::record_final`] when the run ends.
-pub trait TraceSink {
-    /// An interval's probe-event batch was drained (opens the interval).
-    fn record_events(&mut self, _events: &[ProbeEvent]) {}
-    /// One core's boundary record for the currently open interval.
-    fn record_boundary(&mut self, _b: Boundary) {}
-    /// The run finished.
-    fn record_final(&mut self, _cycles: u64, _final_stats: &[CoreStats]) {}
-}
-
-/// A sink that records nothing (the live, non-recording path).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {}
-
-/// A sink that builds a [`SharedTrace`].
+/// The capture hook of a shared-mode run: builds a [`SharedTrace`]. The
+/// calls mirror the run's structure: one [`Recorder::record_events`] per
+/// drained interval batch, then one [`Recorder::record_boundary`] per
+/// core, and a final [`Recorder::record_final`] when the run ends.
 #[derive(Debug, Default)]
 pub struct Recorder {
     trace: SharedTrace,
@@ -207,32 +183,28 @@ impl Recorder {
     pub fn into_trace(self) -> SharedTrace {
         self.trace
     }
-}
 
-impl TraceSink for Recorder {
-    fn record_events(&mut self, events: &[ProbeEvent]) {
+    /// An interval's probe-event batch was drained (opens the interval).
+    pub fn record_events(&mut self, events: &[ProbeEvent]) {
         self.trace
             .intervals
             .push(TraceInterval { events: events.to_vec(), boundaries: Vec::new() });
     }
 
-    fn record_boundary(&mut self, b: Boundary) {
+    /// One core's boundary record for the currently open interval.
+    pub fn record_boundary(&mut self, b: Boundary) {
         self.trace
             .intervals
             .last_mut()
             .expect("record_events must open an interval before boundaries")
-            .push_boundary(b);
+            .boundaries
+            .push(b);
     }
 
-    fn record_final(&mut self, cycles: u64, final_stats: &[CoreStats]) {
+    /// The run finished.
+    pub fn record_final(&mut self, cycles: u64, final_stats: &[CoreStats]) {
         self.trace.cycles = cycles;
         self.trace.final_stats = final_stats.to_vec();
-    }
-}
-
-impl TraceInterval {
-    fn push_boundary(&mut self, b: Boundary) {
-        self.boundaries.push(b);
     }
 }
 
@@ -288,12 +260,5 @@ mod tests {
         assert_eq!(m.lambda.to_bits(), b.lambda.to_bits());
         assert_eq!(m.shared_latency.to_bits(), b.shared_latency.to_bits());
         assert_eq!(m.stats, b.stats);
-    }
-
-    #[test]
-    fn null_sink_accepts_all_calls() {
-        let mut s = NullSink;
-        s.record_events(&[ev(1)]);
-        s.record_final(1, &[]);
     }
 }
