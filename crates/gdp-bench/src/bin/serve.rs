@@ -30,8 +30,8 @@ use gdp_serve::{
     serve_channel, serve_tcp, ChannelConnector, ClientError, ServeConfig, TenantClient,
 };
 use gdp_telemetry::MetricsRegistry;
-use gdp_trace::{SharedTrace, TraceCache};
-use gdp_workloads::LlcClass;
+use gdp_trace::{SharedTrace, TraceCache, TraceError};
+use gdp_workloads::{LlcClass, Workload};
 
 const USAGE: &str = "\
 usage: serve [options]
@@ -146,17 +146,30 @@ fn parse_num(s: &str, flag: &str) -> usize {
     })
 }
 
-/// Load the driver trace from the cache, recording it on a miss.
-fn driver_trace(args: &Args, x: &ExperimentConfig) -> (SharedTrace, bool) {
-    let w = &class_workloads(2, LlcClass::H, args.scale)[0];
-    let cache = TraceCache::new(&args.trace_dir);
-    let key = shared_trace_key_for(x, w, &args.techniques);
-    if let Some(t) = cache.load_shared(&key) {
+/// The shared trace of `w` under `x` and `set` from `cache`, or a fresh
+/// recording stored there on a miss; the flag says which. An entry of
+/// another core count is refused like a corrupt one — a quarantined miss
+/// — since replaying it would break the session's one-boundary-per-core
+/// contract.
+fn driver_trace(
+    cache: &TraceCache,
+    w: &Workload,
+    x: &ExperimentConfig,
+    set: &[Technique],
+) -> (SharedTrace, bool) {
+    let key = shared_trace_key_for(x, w, set);
+    let cached = cache.stream_shared(&key, |reader| {
+        if reader.cores() != x.sim.cores {
+            return Err(TraceError::BadSection { section: "META" });
+        }
+        reader.into_trace()
+    });
+    if let Some(t) = cached {
         return (t, true);
     }
-    let (_, trace) = record_shared(w, x, &args.techniques);
+    let (_, trace) = record_shared(w, x, set);
     if let Err(e) = cache.store_shared(&key, &trace) {
-        eprintln!("serve: cannot cache trace in {}: {e}", args.trace_dir);
+        eprintln!("serve: cannot cache trace in {}: {e}", cache.dir().display());
     }
     (trace, false)
 }
@@ -290,7 +303,8 @@ fn main() {
     let x = args.scale.xcfg(cores);
     let set = args.techniques.clone();
 
-    let (trace, cached) = driver_trace(&args, &x);
+    let w = &class_workloads(cores, LlcClass::H, args.scale)[0];
+    let (trace, cached) = driver_trace(&TraceCache::new(&args.trace_dir), w, &x, &set);
     let n = trace.intervals.len();
     let events_per_tenant: u64 = trace.intervals.iter().map(|iv| iv.events.len() as u64).sum();
     let embedded = Arc::new(ReplaySession::new(&trace, &x, &set).into_report().intervals);
@@ -516,5 +530,60 @@ fn main() {
 
     if mismatched > 0 || !failures.is_empty() {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gdp_trace::{Boundary, TraceInterval};
+
+    /// A CRC-valid cached trace of another core count under the driver's
+    /// key is a quarantined miss that re-records; handed to the 2-core
+    /// replay it would panic on its first interval.
+    #[test]
+    fn a_cached_trace_of_another_core_count_is_re_recorded() {
+        let dir =
+            std::env::temp_dir().join(format!("gdp-serve-driver-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = TraceCache::new(&dir);
+        let mut x = Scale::Tiny.xcfg(2);
+        x.sample_instrs = 5_000;
+        x.interval_cycles = 9_000;
+        let w = &class_workloads(2, LlcClass::H, Scale::Tiny)[0];
+        let set = [Technique::GDP];
+        let key = shared_trace_key_for(&x, w, &set);
+
+        // Two well-formed intervals with one boundary each: the entry
+        // decodes; only its core count is wrong for the driver.
+        let interval = |k: u64| TraceInterval {
+            events: Vec::new(),
+            boundaries: vec![Boundary {
+                instr_start: 100 * k,
+                instr_end: 100 * (k + 1),
+                stats: Default::default(),
+                lambda: 0.0,
+                shared_latency: 0.0,
+            }],
+        };
+        let one_core = SharedTrace {
+            cores: 1,
+            workload: w.name.clone(),
+            cycles: 1_000,
+            final_stats: vec![Default::default()],
+            intervals: vec![interval(0), interval(1)],
+        };
+        assert!(gdp_trace::decode_shared(&gdp_trace::encode_shared(&one_core)).is_ok());
+        cache.store_shared(&key, &one_core).expect("store the 1-core entry");
+
+        let (trace, cached) = driver_trace(&cache, w, &x, &set);
+        assert!(!cached, "the 1-core entry is a miss");
+        assert_eq!(trace.cores, 2, "a fresh 2-core recording");
+        assert_eq!(cache.stats().quarantines, 1, "the bad entry is quarantined");
+        assert_eq!(cache.load_shared(&key).map(|t| t.cores), Some(2), "and replaced");
+        // The trace replays under the driver's configuration.
+        let rows = ReplaySession::new(&trace, &x, &set).into_report().intervals;
+        assert_eq!(rows.len(), trace.intervals.len());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

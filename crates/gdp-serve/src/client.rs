@@ -18,7 +18,7 @@ use gdp_experiments::{CoreInterval, Technique};
 use gdp_trace::codec::TraceError;
 use gdp_trace::{FrameAssembler, TraceInterval};
 
-use crate::proto::{decode_server, encode_client, ClientMsg, ServerMsg};
+use crate::proto::{decode_server, encode_client, encode_interval, ClientMsg, ServerMsg};
 use crate::transport::{Closer, Connection, TcpTransport};
 
 /// Client-side failure modes.
@@ -137,8 +137,7 @@ impl TenantClient {
     /// Send one interval (does not wait for the row — pipeline with
     /// [`TenantClient::recv_row`]).
     pub fn send_interval(&mut self, iv: &TraceInterval) -> Result<(), ClientError> {
-        let bytes = encode_client(&ClientMsg::Interval(iv.clone()));
-        self.send_bytes(&bytes)?;
+        self.send_bytes(&encode_interval(iv))?;
         Ok(())
     }
 

@@ -108,9 +108,15 @@ pub fn encode_client(msg: &ClientMsg) -> Vec<u8> {
             }
             encode_frame(MSG_HELLO, &w.into_bytes())
         }
-        ClientMsg::Interval(iv) => encode_frame(MSG_INTERVAL, &encode_interval_payload(iv)),
+        ClientMsg::Interval(iv) => encode_interval(iv),
         ClientMsg::Finish => encode_frame(MSG_FINISH, &[]),
     }
+}
+
+/// Encode a borrowed interval as one [`ClientMsg::Interval`] wire frame,
+/// so a client streams a recorded trace without cloning its events.
+pub fn encode_interval(iv: &TraceInterval) -> Vec<u8> {
+    encode_frame(MSG_INTERVAL, &encode_interval_payload(iv))
 }
 
 /// Encode a server message as one wire frame.

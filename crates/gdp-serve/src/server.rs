@@ -1,14 +1,16 @@
 //! The serving core: accept loop, per-connection readers, global
 //! admission, and the shard fan-out.
 //!
-//! Thread shape: one accept thread polling the transport listener, one
-//! reader thread per live connection (blocking reads feed a
+//! Thread shape: one accept thread blocked in the transport listener's
+//! accept, one reader thread per live connection (blocking reads feed a
 //! [`FrameAssembler`]), and `shards` worker threads owning the tenant
-//! sessions. Readers forward decoded ops to their tenant's shard over a
-//! bounded `sync_channel` of [`INBOX_CAPACITY`] ops — when a shard
-//! falls behind, its readers block, which propagates backpressure down
-//! the transport to the tenant. Admitted tenants therefore never lose
-//! messages.
+//! sessions. Every one of them waits on its event, never on a timer:
+//! [`Server::shutdown`] wakes the accept thread through the listener's
+//! closer and each reader through its connection's. Readers forward
+//! decoded ops to their tenant's shard over a bounded `sync_channel` of
+//! [`INBOX_CAPACITY`] ops — when a shard falls behind, its readers
+//! block, which propagates backpressure down the transport to the
+//! tenant. Admitted tenants therefore never lose messages.
 //!
 //! A connection holds server resources only while it is open: its
 //! reader deregisters itself when the connection ends, which releases
@@ -33,7 +35,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -132,7 +134,6 @@ impl ServeMetrics {
 
 struct Inner {
     cfg: ServeConfig,
-    shutdown: AtomicBool,
     next_gen: AtomicU64,
     ctx: Arc<ShardCtx>,
     shard_txs: Vec<SyncSender<ShardOp>>,
@@ -153,6 +154,8 @@ struct LiveConn {
 /// live session, then join).
 pub struct Server {
     inner: Arc<Inner>,
+    /// Closes the listener, which wakes and ends the accept thread.
+    stop_accept: Closer,
     accept: Option<JoinHandle<()>>,
     shards: Vec<JoinHandle<()>>,
 }
@@ -198,31 +201,33 @@ impl Server {
             shard_txs.push(tx);
         }
         let inner = Arc::new(Inner {
-            shutdown: AtomicBool::new(false),
             next_gen: AtomicU64::new(1),
             ctx,
             shard_txs,
             live: Mutex::new(HashMap::new()),
             cfg,
         });
+        let stop_accept = listener.closer();
         let accept_inner = Arc::clone(&inner);
         let accept = std::thread::Builder::new()
             .name("gdp-serve-accept".into())
             .spawn(move || {
                 let mut next_conn = 0u64;
-                while !accept_inner.shutdown.load(Ordering::Acquire) {
-                    match listener.poll_accept() {
+                loop {
+                    match listener.accept() {
                         Ok(Some(conn)) => {
                             spawn_reader(&accept_inner, next_conn, conn);
                             next_conn += 1;
                         }
-                        Ok(None) => std::thread::sleep(Duration::from_millis(2)),
+                        Ok(None) => break, // closed by `Server::shutdown`
+                        // An accept error (say, out of descriptors) may
+                        // repeat at once: back off instead of spinning.
                         Err(_) => std::thread::sleep(Duration::from_millis(10)),
                     }
                 }
             })
             .expect("spawn accept loop");
-        Server { inner, accept: Some(accept), shards: shard_handles }
+        Server { inner, stop_accept, accept: Some(accept), shards: shard_handles }
     }
 
     /// Graceful drain: stop accepting, close every live connection,
@@ -232,7 +237,7 @@ impl Server {
     /// registry attached, the snapshot store's counters are exported
     /// at this point as `cache.{hits,misses,stores,quarantines}`.
     pub fn shutdown(mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
+        (self.stop_accept)();
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }

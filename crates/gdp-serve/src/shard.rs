@@ -64,7 +64,7 @@ pub enum ShardOp {
         /// The decoded interval.
         iv: TraceInterval,
     },
-    /// Clean end of stream: acknowledge, discard any snapshot, release.
+    /// Clean end of stream: discard any snapshot, release, acknowledge.
     Finish {
         /// Tenant id.
         tenant: u64,
@@ -176,8 +176,6 @@ pub fn run_shard(shard: usize, inbox: Receiver<ShardOp>, ctx: Arc<ShardCtx>) {
                     continue;
                 }
                 let mut t = tenants.remove(&tenant).expect("present");
-                let done = encode_server(&ServerMsg::Done { intervals: t.session.intervals_fed() });
-                let _ = t.tx.send(&done);
                 if let Some(cache) = &ctx.snapshots {
                     // A finished stream has no resume point: drop any
                     // stale snapshot so a future reconnect starts fresh.
@@ -187,7 +185,11 @@ pub fn run_shard(shard: usize, inbox: Receiver<ShardOp>, ctx: Arc<ShardCtx>) {
                 if let Some(mx) = &ctx.metrics {
                     mx.done.inc();
                 }
+                // Release before Done: a client that has read Done holds
+                // no slot, so its next Hello (or anyone's) is admitted.
                 ctx.release(tenant, gen);
+                let done = encode_server(&ServerMsg::Done { intervals: t.session.intervals_fed() });
+                let _ = t.tx.send(&done);
             }
             ShardOp::Fail { tenant, gen, msg } => {
                 let Some(t) = tenants.get(&tenant) else { continue };

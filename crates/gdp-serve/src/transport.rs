@@ -9,22 +9,31 @@
 //! scheduler linking the server in-process pays no socket tax); TCP is
 //! the deployment path.
 //!
+//! Every wait blocks until its event happens; nothing polls. A channel
+//! pipe direction and the channel listener's connection queue are each
+//! one bounded blocking queue (a `Mutex` and two `Condvar`s): a close,
+//! or a dropped pipe end, wakes every waiter. A TCP accept blocks in the
+//! kernel; its [`Listener::closer`] wakes it by dialling the listener's
+//! own address.
+//!
 //! Backpressure: both transports are *bounded*. TCP inherits the kernel
-//! socket buffers; the channel pipe is a `sync_channel` of
-//! [`PIPE_CHUNKS`] chunks. A slow consumer therefore blocks the
-//! producer's `send` — admitted tenants experience backpressure, never
-//! message loss.
+//! socket buffers; a channel pipe holds at most [`PIPE_CHUNKS`] chunks.
+//! A slow consumer therefore blocks the producer's `send` — admitted
+//! tenants experience backpressure, never message loss.
 
+use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TryRecvError, TrySendError};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Chunk capacity of one in-process pipe direction (bounded memory:
 /// at most `PIPE_CHUNKS` in-flight chunks per direction per tenant).
 pub const PIPE_CHUNKS: usize = 64;
+
+/// Size of a TCP connection's read buffer: the most one
+/// [`ConnRead::recv_chunk`] returns.
+const TCP_READ_BYTES: usize = 64 * 1024;
 
 /// Receiving half of a connection: blocking, chunk-oriented.
 pub trait ConnRead: Send {
@@ -39,8 +48,10 @@ pub trait ConnWrite: Send {
     fn send(&mut self, bytes: &[u8]) -> io::Result<()>;
 }
 
-/// Hard-closes both directions of a connection from any thread —
-/// unblocks a reader stuck in [`ConnRead::recv_chunk`] (shutdown/drain).
+/// Closes something from any thread, waking whoever is blocked on it:
+/// both directions of a connection (a reader stuck in
+/// [`ConnRead::recv_chunk`], a writer stuck in [`ConnWrite::send`]), or
+/// a listener (a blocked [`Listener::accept`]). Idempotent.
 pub type Closer = Arc<dyn Fn() + Send + Sync>;
 
 /// One accepted (or dialed) connection: two independent halves plus an
@@ -54,97 +65,162 @@ pub struct Connection {
     pub closer: Closer,
 }
 
-/// A transport listener the server polls for new connections.
+/// A transport listener the server accepts connections from.
 pub trait Listener: Send {
-    /// Poll for a pending connection; `Ok(None)` when none is waiting.
-    fn poll_accept(&mut self) -> io::Result<Option<Connection>>;
+    /// Block until the next connection arrives; `Ok(None)` once the
+    /// listener is closed (at once if it already is).
+    fn accept(&mut self) -> io::Result<Option<Connection>>;
+
+    /// A closer for this listener: it wakes a blocked
+    /// [`Listener::accept`], and every later accept returns `Ok(None)`.
+    fn closer(&self) -> Closer;
+}
+
+// ------------------------------------------------------ blocking queue
+
+/// A bounded blocking FIFO: `push` blocks while it is full, `pop` while
+/// it is empty, and a close wakes both for good.
+struct Queue<T> {
+    state: Mutex<QueueState<T>>,
+    /// Signalled when an item arrives or the queue closes.
+    readable: Condvar,
+    /// Signalled when an item leaves or the queue closes.
+    writable: Condvar,
+    cap: usize,
+}
+
+struct QueueState<T> {
+    items: VecDeque<T>,
+    closed: bool,
+}
+
+impl<T> Queue<T> {
+    fn new(cap: usize) -> Arc<Queue<T>> {
+        Arc::new(Queue {
+            state: Mutex::new(QueueState { items: VecDeque::with_capacity(cap), closed: false }),
+            readable: Condvar::new(),
+            writable: Condvar::new(),
+            cap,
+        })
+    }
+
+    /// Every critical section is one push, pop or flag store, so a lock
+    /// poisoned by a panicking peer still guards a consistent queue.
+    fn lock(&self) -> MutexGuard<'_, QueueState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Append `item`, blocking while the queue is full; `Err(item)` once
+    /// the queue is closed.
+    fn push(&self, item: T) -> Result<(), T> {
+        let mut s = self.lock();
+        while !s.closed && s.items.len() >= self.cap {
+            s = self.writable.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+        if s.closed {
+            return Err(item);
+        }
+        s.items.push_back(item);
+        drop(s);
+        self.readable.notify_one();
+        Ok(())
+    }
+
+    /// Take the oldest item, blocking while the queue is empty and open.
+    /// Items queued before a close are still handed out; `None` once the
+    /// queue is closed and empty.
+    fn pop(&self) -> Option<T> {
+        let mut s = self.lock();
+        loop {
+            if let Some(item) = s.items.pop_front() {
+                drop(s);
+                self.writable.notify_one();
+                return Some(item);
+            }
+            if s.closed {
+                return None;
+            }
+            s = self.readable.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Close for good and wake every waiter. With `discard`, the items
+    /// still queued are taken out (for the caller to drop outside the
+    /// lock), so the next pop returns `None` at once; otherwise they stay
+    /// poppable.
+    fn close(&self, discard: bool) -> VecDeque<T> {
+        let left = {
+            let mut s = self.lock();
+            s.closed = true;
+            if discard {
+                std::mem::take(&mut s.items)
+            } else {
+                VecDeque::new()
+            }
+        };
+        self.readable.notify_all();
+        self.writable.notify_all();
+        left
+    }
 }
 
 // ------------------------------------------------------- channel pipes
 
-fn pipe_pair() -> (PipeWrite, PipeRead, Arc<AtomicBool>) {
-    let (tx, rx) = mpsc::sync_channel(PIPE_CHUNKS);
-    let closed = Arc::new(AtomicBool::new(false));
-    (
-        PipeWrite { tx, closed: Arc::clone(&closed) },
-        PipeRead { rx, closed: Arc::clone(&closed) },
-        closed,
-    )
-}
-
-struct PipeRead {
-    rx: Receiver<Vec<u8>>,
-    closed: Arc<AtomicBool>,
-}
+/// Receiving end of one pipe direction. Dropping it closes the pipe, so
+/// its writer fails instead of blocking on a pipe nobody drains.
+struct PipeRead(Arc<Queue<Vec<u8>>>);
 
 impl ConnRead for PipeRead {
     fn recv_chunk(&mut self) -> io::Result<Option<Vec<u8>>> {
-        loop {
-            // Drain anything already queued even after a close — a
-            // half-sent stream stays readable to its end, like a TCP
-            // FIN — then report end-of-stream.
-            match self.rx.try_recv() {
-                Ok(chunk) => return Ok(Some(chunk)),
-                Err(TryRecvError::Disconnected) => return Ok(None),
-                Err(TryRecvError::Empty) => {
-                    if self.closed.load(Ordering::Acquire) {
-                        return Ok(None);
-                    }
-                }
-            }
-            match self.rx.recv_timeout(Duration::from_millis(10)) {
-                Ok(chunk) => return Ok(Some(chunk)),
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(None),
-            }
-        }
+        // Chunks queued before a close drain first — a half-sent stream
+        // stays readable to its end, like a TCP FIN — then end-of-stream.
+        Ok(self.0.pop())
     }
 }
 
-struct PipeWrite {
-    tx: SyncSender<Vec<u8>>,
-    closed: Arc<AtomicBool>,
+impl Drop for PipeRead {
+    fn drop(&mut self) {
+        self.0.close(false);
+    }
 }
+
+/// Sending end of one pipe direction. Dropping it closes the pipe: its
+/// reader drains what was sent, then sees end-of-stream.
+struct PipeWrite(Arc<Queue<Vec<u8>>>);
 
 impl ConnWrite for PipeWrite {
     fn send(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let mut chunk = bytes.to_vec();
-        loop {
-            if self.closed.load(Ordering::Acquire) {
-                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "pipe closed"));
-            }
-            match self.tx.try_send(chunk) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Disconnected(_)) => {
-                    return Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer gone"));
-                }
-                Err(TrySendError::Full(back)) => {
-                    // Bounded pipe full: block (backpressure), polling
-                    // the closed flag so a hard close unblocks us.
-                    chunk = back;
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            }
-        }
+        // Blocks while the pipe is full (backpressure); a close wakes it.
+        self.0
+            .push(bytes.to_vec())
+            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "pipe closed"))
+    }
+}
+
+impl Drop for PipeWrite {
+    fn drop(&mut self) {
+        self.0.close(false);
     }
 }
 
 /// Build one in-process duplex connection pair: `(client, server)`
 /// ends. Each end's closer hard-closes **both** directions.
 pub fn duplex() -> (Connection, Connection) {
-    let (c2s_tx, c2s_rx, c2s_closed) = pipe_pair();
-    let (s2c_tx, s2c_rx, s2c_closed) = pipe_pair();
+    let c2s = Queue::new(PIPE_CHUNKS);
+    let s2c = Queue::new(PIPE_CHUNKS);
     let closer: Closer = {
-        let a = Arc::clone(&c2s_closed);
-        let b = Arc::clone(&s2c_closed);
+        let (a, b) = (Arc::clone(&c2s), Arc::clone(&s2c));
         Arc::new(move || {
-            a.store(true, Ordering::Release);
-            b.store(true, Ordering::Release);
+            a.close(false);
+            b.close(false);
         })
     };
-    let client =
-        Connection { rx: Box::new(s2c_rx), tx: Box::new(c2s_tx), closer: Arc::clone(&closer) };
-    let server = Connection { rx: Box::new(c2s_rx), tx: Box::new(s2c_tx), closer };
+    let client = Connection {
+        rx: Box::new(PipeRead(Arc::clone(&s2c))),
+        tx: Box::new(PipeWrite(Arc::clone(&c2s))),
+        closer: Arc::clone(&closer),
+    };
+    let server = Connection { rx: Box::new(PipeRead(c2s)), tx: Box::new(PipeWrite(s2c)), closer };
     (client, server)
 }
 
@@ -155,42 +231,51 @@ pub struct ChannelTransport;
 /// listener. Clone freely across tenant threads.
 #[derive(Clone)]
 pub struct ChannelConnector {
-    tx: SyncSender<Connection>,
+    queue: Arc<Queue<Connection>>,
 }
 
-/// The listener half of a [`ChannelTransport`].
+/// The listener half of a [`ChannelTransport`]. It serves until it is
+/// closed or dropped, whether or not any connector is left.
 pub struct ChannelListener {
-    rx: Receiver<Connection>,
+    queue: Arc<Queue<Connection>>,
 }
 
 impl ChannelTransport {
     /// Create the in-process transport: `(listener, connector)`.
     pub fn pair() -> (ChannelListener, ChannelConnector) {
-        let (tx, rx) = mpsc::sync_channel(PIPE_CHUNKS);
-        (ChannelListener { rx }, ChannelConnector { tx })
+        let queue = Queue::new(PIPE_CHUNKS);
+        (ChannelListener { queue: Arc::clone(&queue) }, ChannelConnector { queue })
     }
 }
 
 impl ChannelConnector {
-    /// Dial a new connection; errors when the server is gone.
+    /// Dial a new connection; `ConnectionRefused` once the listener is
+    /// closed or dropped.
     pub fn connect(&self) -> io::Result<Connection> {
         let (client, server) = duplex();
-        self.tx
-            .send(server)
+        self.queue
+            .push(server)
             .map_err(|_| io::Error::new(io::ErrorKind::ConnectionRefused, "server stopped"))?;
         Ok(client)
     }
 }
 
 impl Listener for ChannelListener {
-    fn poll_accept(&mut self) -> io::Result<Option<Connection>> {
-        match self.rx.try_recv() {
-            Ok(c) => Ok(Some(c)),
-            Err(TryRecvError::Empty) => Ok(None),
-            // Every connector dropped: no more connections will ever
-            // arrive, but the server decides when to stop serving.
-            Err(TryRecvError::Disconnected) => Ok(None),
-        }
+    fn accept(&mut self) -> io::Result<Option<Connection>> {
+        Ok(self.queue.pop())
+    }
+
+    fn closer(&self) -> Closer {
+        let queue = Arc::clone(&self.queue);
+        // Dialled connections never accepted are dropped with the close,
+        // which ends their clients' streams.
+        Arc::new(move || drop(queue.close(true)))
+    }
+}
+
+impl Drop for ChannelListener {
+    fn drop(&mut self) {
+        self.queue.close(true);
     }
 }
 
@@ -198,19 +283,17 @@ impl Listener for ChannelListener {
 
 struct TcpRead {
     stream: TcpStream,
+    /// One read buffer for the connection's lifetime.
+    buf: Box<[u8]>,
 }
 
 impl ConnRead for TcpRead {
     fn recv_chunk(&mut self) -> io::Result<Option<Vec<u8>>> {
         use std::io::Read;
-        let mut buf = vec![0u8; 64 * 1024];
         loop {
-            match self.stream.read(&mut buf) {
+            match self.stream.read(&mut self.buf) {
                 Ok(0) => return Ok(None),
-                Ok(n) => {
-                    buf.truncate(n);
-                    return Ok(Some(buf));
-                }
+                Ok(n) => return Ok(Some(self.buf[..n].to_vec())),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 // A hard local close (shutdown) surfaces as reset/not-
                 // connected on some platforms; report end-of-stream so
@@ -251,16 +334,17 @@ pub fn tcp_connection(stream: TcpStream) -> io::Result<Connection> {
         let _ = stream.shutdown(std::net::Shutdown::Both);
     });
     Ok(Connection {
-        rx: Box::new(TcpRead { stream: rd }),
+        rx: Box::new(TcpRead { stream: rd, buf: vec![0; TCP_READ_BYTES].into_boxed_slice() }),
         tx: Box::new(TcpWrite { stream: wr }),
         closer,
     })
 }
 
-/// A TCP [`Listener`] (non-blocking accept; the server's accept loop
-/// polls).
+/// A TCP [`Listener`]: accept blocks in the kernel until a connection
+/// arrives or the listener's closer dials it awake.
 pub struct TcpTransport {
     listener: TcpListener,
+    closed: Arc<AtomicBool>,
     /// Bound address (use with port 0 binds).
     pub addr: SocketAddr,
 }
@@ -269,9 +353,8 @@ impl TcpTransport {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port).
     pub fn bind(addr: impl ToSocketAddrs) -> io::Result<TcpTransport> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        Ok(TcpTransport { listener, addr })
+        Ok(TcpTransport { listener, closed: Arc::new(AtomicBool::new(false)), addr })
     }
 
     /// Dial a serving [`TcpTransport`] as a tenant.
@@ -281,16 +364,39 @@ impl TcpTransport {
 }
 
 impl Listener for TcpTransport {
-    fn poll_accept(&mut self) -> io::Result<Option<Connection>> {
-        match self.listener.accept() {
-            Ok((stream, _peer)) => {
-                stream.set_nonblocking(false)?;
-                Ok(Some(tcp_connection(stream)?))
+    fn accept(&mut self) -> io::Result<Option<Connection>> {
+        loop {
+            if self.closed.load(Ordering::Acquire) {
+                return Ok(None);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(None),
-            Err(e) => Err(e),
+            match self.listener.accept() {
+                // The closer's wake-up dial (or a tenant racing the
+                // close) is dropped unserved.
+                Ok(_) if self.closed.load(Ordering::Acquire) => return Ok(None),
+                Ok((stream, _peer)) => return tcp_connection(stream).map(Some),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
         }
+    }
+
+    fn closer(&self) -> Closer {
+        let closed = Arc::clone(&self.closed);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        Arc::new(move || {
+            // Set the flag, then dial: an accept blocked in the kernel
+            // takes this connection, sees the flag and returns. An accept
+            // not yet blocked sees the flag first.
+            if !closed.swap(true, Ordering::AcqRel) {
+                let _ = TcpStream::connect(wake);
+            }
+        })
     }
 }
 
@@ -330,16 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn channel_listener_hands_out_dialed_connections() {
-        let (mut listener, connector) = ChannelTransport::pair();
-        assert!(listener.poll_accept().unwrap().is_none());
-        let mut client = connector.connect().unwrap();
-        let mut server = listener.poll_accept().unwrap().expect("dialed connection");
-        client.tx.send(b"ping").unwrap();
-        assert_eq!(server.rx.recv_chunk().unwrap().unwrap(), b"ping");
-    }
-
-    #[test]
     fn tcp_transport_round_trips() {
         let mut t = TcpTransport::bind("127.0.0.1:0").expect("bind");
         let addr = t.addr;
@@ -348,15 +444,13 @@ mod tests {
             c.tx.send(b"over tcp").unwrap();
             let echo = c.rx.recv_chunk().unwrap().unwrap();
             assert_eq!(echo, b"tcp over");
+            c.tx.send(b"x").unwrap();
         });
-        let mut server = loop {
-            if let Some(c) = t.poll_accept().expect("accept") {
-                break c;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        };
+        let mut server = t.accept().expect("accept").expect("dialed connection");
         assert_eq!(server.rx.recv_chunk().unwrap().unwrap(), b"over tcp");
         server.tx.send(b"tcp over").unwrap();
+        // The reused read buffer hands out only the bytes just read.
+        assert_eq!(server.rx.recv_chunk().unwrap().unwrap(), b"x");
         h.join().unwrap();
     }
 }

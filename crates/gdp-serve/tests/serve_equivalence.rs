@@ -12,8 +12,22 @@ use common::{
 use proptest::prelude::*;
 
 use gdp_experiments::Technique;
-use gdp_serve::{serve_channel, serve_tcp, ServeConfig, TenantClient};
+use gdp_serve::proto::encode_client;
+use gdp_serve::transport::duplex;
+use gdp_serve::{serve_channel, serve_tcp, ClientMsg, ServeConfig, TenantClient};
 use gdp_telemetry::MetricsRegistry;
+
+#[test]
+fn send_interval_puts_the_encode_client_frame_on_the_wire() {
+    let trace = recorded(11, 2);
+    let (client_end, mut server_end) = duplex();
+    let mut client = TenantClient::over(client_end);
+    for iv in &trace.intervals {
+        client.send_interval(iv).expect("send");
+        let sent = server_end.rx.recv_chunk().expect("read").expect("one chunk per frame");
+        assert_eq!(sent, encode_client(&ClientMsg::Interval(iv.clone())));
+    }
+}
 
 #[test]
 fn channel_rows_match_embedded_for_any_sharding_and_chunking() {

@@ -106,21 +106,36 @@ fn shed_slots_reopen_after_a_survivor_finishes() {
     );
 
     first.stream(&trace.intervals, 1).expect("first stream");
-    // The slot frees once Finish is processed; a later arrival is
-    // admitted (retry because release happens just after Done is sent).
-    let mut admitted = false;
-    for _ in 0..500 {
-        let mut third = TenantClient::over(connector.connect().expect("dial"));
-        match third.hello(3, 2, &[Technique::GDP]) {
-            Ok((at, _)) => {
-                assert_eq!(at, 0);
-                admitted = true;
-                break;
-            }
-            Err(ClientError::Shed) => std::thread::sleep(std::time::Duration::from_millis(2)),
-            Err(e) => panic!("unexpected outcome: {e}"),
-        }
+    // The slot is released before Done is sent, so the next arrival is
+    // admitted on its first Hello.
+    let mut third = TenantClient::over(connector.connect().expect("dial"));
+    let (at, _) = third.hello(3, 2, &[Technique::GDP]).expect("slot reopens after a clean finish");
+    assert_eq!(at, 0);
+    server.shutdown();
+}
+
+#[test]
+fn a_connected_tenant_id_is_refused_until_its_done() {
+    let x = xcfg(2);
+    let trace = recorded(17, 2);
+    let (server, connector) = serve_channel(ServeConfig::new(x));
+
+    let mut first = TenantClient::over(connector.connect().expect("dial"));
+    first.hello(5, 2, &[Technique::GDP]).expect("first admission");
+
+    // The same id again while its connection is open: a typed refusal,
+    // not a second session.
+    let mut twin = TenantClient::over(connector.connect().expect("dial"));
+    match twin.hello(5, 2, &[Technique::GDP]) {
+        Err(ClientError::Server(m)) => assert!(m.contains("already connected"), "{m}"),
+        other => panic!("expected an already-connected refusal, got {other:?}"),
     }
-    assert!(admitted, "slot reopens after a clean finish");
+
+    // Once the tenant has read Done its slot is gone: the same id is
+    // admitted at once, as a fresh session.
+    first.stream(&trace.intervals, 1).expect("first stream");
+    let mut again = TenantClient::over(connector.connect().expect("dial"));
+    let (at, _) = again.hello(5, 2, &[Technique::GDP]).expect("admitted right after Done");
+    assert_eq!(at, 0);
     server.shutdown();
 }

@@ -803,6 +803,18 @@ impl<'a> SharedTraceReader<'a> {
         &self.final_stats
     }
 
+    /// Decode every interval not yet read into a whole [`SharedTrace`].
+    pub fn into_trace(mut self) -> Result<SharedTrace, TraceError> {
+        let declared = usize::try_from(self.left).unwrap_or(usize::MAX);
+        let mut intervals = Vec::with_capacity(bounded(declared, &self.ivs, MIN_INTERVAL_BYTES));
+        let mut iv = TraceInterval::default();
+        while self.read_interval(&mut iv)? {
+            intervals.push(std::mem::take(&mut iv));
+        }
+        let SharedTraceReader { cores, workload, cycles, final_stats, .. } = self;
+        Ok(SharedTrace { cores, workload, cycles, final_stats, intervals })
+    }
+
     /// Decode the next interval into `iv`, reusing its buffers. Returns
     /// `Ok(false)` once every declared interval has been read and the
     /// INTERVALS section is fully consumed.
@@ -831,15 +843,7 @@ impl<'a> SharedTraceReader<'a> {
 /// Decode a shared-mode trace; strict (every byte accounted for, every
 /// section CRC-verified). This is [`SharedTraceReader`] collected.
 pub fn decode_shared(bytes: &[u8]) -> Result<SharedTrace, TraceError> {
-    let mut r = SharedTraceReader::new(bytes)?;
-    let declared = usize::try_from(r.left).unwrap_or(usize::MAX);
-    let mut intervals = Vec::with_capacity(bounded(declared, &r.ivs, MIN_INTERVAL_BYTES));
-    let mut iv = TraceInterval::default();
-    while r.read_interval(&mut iv)? {
-        intervals.push(std::mem::take(&mut iv));
-    }
-    let SharedTraceReader { cores, workload, cycles, final_stats, .. } = r;
-    Ok(SharedTrace { cores, workload, cycles, final_stats, intervals })
+    SharedTraceReader::new(bytes)?.into_trace()
 }
 
 /// Decode a private-mode trace; strict.

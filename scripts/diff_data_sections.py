@@ -17,9 +17,11 @@ documents must carry byte-identical values, extra keys (e.g. the columns
 an extra `--techniques` selection adds) are reported and ignored. That
 is the "matching data rows" check for default-set vs full-set runs.
 
-Exits non-zero when the compared content differs.
+Exits 1 when the compared content differs, and 2 (after printing the
+usage) when the invocation is bad, for instance a file argument missing.
 """
 
+import argparse
 import json
 import sys
 
@@ -63,12 +65,18 @@ def dumps(v) -> str:
 
 
 def main() -> int:
-    args = sys.argv[1:]
-    common = args and args[0] == "--common"
-    if common:
-        args = args[1:]
-    a, b = args[0], args[1]
-    label = args[2] if len(args) > 2 else f"{a} vs {b}"
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument(
+        "--common",
+        action="store_true",
+        help="compare only the keys both data sections carry (parsed as JSON)",
+    )
+    ap.add_argument("a", help="first results file")
+    ap.add_argument("b", help="second results file")
+    ap.add_argument("label", nargs="?", help="name of the comparison in the report")
+    args = ap.parse_args()
+    a, b, common = args.a, args.b, args.common
+    label = args.label or f"{a} vs {b}"
 
     if common:
         da, db = data_json(a), data_json(b)
