@@ -71,7 +71,7 @@ fn main() {
     println!("\n(a) average STP");
     print!("{:8}", "cell");
     for p in &policies {
-        print!(" {:>8}", p.name());
+        print!(" {:>8}", p.to_string());
     }
     println!();
     let mut eight_core_h: Vec<(String, Vec<f64>)> = Vec::new();
@@ -100,7 +100,7 @@ fn main() {
                     policies
                         .iter()
                         .zip(&per_policy)
-                        .map(|(p, v)| (p.name(), Json::from(mean(v))))
+                        .map(|(p, v)| (p.to_string(), Json::from(mean(v))))
                         .collect(),
                 ),
             ),
@@ -111,7 +111,7 @@ fn main() {
     println!("\n(b) 8-core H workloads: STP relative to LRU");
     print!("{:12}", "workload");
     for p in &policies {
-        print!(" {:>8}", p.name());
+        print!(" {:>8}", p.to_string());
     }
     println!();
     let mut data_8ch = Vec::new();
@@ -130,7 +130,7 @@ fn main() {
                     policies
                         .iter()
                         .zip(stps)
-                        .map(|(p, s)| (p.name(), Json::from(s / lru)))
+                        .map(|(p, s)| (p.to_string(), Json::from(s / lru)))
                         .collect(),
                 ),
             ),

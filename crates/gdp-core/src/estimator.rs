@@ -83,10 +83,9 @@ impl PrivateModeEstimator for GdpEstimator {
     /// too, so memory stays bounded), the order the observation plane
     /// uses.
     fn estimate(&mut self, core: CoreId, m: &IntervalMeasurement) -> PrivateEstimate {
-        let now = m.stats.cycles; // monotone enough for rebasing
         let unit = &mut self.units[core.idx()];
-        let cpl = unit.take_cpl(now);
-        let s = CoreSummary { cpl, overlap: unit.take_average_overlap(now), ..Default::default() };
+        let cpl = unit.take_cpl();
+        let s = CoreSummary { cpl, overlap: unit.take_average_overlap(), ..Default::default() };
         gdp_estimate(self.variant, &s, m)
     }
 

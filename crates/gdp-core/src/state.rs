@@ -25,8 +25,10 @@ use std::fmt;
 /// Version of the snapshot *schema* (the field layout each observer
 /// writes). Bumped whenever any layout changes; a mismatch is a typed
 /// [`StateError`], never a misdecode. Version 2 keys checkpoints by
-/// observer (`gdp-units`, `dief`, `asm`) instead of by technique.
-pub const STATE_VERSION: u32 = 2;
+/// observer (`gdp-units`, `dief`, `asm`) instead of by technique;
+/// version 3 drops the GDP unit's write-only timestamps (the PCB's
+/// started-at and stalled-at, and the interval start).
+pub const STATE_VERSION: u32 = 3;
 
 /// One node of a positional estimator-state tree.
 #[derive(Debug, Clone, PartialEq, Eq)]

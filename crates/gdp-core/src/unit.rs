@@ -5,9 +5,10 @@
 //! hardware buffer with newest/oldest pointers: the PRB holds at most
 //! `capacity` pending requests, evicting the *oldest* when full
 //! (Algorithm 1), and the PCB tracks the commit period in progress with
-//! its depth, timestamps and child set. Overlap cycles (GDP-O) are
-//! accumulated from the stall-span complement — exactly the value the
-//! paper's per-request overlap counters would hold.
+//! its depth and child set (the hardware PCB's started-at and stalled-at
+//! timestamps feed no estimate, so the model keeps neither). Overlap
+//! cycles (GDP-O) are accumulated from the stall-span complement —
+//! exactly the value the paper's per-request overlap counters would hold.
 
 use std::collections::VecDeque;
 
@@ -29,8 +30,6 @@ struct PrbEntry {
 #[derive(Debug, Clone, Default)]
 struct Pcb {
     depth: u64,
-    started_at: Cycle,
-    stalled_at: Cycle,
     /// Children: pending loads issued during this commit period (the
     /// paper's bit vector over PRB slots; here a uid list).
     children: Vec<u64>,
@@ -47,7 +46,6 @@ pub struct GdpUnit {
     // ---- GDP-O overlap measurement (per interval) ----
     stall_spans: Vec<(Cycle, Cycle)>,
     sms_spans: Vec<(Cycle, Cycle)>,
-    interval_start: Cycle,
     /// Swap buffer for the PCB child list, so completing a commit period
     /// never reallocates (never snapshot state, always empty between
     /// calls).
@@ -73,7 +71,6 @@ impl GdpUnit {
             next_uid: 0,
             stall_spans: Vec::new(),
             sms_spans: Vec::new(),
-            interval_start: 0,
             children_scratch: Vec::new(),
             evictions: 0,
         }
@@ -101,7 +98,7 @@ impl GdpUnit {
                 self.stall_spans.push((*start, *end));
                 if *cause == StallCause::Load {
                     if let Some(b) = blocking_block {
-                        self.cpu_resumed(*b, *start, *end);
+                        self.cpu_resumed(*b, *start);
                     }
                 }
             }
@@ -151,14 +148,13 @@ impl GdpUnit {
         }
     }
 
-    /// Algorithm 3: the CPU resumed after a commit stall on the load at
-    /// `addr` (the stall spanned `[stall_start, now)`).
-    fn cpu_resumed(&mut self, addr: Addr, stall_start: Cycle, now: Cycle) {
+    /// Algorithm 3: the CPU resumed after a commit stall, begun at
+    /// `stall_start`, on the load at `addr`.
+    fn cpu_resumed(&mut self, addr: Addr, stall_start: Cycle) {
         let Some(&s_uid) = self.by_addr.get(&addr) else {
             // PMS-load or evicted: assume a PMS stall, no CPL change.
             return;
         };
-        self.pcb.stalled_at = stall_start;
 
         // ---- Step 1: complete commit period l ----
         //
@@ -219,28 +215,24 @@ impl GdpUnit {
             }
         });
         self.pcb.depth = p_depth;
-        self.pcb.started_at = now;
-        self.pcb.stalled_at = 0;
         debug_assert!(self.pcb.children.is_empty());
     }
 
-    /// Retrieve the CPL for the ending interval and rebase the unit (the
-    /// paper resets the cycle counter at retrieval; depths are rebased so
-    /// the next interval's CPL starts from zero).
-    pub fn take_cpl(&mut self, now: Cycle) -> u64 {
+    /// Retrieve the CPL for the ending interval and rebase the unit:
+    /// depths are rebased so the next interval's CPL starts from zero.
+    pub fn take_cpl(&mut self) -> u64 {
         let cpl = self.pcb.depth;
         self.pcb.depth = 0;
         for e in &mut self.entries {
             e.depth = e.depth.saturating_sub(cpl);
         }
-        self.interval_start = now;
         cpl
     }
 
     /// Average overlap `O_p` for the ending interval: mean cycles the CPU
     /// was committing (not stalled) while each completed SMS-load was
     /// pending. Clears the interval's span records.
-    pub fn take_average_overlap(&mut self, now: Cycle) -> f64 {
+    pub fn take_average_overlap(&mut self) -> f64 {
         // In place, clearing (not taking) at the end: the span buffers
         // keep their capacity across intervals.
         self.stall_spans.sort_unstable();
@@ -270,7 +262,6 @@ impl GdpUnit {
         let n = spans.len() as f64;
         self.stall_spans.clear();
         self.sms_spans.clear();
-        self.interval_start = now;
         if n == 0.0 {
             0.0
         } else {
@@ -350,8 +341,6 @@ impl GdpUnit {
             .collect();
         let pcb = StateValue::List(vec![
             StateValue::U64(self.pcb.depth),
-            StateValue::U64(self.pcb.started_at),
-            StateValue::U64(self.pcb.stalled_at),
             StateValue::List(self.pcb.children.iter().map(|&u| StateValue::U64(u)).collect()),
         ]);
         let spans = |v: &[(Cycle, Cycle)]| {
@@ -369,14 +358,13 @@ impl GdpUnit {
             StateValue::U64(self.next_uid),
             spans(&self.stall_spans),
             spans(&self.sms_spans),
-            StateValue::U64(self.interval_start),
             StateValue::U64(self.evictions),
         ])
     }
 
     /// Restore the unit from a [`GdpUnit::snapshot_value`] tree.
     pub fn restore_value(&mut self, v: &StateValue) -> Result<(), StateError> {
-        let f = v.fields(9)?;
+        let f = v.fields(8)?;
         if f[0].as_u64()? != self.capacity as u64 {
             return Err(StateError::ConfigMismatch("PRB capacity"));
         }
@@ -405,12 +393,10 @@ impl GdpUnit {
             let pf = pair.fields(2)?;
             by_addr.insert(pf[0].as_u64()?, pf[1].as_u64()?);
         }
-        let pf = f[3].fields(4)?;
+        let pf = f[3].fields(2)?;
         let pcb = Pcb {
             depth: pf[0].as_u64()?,
-            started_at: pf[1].as_u64()?,
-            stalled_at: pf[2].as_u64()?,
-            children: pf[3].as_list()?.iter().map(|c| c.as_u64()).collect::<Result<_, _>>()?,
+            children: pf[1].as_list()?.iter().map(|c| c.as_u64()).collect::<Result<_, _>>()?,
         };
         let spans = |v: &StateValue| -> Result<Vec<(Cycle, Cycle)>, StateError> {
             v.as_list()?
@@ -427,8 +413,7 @@ impl GdpUnit {
         self.next_uid = f[4].as_u64()?;
         self.stall_spans = spans(&f[5])?;
         self.sms_spans = spans(&f[6])?;
-        self.interval_start = f[7].as_u64()?;
-        self.evictions = f[8].as_u64()?;
+        self.evictions = f[7].as_u64()?;
         Ok(())
     }
 
@@ -513,7 +498,7 @@ mod tests {
         u.observe(&done(0xa5, 356, true));
         u.observe(&stall(352, 358, 0xa5));
         assert_eq!(u.peek_cpl(), 2, "L5 was parallel with L4");
-        assert_eq!(u.take_cpl(360), 2);
+        assert_eq!(u.take_cpl(), 2);
         assert_eq!(u.peek_cpl(), 0, "CPL retrieval rebases the unit");
     }
 
@@ -577,7 +562,7 @@ mod tests {
         u.observe(&done(0x5, 100, true));
         u.observe(&stall(40, 100, 0x5));
         // Overlap = window (100) − stalled (60) = 40.
-        let o = u.take_average_overlap(100);
+        let o = u.take_average_overlap();
         assert!((o - 40.0).abs() < 1e-9, "overlap {o}");
     }
 
@@ -589,7 +574,7 @@ mod tests {
         u.observe(&miss(0x11, 100));
         u.observe(&done(0x11, 200, true));
         u.observe(&stall(120, 200, 0x11)); // overlap 20
-        let o = u.take_average_overlap(200);
+        let o = u.take_average_overlap();
         assert!((o - 60.0).abs() < 1e-9, "overlap {o}");
     }
 
@@ -601,7 +586,7 @@ mod tests {
         u.observe(&done(0x20, 90, true));
         u.observe(&stall(10, 100, 0x20));
         u.observe(&miss(0x21, 110)); // child of new commit period
-        assert_eq!(u.take_cpl(120), 1);
+        assert_eq!(u.take_cpl(), 1);
         // The pending load eventually stalls: depths restart from 0.
         u.observe(&done(0x21, 190, true));
         u.observe(&stall(130, 200, 0x21));

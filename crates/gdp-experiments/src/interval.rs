@@ -1,10 +1,12 @@
-//! Accounting-interval bookkeeping for the run loops.
+//! Accounting-interval bookkeeping for the live run loop.
 //!
-//! The shared-mode and policy-study loops advance the simulated clock in
-//! multi-cycle jumps (`System::advance`), so "have we reached the next
-//! interval boundary?" is no longer a single `if` against a clock that
-//! moves by one: a jump could in principle land on — or, if a caller ever
-//! advances without a boundary limit, *beyond* — one or more boundaries.
+//! [`EstimationSession::advance_to`](crate::EstimationSession::advance_to),
+//! the one loop under shared-mode runs and the partitioning study,
+//! advances the simulated clock in multi-cycle jumps (`System::advance`),
+//! so "have we reached the next interval boundary?" is no longer a single
+//! `if` against a clock that moves by one: a jump could in principle land
+//! on — or, if a caller ever advances without a boundary limit, *beyond*
+//! — one or more boundaries.
 //! [`IntervalSchedule`] makes both obligations explicit: it hands the
 //! loop the next boundary to clamp its advance to, and it replays every
 //! crossed boundary one at a time so no interval record is ever merged

@@ -21,13 +21,15 @@
 //! * [`session`] — the two sessions that drive the interval pipeline:
 //!   the live [`EstimationSession`], which a host embeds to consume
 //!   per-interval private-mode estimates online ([`run_shared`] is a
-//!   one-line convenience over it), and the [`StreamSession`] that every
-//!   recorded, cached or pushed stream feeds.
-//! * [`interval`] — accounting-interval bookkeeping shared by the run
-//!   loops: the engine's advance limit and exact, lossless boundary
-//!   emission under multi-cycle clock jumps.
+//!   one-line convenience over it, and every policy of the partitioning
+//!   study runs on it), and the [`StreamSession`] that every recorded,
+//!   cached or pushed stream feeds.
+//! * [`interval`] — accounting-interval bookkeeping for the live
+//!   session's run loop: the engine's advance limit and exact, lossless
+//!   boundary emission under multi-cycle clock jumps.
 //! * [`policy_run`] — the LLC-partitioning case study: LRU, UCP, ASM, MCP
-//!   and MCP-O under way-partitioning with STP scoring (Fig. 6).
+//!   and MCP-O under way-partitioning with STP scoring (Fig. 6), each
+//!   policy an LLC manager consulted by a live session at every boundary.
 //! * [`trace`] — record/replay glue over `gdp-trace`: capture the
 //!   estimator-facing stream once per (config × workload), replay any
 //!   technique from it bit-identically, and the [`CampaignTraces`]

@@ -155,15 +155,14 @@ impl ObservationPlane {
     }
 
     /// Close `core`'s interval: take the GDP unit's CPL, then its average
-    /// overlap (rebased at `now`), then the DIEF accumulators, then DIEF's
-    /// interval estimate. Returns the summary and DIEF's λ̂, when the
-    /// plane holds a DIEF.
-    pub fn harvest(&mut self, core: CoreId, now: u64) -> (CoreSummary, Option<f64>) {
+    /// overlap, then the DIEF accumulators, then DIEF's interval estimate.
+    /// Returns the summary and DIEF's λ̂, when the plane holds a DIEF.
+    pub fn harvest(&mut self, core: CoreId) -> (CoreSummary, Option<f64>) {
         let c = core.idx();
         let mut s = CoreSummary::default();
         if let Some(units) = &mut self.units {
-            s.cpl = units[c].take_cpl(now);
-            s.overlap = units[c].take_average_overlap(now);
+            s.cpl = units[c].take_cpl();
+            s.overlap = units[c].take_average_overlap();
         }
         let lambda = self.dief.as_mut().map(|d| {
             s.discounted = std::mem::take(&mut d.discounted[c]);

@@ -3,22 +3,22 @@
 //! Five managers are compared under way-partitioning: plain LRU (no
 //! partitioning), UCP (miss-driven lookahead), ASM-driven partitioning
 //! (slowdown equalisation; invasive), and MCP / MCP-O (estimated-STP
-//! lookahead fed by GDP / GDP-O). Reported STP uses *actual* private-mode
-//! CPIs from dedicated private runs: `STP = Σ π_i / P_i`.
+//! lookahead fed by GDP / GDP-O). Each policy run is a live
+//! [`EstimationSession`](crate::EstimationSession) carrying the feeder
+//! technique, with the manager consulted at every interval boundary.
+//! Reported STP uses *actual* private-mode CPIs from dedicated private
+//! runs: `STP = Σ π_i / P_i`.
 
 use gdp_partition::{
     contiguous_masks, AllocContext, AsmCache, CoreSignals, Mcp, PartitionPolicy, Ucp,
 };
-use gdp_sim::stats::CoreStats;
-use gdp_sim::types::CoreId;
-use gdp_sim::System;
-use gdp_trace::Boundary;
 use gdp_workloads::Workload;
 
+use crate::accuracy::private_base;
 use crate::config::ExperimentConfig;
-use crate::interval::IntervalSchedule;
 use crate::private::run_private;
-use crate::session::Pipeline;
+use crate::session::SessionBuilder;
+use crate::shared::CoreInterval;
 use crate::techniques::Technique;
 
 /// The LLC managers of Fig. 6.
@@ -53,23 +53,19 @@ impl PolicyKind {
     pub fn mcp_feeders(set: &[Technique]) -> Vec<PolicyKind> {
         crate::techniques::transparent_subset(set).into_iter().map(PolicyKind::Mcp).collect()
     }
-
-    /// Display name (the paper's spellings for the GDP-fed variants).
-    pub fn name(&self) -> String {
-        match self {
-            PolicyKind::Lru => "LRU".to_string(),
-            PolicyKind::Ucp => "UCP".to_string(),
-            PolicyKind::AsmPart => "ASM".to_string(),
-            PolicyKind::Mcp(t) if *t == Technique::GDP => "MCP".to_string(),
-            PolicyKind::Mcp(t) if *t == Technique::GDP_O => "MCP-O".to_string(),
-            PolicyKind::Mcp(t) => format!("MCP[{}]", t.name()),
-        }
-    }
 }
 
+/// Display name (the paper's spellings for the GDP-fed variants).
 impl std::fmt::Display for PolicyKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.name())
+        match self {
+            PolicyKind::Lru => f.write_str("LRU"),
+            PolicyKind::Ucp => f.write_str("UCP"),
+            PolicyKind::AsmPart => f.write_str("ASM"),
+            PolicyKind::Mcp(t) if *t == Technique::GDP => f.write_str("MCP"),
+            PolicyKind::Mcp(t) if *t == Technique::GDP_O => f.write_str("MCP-O"),
+            PolicyKind::Mcp(t) => write!(f, "MCP[{}]", t.name()),
+        }
     }
 }
 
@@ -86,6 +82,47 @@ pub struct PolicyOutcome {
     pub cycles: u64,
 }
 
+/// An LLC manager a live session consults at every interval boundary:
+/// the interval's row and DIEF's ATD miss curves in, way masks out.
+pub(crate) struct LlcManager {
+    policy: Box<dyn PartitionPolicy>,
+    ways: usize,
+}
+
+impl LlcManager {
+    /// The way masks for the next interval, decided from the ending
+    /// interval's `row` and each core's miss curve (read before the
+    /// boundary harvest reset DIEF's per-interval counters).
+    pub(crate) fn repartition(&mut self, row: &[CoreInterval], curves: Vec<Vec<u64>>) -> Vec<u64> {
+        // Global post-LLC latency (shared off-chip bandwidth, §V).
+        let post_sum: u64 = row.iter().map(|r| r.stats.sms_post_llc_latency_sum).sum();
+        let miss_sum: u64 = row.iter().map(|r| r.stats.llc_misses).sum();
+        let post_global = if miss_sum > 0 { post_sum as f64 / miss_sum as f64 } else { 0.0 };
+        let cores = row
+            .iter()
+            .zip(curves)
+            .map(|(r, miss_curve)| {
+                let d = &r.stats;
+                CoreSignals {
+                    miss_curve,
+                    instrs: d.committed_instrs,
+                    commit_cycles: d.commit_cycles,
+                    stall_non_sms: d.stall_ind + d.stall_pms + d.stall_other,
+                    stall_sms: d.stall_sms,
+                    sms_loads: d.sms_loads,
+                    llc_misses: d.llc_misses,
+                    avg_sms_latency: d.avg_sms_latency(),
+                    avg_pre_llc_latency: d.avg_pre_llc_latency(),
+                    avg_post_llc_latency: post_global,
+                    private_cpi: r.estimates.first().map_or(d.cpi(), |e| e.cpi),
+                    shared_cpi: d.cpi(),
+                }
+            })
+            .collect();
+        contiguous_masks(&self.policy.allocate(&AllocContext { ways: self.ways, cores }))
+    }
+}
+
 /// Run the partitioning case study: each policy on `workload`, scored by
 /// STP against shared private-mode runs (computed once).
 pub fn run_policy_study(
@@ -99,7 +136,7 @@ pub fn run_policy_study(
         .iter()
         .enumerate()
         .map(|(c, b)| {
-            let run = run_private(b, (c as u64) << 36, xcfg, &[xcfg.sample_instrs], None);
+            let run = run_private(b, private_base(c), xcfg, &[xcfg.sample_instrs], None);
             run.total.cpi()
         })
         .collect();
@@ -120,10 +157,8 @@ fn run_with_policy(
     xcfg: &ExperimentConfig,
     policy: PolicyKind,
 ) -> (Vec<f64>, u64) {
-    let n = xcfg.sim.cores;
-    let mut sys = System::new(xcfg.sim.clone(), workload.streams());
     // The technique feeding π̂ into the policy, if any, on the same live
-    // interval pipeline a session runs (its DIEF also supplies λ̂ and the
+    // session every shared run uses (its DIEF also supplies λ̂ and the
     // miss curves). MCP's feeder resolves through the registry, so any
     // registered transparent technique can drive the lookahead.
     let feeder = match policy {
@@ -131,106 +166,31 @@ fn run_with_policy(
         PolicyKind::AsmPart => vec![Technique::ASM],
         _ => Vec::new(),
     };
-    let mut pipeline = Pipeline::new(&feeder, xcfg, true);
-    let mut alloc_policy: Option<Box<dyn PartitionPolicy>> = match policy {
+    let manager: Option<Box<dyn PartitionPolicy>> = match policy {
         PolicyKind::Lru => None,
         PolicyKind::Ucp => Some(Box::new(Ucp::new())),
         PolicyKind::AsmPart => Some(Box::new(AsmCache::new())),
         PolicyKind::Mcp(t) if t == Technique::GDP_O => Some(Box::new(Mcp::new_o())),
         PolicyKind::Mcp(_) => Some(Box::new(Mcp::new())),
     };
-    // ASM's accounting is invasive: rotate the MC priority token.
-    let asm_epoch = feeder.iter().find_map(|t| t.mc_priority_epoch());
-
-    let cap = xcfg.cycle_cap();
-    let mut last: Vec<CoreStats> = (0..n).map(|c| *sys.core_stats(c)).collect();
-    let mut schedule = IntervalSchedule::new(xcfg.interval_cycles);
-    // Cycle at which each core reached the instruction sample: shared CPI
-    // is measured over the same instruction window as the private
-    // reference (both from cold start), keeping STP terms ≤ 1.
-    let mut cycle_at_target: Vec<Option<u64>> = vec![None; n];
-
-    while sys.now() < cap && (0..n).any(|c| sys.committed(c) < xcfg.sample_instrs) {
-        if let Some(epoch) = asm_epoch {
-            if sys.now() % epoch == 0 {
-                let pc = CoreId(((sys.now() / epoch) % n as u64) as u8);
-                sys.mem().mc().set_priority_core(Some(pc));
-            }
-        }
-        let mut limit = cap.min(schedule.next_boundary());
-        if let Some(epoch) = asm_epoch {
-            limit = limit.min((sys.now() / epoch + 1) * epoch);
-        }
-        sys.advance(limit);
-        // Commits only happen on real (ticked) cycles, so a core reaching
-        // its sample target is observed at exactly the same cycle a
-        // step-by-1 loop would record.
-        for c in 0..n {
-            if cycle_at_target[c].is_none() && sys.committed(c) >= xcfg.sample_instrs {
-                cycle_at_target[c] = Some(sys.now());
-            }
-        }
-
-        while schedule.pop_crossed(sys.now()).is_some() {
-            sys.finalize();
-            let events = sys.drain_probes();
-            pipeline.observe(&events);
-            let dief = pipeline.plane.dief().expect("a live pipeline holds a DIEF");
-            // Read the miss curves before the boundary harvest resets
-            // DIEF's per-interval counters.
-            let curves: Vec<Vec<u64>> = if alloc_policy.is_some() {
-                (0..n).map(|c| dief.miss_curve(CoreId(c as u8))).collect()
-            } else {
-                Vec::new()
-            };
-            let boundaries: Vec<Boundary> = (0..n)
-                .map(|c| {
-                    let cum = *sys.core_stats(c);
-                    Boundary::between(&std::mem::replace(&mut last[c], cum), &cum)
-                })
-                .collect();
-            let row = pipeline.close(0, &boundaries); // unmetered: no index needed
-            if let Some(p) = alloc_policy.as_deref_mut() {
-                // Global post-LLC latency (shared off-chip bandwidth, §V).
-                let post_sum: u64 = row.iter().map(|r| r.stats.sms_post_llc_latency_sum).sum();
-                let miss_sum: u64 = row.iter().map(|r| r.stats.llc_misses).sum();
-                let post_global =
-                    if miss_sum > 0 { post_sum as f64 / miss_sum as f64 } else { 0.0 };
-                let signals = row
-                    .iter()
-                    .zip(curves)
-                    .map(|(r, miss_curve)| {
-                        let d = &r.stats;
-                        CoreSignals {
-                            miss_curve,
-                            instrs: d.committed_instrs,
-                            commit_cycles: d.commit_cycles,
-                            stall_non_sms: d.stall_ind + d.stall_pms + d.stall_other,
-                            stall_sms: d.stall_sms,
-                            sms_loads: d.sms_loads,
-                            llc_misses: d.llc_misses,
-                            avg_sms_latency: d.avg_sms_latency(),
-                            avg_pre_llc_latency: d.avg_pre_llc_latency(),
-                            avg_post_llc_latency: post_global,
-                            private_cpi: r.estimates.first().map_or(d.cpi(), |e| e.cpi),
-                            shared_cpi: d.cpi(),
-                        }
-                    })
-                    .collect();
-                let ctx = AllocContext { ways: xcfg.sim.llc.ways, cores: signals };
-                let alloc = p.allocate(&ctx);
-                sys.set_llc_partition(Some(contiguous_masks(&alloc)));
-            }
-        }
-    }
-
-    let cpis = (0..n)
-        .map(|c| match cycle_at_target[c] {
-            Some(cyc) => cyc as f64 / xcfg.sample_instrs as f64,
-            None => sys.core_stats(c).cpi(), // cycle cap hit: best effort
+    let mut session = SessionBuilder::new(workload, xcfg)
+        .techniques(&feeder)
+        .build()
+        .partitioned_by(manager.map(|policy| LlcManager { policy, ways: xcfg.sim.llc.ways }));
+    session.run_to_end();
+    // Shared CPI is measured over the same instruction window as the
+    // private reference (both from cold start), keeping STP terms ≤ 1.
+    let reached = session.sample_reached().to_vec();
+    let run = session.into_report();
+    let cpis = reached
+        .iter()
+        .zip(&run.final_stats)
+        .map(|(at, stats)| match at {
+            Some(cyc) => *cyc as f64 / xcfg.sample_instrs as f64,
+            None => stats.cpi(), // cycle cap hit: best effort
         })
         .collect();
-    (cpis, sys.now())
+    (cpis, run.cycles)
 }
 
 #[cfg(test)]

@@ -60,7 +60,7 @@ pub fn run_private(
         for ev in sys.drain_probes() {
             reference.observe(&ev);
         }
-        let cpl = reference.take_cpl(sys.now());
+        let cpl = reference.take_cpl();
         out.push(PrivateCheckpoint {
             instrs: target,
             cycle: sys.now(),

@@ -22,6 +22,9 @@
 //! serving tenant's pushed stream. The two sessions differ only in where
 //! an interval's events and boundaries come from. The batch entry points
 //! ([`run_shared`](crate::shared::run_shared)) are thin shims over them,
+//! the partitioning study
+//! ([`run_policy_study`](crate::policy_run::run_policy_study)) runs each
+//! policy as a live session that repartitions the LLC at every boundary,
 //! and a host system embeds one to consume live interference-free
 //! estimates online (see `examples/quickstart.rs`).
 
@@ -40,6 +43,7 @@ use crate::config::ExperimentConfig;
 use crate::interval::IntervalSchedule;
 use crate::metrics::export_engine_counters;
 use crate::plane::{FeedSpans, ObservationPlane};
+use crate::policy_run::LlcManager;
 use crate::shared::{CoreInterval, SharedRun};
 use crate::techniques::Technique;
 
@@ -133,21 +137,23 @@ impl SessionMetrics {
     }
 }
 
-/// The one interval pipeline under every session (and fig6's policy
-/// loop): the observation plane, its readouts and the session's
-/// telemetry.
-pub(crate) struct Pipeline {
-    pub(crate) plane: ObservationPlane,
+/// The one interval pipeline under every session: the observation
+/// plane, its readouts, the session's telemetry and, in a partitioning
+/// study's live session, the LLC manager.
+struct Pipeline {
+    plane: ObservationPlane,
     /// Whether the plane's DIEF supplies λ̂ (live sessions) instead of
     /// the fed boundaries (recorded or pushed streams).
     live: bool,
     metrics: Option<SessionMetrics>,
+    /// Consulted at every boundary of a partitioning study's session.
+    llc: Option<LlcManager>,
 }
 
 impl Pipeline {
-    pub(crate) fn new(techniques: &[Technique], xcfg: &ExperimentConfig, live: bool) -> Pipeline {
+    fn new(techniques: &[Technique], xcfg: &ExperimentConfig, live: bool) -> Pipeline {
         let plane = ObservationPlane::new(techniques, &xcfg.technique_config(), live);
-        Pipeline { plane, live, metrics: None }
+        Pipeline { plane, live, metrics: None, llc: None }
     }
 
     fn attach_metrics(&mut self, registry: Arc<MetricsRegistry>) {
@@ -158,14 +164,16 @@ impl Pipeline {
         self.plane.techniques()
     }
 
-    /// One accounting interval, index `idx`: [`Pipeline::observe`] then
-    /// [`Pipeline::close`], metered.
+    /// One accounting interval, index `idx`: observe, then
+    /// [`Pipeline::close`], metered. Returns the row and, when an LLC
+    /// manager is attached, the way masks it decided for the next
+    /// interval.
     fn step(
         &mut self,
         idx: u64,
         events: &[ProbeEvent],
         boundaries: &[Boundary],
-    ) -> Vec<CoreInterval> {
+    ) -> (Vec<CoreInterval>, Option<Vec<u64>>) {
         let batch = self.metrics.as_ref().map(|mx| {
             let n = events.len() as u64;
             mx.events.add(n);
@@ -179,7 +187,12 @@ impl Pipeline {
             }
             mx.batch_span.enter()
         });
-        self.observe(events);
+        self.plane.observe(events, self.metrics.as_ref().map(|mx| &mx.feed));
+        // The LLC manager reads DIEF's miss curves before the harvest
+        // resets its per-interval counters.
+        let dief = self.plane.dief().filter(|_| self.llc.is_some());
+        let curves: Option<Vec<_>> =
+            dief.map(|d| (0..boundaries.len()).map(|c| d.miss_curve(CoreId(c as u8))).collect());
         let row = self.close(idx, boundaries);
         drop(batch);
         if let Some(mx) = &self.metrics {
@@ -188,22 +201,18 @@ impl Pipeline {
             mx.ts_llc_accesses.record(idx, boundaries.iter().map(|b| b.stats.llc_accesses).sum());
             mx.ts_llc_misses.record(idx, boundaries.iter().map(|b| b.stats.llc_misses).sum());
         }
-        row
-    }
-
-    /// Feed one interval's events to the plane.
-    pub(crate) fn observe(&mut self, events: &[ProbeEvent]) {
-        self.plane.observe(events, self.metrics.as_ref().map(|mx| &mx.feed));
+        let masks = self.llc.as_mut().zip(curves).map(|(m, curves)| m.repartition(&row, curves));
+        (row, masks)
     }
 
     /// Close interval `idx` at one boundary per core: harvest each core's
     /// summary (in a live session, its λ̂ replaces the boundary's), then
     /// read every technique out, technique by technique.
-    pub(crate) fn close(&mut self, idx: u64, boundaries: &[Boundary]) -> Vec<CoreInterval> {
+    fn close(&mut self, idx: u64, boundaries: &[Boundary]) -> Vec<CoreInterval> {
         let mut inputs = Vec::with_capacity(boundaries.len());
         let mut rows: Vec<CoreInterval> = Vec::with_capacity(boundaries.len());
         for (c, b) in boundaries.iter().enumerate() {
-            let (summary, lambda) = self.plane.harvest(CoreId(c as u8), b.stats.cycles);
+            let (summary, lambda) = self.plane.harvest(CoreId(c as u8));
             let mut m = b.measurement();
             m.lambda = lambda.filter(|_| self.live).unwrap_or(b.lambda);
             inputs.push((summary, m));
@@ -322,7 +331,7 @@ impl<'s> SessionBuilder<'s> {
         let n = xcfg.sim.cores;
         let last_snapshot = (0..n).map(|c| *sys.core_stats(c)).collect();
         let last_engine = sys.engine_counters();
-        EstimationSession {
+        let mut session = EstimationSession {
             sys,
             pipeline,
             schedule: IntervalSchedule::new(xcfg.interval_cycles),
@@ -332,11 +341,13 @@ impl<'s> SessionBuilder<'s> {
             cores: n,
             cap: xcfg.cycle_cap(),
             sample_instrs: xcfg.sample_instrs,
+            sample_reached: vec![None; n],
             intervals: Vec::new(),
-            emitted: 0,
             fresh: 0,
             sink,
-        }
+        };
+        session.note_sample_progress();
+        session
     }
 }
 
@@ -353,11 +364,11 @@ pub struct EstimationSession<'s> {
     cores: usize,
     cap: Cycle,
     sample_instrs: u64,
+    /// Cycle at which each core first committed `sample_instrs`.
+    sample_reached: Vec<Option<Cycle>>,
+    /// Every row emitted; its length is the flight recorder's interval
+    /// index.
     intervals: Vec<Vec<CoreInterval>>,
-    /// Boundary rows emitted over the session's lifetime — the flight
-    /// recorder's interval index. Monotonic even when
-    /// [`EstimationSession::take_estimates`] drains `intervals`.
-    emitted: u64,
     fresh: usize,
     sink: Option<&'s mut Recorder>,
 }
@@ -377,8 +388,31 @@ impl EstimationSession<'_> {
     /// Whether the run has reached its end condition: every core hit the
     /// instruction sample target, or the cycle safety cap fired.
     pub fn done(&self) -> bool {
-        !(self.sys.now() < self.cap
-            && (0..self.cores).any(|c| self.sys.committed(c) < self.sample_instrs))
+        self.sys.now() >= self.cap || self.sample_reached.iter().all(Option::is_some)
+    }
+
+    /// Record the cycle at which each core first commits the instruction
+    /// sample. Commits only happen on real (ticked) cycles, so this is
+    /// exactly the cycle a step-by-1 loop would record.
+    fn note_sample_progress(&mut self) {
+        for (c, at) in self.sample_reached.iter_mut().enumerate() {
+            if at.is_none() && self.sys.committed(c) >= self.sample_instrs {
+                *at = Some(self.sys.now());
+            }
+        }
+    }
+
+    /// The cycle at which each core first committed the instruction
+    /// sample (`None` while it has not).
+    pub(crate) fn sample_reached(&self) -> &[Option<Cycle>] {
+        &self.sample_reached
+    }
+
+    /// Consult `manager` at every interval boundary and apply the way
+    /// masks it decides to the LLC.
+    pub(crate) fn partitioned_by(mut self, manager: Option<LlcManager>) -> Self {
+        self.pipeline.llc = manager;
+        self
     }
 
     /// Simulate up to `target` cycles (clamped by the run's cycle cap
@@ -413,6 +447,7 @@ impl EstimationSession<'_> {
                 limit = limit.min((self.sys.now() / epoch + 1) * epoch);
             }
             self.sys.advance(limit);
+            self.note_sample_progress();
 
             // Emit every boundary the advance reached (with the clamp
             // above that is at most one, but a missed boundary would
@@ -427,14 +462,14 @@ impl EstimationSession<'_> {
 
     /// One accounting-interval boundary: close stall runs, drain the
     /// probe batch, run it through the pipeline (whose DIEF supplies each
-    /// core's λ̂), and hand the recorder the same batch and the
-    /// boundaries the pipeline completed — `record_events`, then one
-    /// `record_boundary` per core in core order.
+    /// core's λ̂), apply any LLC manager's new partition, and hand the
+    /// recorder the same batch and the boundaries the pipeline completed
+    /// — `record_events`, then one `record_boundary` per core in core
+    /// order.
     fn emit_boundary_row(&mut self) {
         // The flight recorder's interval index: session-local, counted
         // from 0 — deterministic regardless of job scheduling.
-        let idx = self.emitted;
-        self.emitted += 1;
+        let idx = self.intervals.len() as u64;
         self.sys.finalize(); // close open stall runs at the boundary
         let events = self.sys.drain_probes();
         if let Some(mx) = &self.pipeline.metrics {
@@ -450,7 +485,10 @@ impl EstimationSession<'_> {
                 Boundary::between(&std::mem::replace(&mut self.last_snapshot[c], cum), &cum)
             })
             .collect();
-        let row = self.pipeline.step(idx, &events, &boundaries);
+        let (row, masks) = self.pipeline.step(idx, &events, &boundaries);
+        if let Some(masks) = masks {
+            self.sys.set_llc_partition(Some(masks));
+        }
         if let Some(sink) = self.sink.as_deref_mut() {
             sink.record_events(&events);
             for (b, r) in boundaries.iter_mut().zip(&row) {
@@ -466,32 +504,15 @@ impl EstimationSession<'_> {
         self.advance_to(self.cap);
     }
 
-    /// Drain the estimate rows produced since the last poll:
-    /// `rows[i][core]` carries the boundary measurement and one estimate
-    /// per attached technique. Rows remain owned by the session — they
-    /// also feed [`EstimationSession::into_report`] — so memory grows
-    /// with run length; a long-running host that never wants the batch
-    /// report should use [`EstimationSession::take_estimates`] instead.
+    /// The estimate rows produced since the last poll: `rows[i][core]`
+    /// carries the boundary measurement and one estimate per attached
+    /// technique. Rows remain owned by the session (they also feed
+    /// [`EstimationSession::into_report`]), so its memory grows with run
+    /// length.
     pub fn poll_estimates(&mut self) -> &[Vec<CoreInterval>] {
         let from = self.fresh;
         self.fresh = self.intervals.len();
         &self.intervals[from..]
-    }
-
-    /// Drain the retained rows *by value*, removing them from the
-    /// session — the bounded-memory polling mode for long-running hosts:
-    /// used exclusively, each call returns exactly the rows produced
-    /// since the previous one and the session holds no history. A later
-    /// [`EstimationSession::into_report`] still reports correct
-    /// `cycles`/`final_stats` but only the rows not yet taken.
-    pub fn take_estimates(&mut self) -> Vec<Vec<CoreInterval>> {
-        self.fresh = 0;
-        std::mem::take(&mut self.intervals)
-    }
-
-    /// All interval rows currently retained by the session.
-    pub fn intervals(&self) -> &[Vec<CoreInterval>] {
-        &self.intervals
     }
 
     /// Suspend the estimation stack into a [`StateCheckpoint`] at the
@@ -506,7 +527,7 @@ impl EstimationSession<'_> {
     /// receives events and boundary measurements, λ̂ included, from
     /// outside.
     pub fn suspend(&self) -> StateCheckpoint {
-        self.pipeline.checkpoint(self.emitted)
+        self.pipeline.checkpoint(self.intervals.len() as u64)
     }
 
     /// Finish the run (if not already at its end condition), record the
@@ -689,7 +710,7 @@ impl StreamSession {
         assert_eq!(boundaries.len(), self.cores, "fed interval must carry one boundary per core");
         let idx = self.fed;
         self.fed += 1;
-        self.pipeline.step(idx, events, boundaries)
+        self.pipeline.step(idx, events, boundaries).0
     }
 
     /// Suspend into a [`StateCheckpoint`] stamped with the number of
@@ -786,35 +807,7 @@ mod tests {
         }
         assert!(seen > 0, "a run must produce interval rows");
         assert!(s.poll_estimates().is_empty(), "drained");
-        assert_eq!(s.intervals().len(), seen);
-    }
-
-    #[test]
-    fn take_estimates_streams_with_bounded_memory() {
-        let w = &paper_workloads(2, 5)[0];
-        let x = xcfg();
-        let reference =
-            SessionBuilder::new(w, &x).techniques(&[Technique::GDP]).build().into_report();
-        let mut s = SessionBuilder::new(w, &x).techniques(&[Technique::GDP]).build();
-        let mut taken: Vec<Vec<CoreInterval>> = Vec::new();
-        while !s.done() {
-            s.advance_to(s.now() + 3_333);
-            taken.extend(s.take_estimates());
-            assert!(s.intervals().is_empty(), "taking must leave no retained history");
-        }
-        assert_eq!(taken.len(), reference.intervals.len());
-        for (a, b) in taken.iter().flatten().zip(reference.intervals.iter().flatten()) {
-            assert_eq!(a.stats, b.stats);
-            assert_eq!(
-                a.estimates[0].cpi.to_bits(),
-                b.estimates[0].cpi.to_bits(),
-                "taken rows are the same rows the report would have carried"
-            );
-        }
-        let report = s.into_report();
-        assert!(report.intervals.is_empty(), "all rows were taken");
-        assert_eq!(report.cycles, reference.cycles, "run identity is unaffected");
-        assert_eq!(report.final_stats, reference.final_stats);
+        assert_eq!(s.into_report().intervals.len(), seen);
     }
 
     #[test]

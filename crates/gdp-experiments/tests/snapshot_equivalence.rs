@@ -185,7 +185,7 @@ fn the_itca_ptca_dief_recomputes_the_recorded_lambda() {
     for (i, iv) in trace.intervals.iter().enumerate() {
         plane.observe(&iv.events, None);
         for (c, b) in iv.boundaries.iter().enumerate() {
-            let (_, lambda) = plane.harvest(CoreId(c as u8), b.stats.cycles);
+            let (_, lambda) = plane.harvest(CoreId(c as u8));
             let lambda = lambda.expect("an ITCA/PTCA plane holds a DIEF");
             assert_eq!(lambda.to_bits(), b.lambda.to_bits(), "iv {i} core {c} λ");
             checked += 1;

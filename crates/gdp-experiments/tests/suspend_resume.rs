@@ -117,17 +117,16 @@ fn live_suspend_seeds_a_stream_session_bit_exactly() {
 
     // The same live run again, suspended partway through.
     let mut live = SessionBuilder::new(w, &x).techniques(&set).build();
-    while !live.done() && (live.intervals().len() as u64) < (n as u64) / 2 {
+    let mut head: Vec<Vec<CoreInterval>> = Vec::new();
+    while !live.done() && head.len() < n / 2 {
         live.advance_to(live.now() + x.interval_cycles);
+        head.extend_from_slice(live.poll_estimates());
     }
     let cp = live.suspend();
     let cut = cp.at as usize;
     assert!(cut >= 1 && cut < n, "suspended at an interior boundary");
-    assert_rows_bit_identical(
-        live.intervals(),
-        &oracle.intervals[..cut],
-        "live head vs oracle head",
-    );
+    assert_eq!(head.len(), cut, "the suspend stamp counts every polled row");
+    assert_rows_bit_identical(&head, &oracle.intervals[..cut], "live head vs oracle head");
 
     // Resume the estimator bundle into a stream session fed the
     // recorded tail.

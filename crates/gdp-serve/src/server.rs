@@ -311,44 +311,20 @@ fn read_connection(
     'conn: loop {
         // Decode every complete frame currently buffered.
         loop {
-            let frame = match asm.next_frame() {
-                Ok(Some(f)) => f,
+            let msg = match asm.next_frame() {
                 Ok(None) => break,
-                Err(e) => {
-                    // Corrupt stream: framing is lost, the connection
-                    // is unrecoverable. Typed error, then hang up.
-                    let msg = format!("corrupt frame: {e:?}");
-                    match &admitted {
-                        Some((tenant, gen, shard)) => {
-                            let _ = shard.send(ShardOp::Fail { tenant: *tenant, gen: *gen, msg });
-                        }
-                        None => {
-                            let _ = tx.send(&encode_server(&ServerMsg::Error(msg)));
-                            if let Some(mx) = &inner.ctx.metrics {
-                                mx.errors.inc();
-                            }
-                        }
-                    }
-                    finished = true; // Fail already suspends/releases
-                    break 'conn;
-                }
+                Ok(Some(frame)) => decode_client(&frame, cores, MAX_EVENTS_PER_INTERVAL)
+                    .map_err(|e| format!("bad message: {e:?}")),
+                Err(e) => Err(format!("corrupt frame: {e:?}")),
             };
-            let msg = match decode_client(&frame, cores, MAX_EVENTS_PER_INTERVAL) {
+            let msg = match msg {
                 Ok(m) => m,
-                Err(e) => {
-                    let msg = format!("bad message: {e:?}");
-                    match &admitted {
-                        Some((tenant, gen, shard)) => {
-                            let _ = shard.send(ShardOp::Fail { tenant: *tenant, gen: *gen, msg });
-                        }
-                        None => {
-                            let _ = tx.send(&encode_server(&ServerMsg::Error(msg)));
-                            if let Some(mx) = &inner.ctx.metrics {
-                                mx.errors.inc();
-                            }
-                        }
-                    }
-                    finished = true;
+                Err(msg) => {
+                    // Framing is lost or the protocol is broken: the
+                    // connection is unrecoverable. Typed error, then
+                    // hang up.
+                    fail_connection(inner, admitted.as_ref(), tx.as_mut(), msg);
+                    finished = true; // Fail already suspends/releases
                     break 'conn;
                 }
             };
@@ -362,13 +338,8 @@ fn read_connection(
                         }
                     }
                 }
-                (ClientMsg::Hello { .. }, Some(_)) => {
-                    let (tenant, gen, shard) = admitted.as_ref().expect("admitted");
-                    let _ = shard.send(ShardOp::Fail {
-                        tenant: *tenant,
-                        gen: *gen,
-                        msg: "duplicate Hello".into(),
-                    });
+                (ClientMsg::Hello { .. }, Some(conn)) => {
+                    fail_connection(inner, Some(conn), tx.as_mut(), "duplicate Hello".into());
                     finished = true;
                     break 'conn;
                 }
@@ -384,12 +355,8 @@ fn read_connection(
                     finished = true;
                 }
                 (ClientMsg::Interval(_) | ClientMsg::Finish, None) => {
-                    let _ = tx.send(&encode_server(&ServerMsg::Error(
-                        "stream must start with Hello".into(),
-                    )));
-                    if let Some(mx) = &inner.ctx.metrics {
-                        mx.errors.inc();
-                    }
+                    let msg = "stream must start with Hello".to_string();
+                    fail_connection(inner, None, tx.as_mut(), msg);
                     finished = true;
                     break 'conn;
                 }
@@ -408,6 +375,28 @@ fn read_connection(
     }
 }
 
+/// End a connection with a typed error. An admitted tenant's shard
+/// reports it (and suspends and releases the session); before admission
+/// the reader sends it down `tx` and counts it itself.
+fn fail_connection(
+    inner: &Inner,
+    admitted: Option<&(u64, u64, SyncSender<ShardOp>)>,
+    tx: &mut dyn crate::transport::ConnWrite,
+    msg: String,
+) {
+    match admitted {
+        Some((tenant, gen, shard)) => {
+            let _ = shard.send(ShardOp::Fail { tenant: *tenant, gen: *gen, msg });
+        }
+        None => {
+            let _ = tx.send(&encode_server(&ServerMsg::Error(msg)));
+            if let Some(mx) = &inner.ctx.metrics {
+                mx.errors.inc();
+            }
+        }
+    }
+}
+
 /// Process a Hello: validate, apply the global admission policy, and on
 /// success enqueue the `Admit` op (handing the connection's sending
 /// half to the shard). Returns `None` when the connection is over
@@ -420,17 +409,10 @@ fn admit_hello(
     tx: &mut Box<dyn crate::transport::ConnWrite>,
 ) -> Option<(u64, SyncSender<ShardOp>)> {
     let cfg = &inner.cfg;
-    let refuse = |tx: &mut Box<dyn crate::transport::ConnWrite>, msg: String| {
-        let _ = tx.send(&encode_server(&ServerMsg::Error(msg)));
-        if let Some(mx) = &inner.ctx.metrics {
-            mx.errors.inc();
-        }
-    };
     if want_cores != cfg.xcfg.sim.cores {
-        refuse(
-            tx,
-            format!("server is a {}-core CMP, stream declares {want_cores}", cfg.xcfg.sim.cores),
-        );
+        let msg =
+            format!("server is a {}-core CMP, stream declares {want_cores}", cfg.xcfg.sim.cores);
+        fail_connection(inner, None, tx.as_mut(), msg);
         return None;
     }
     let mut techniques = Vec::with_capacity(technique_ids.len());
@@ -438,13 +420,13 @@ fn admit_hello(
         match Technique::from_id(id) {
             Some(t) => techniques.push(t),
             None => {
-                refuse(tx, format!("unknown technique id {id:?}"));
+                fail_connection(inner, None, tx.as_mut(), format!("unknown technique id {id:?}"));
                 return None;
             }
         }
     }
     if techniques.is_empty() {
-        refuse(tx, "at least one technique is required".into());
+        fail_connection(inner, None, tx.as_mut(), "at least one technique is required".into());
         return None;
     }
     // The one shed point (see the module docs): global capacity check
@@ -453,7 +435,7 @@ fn admit_hello(
         let mut adm = inner.ctx.admission.lock().expect("admission lock");
         if adm.contains_key(&tenant) {
             drop(adm);
-            refuse(tx, format!("tenant {tenant} already connected"));
+            fail_connection(inner, None, tx.as_mut(), format!("tenant {tenant} already connected"));
             return None;
         }
         if adm.len() >= inner.cfg.max_tenants {

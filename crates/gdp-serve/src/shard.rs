@@ -14,6 +14,7 @@
 //! tenant already reconnected) is ignored instead of corrupting the
 //! surviving session.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
@@ -129,6 +130,19 @@ struct Tenant {
     tx: Box<dyn ConnWrite>,
 }
 
+impl ShardOp {
+    /// The session a tenant-scoped op acts on: `(tenant, gen)`.
+    fn session(&self) -> Option<(u64, u64)> {
+        match *self {
+            ShardOp::Interval { tenant, gen, .. }
+            | ShardOp::Finish { tenant, gen }
+            | ShardOp::Fail { tenant, gen, .. }
+            | ShardOp::Hangup { tenant, gen } => Some((tenant, gen)),
+            ShardOp::Admit { .. } | ShardOp::Drain => None,
+        }
+    }
+}
+
 /// Run one shard worker until its inbox closes or a
 /// [`ShardOp::Drain`] arrives. Never panics on tenant input: malformed
 /// streams become per-tenant [`ServerMsg::Error`] replies.
@@ -138,22 +152,26 @@ pub fn run_shard(shard: usize, inbox: Receiver<ShardOp>, ctx: Arc<ShardCtx>) {
     loop {
         let Ok(op) = inbox.recv() else { break };
         let _g = span.as_ref().map(|s| s.enter());
-        match op {
-            ShardOp::Admit { tenant, gen, techniques, tx } => {
+        // The one stale-op guard: a tenant-scoped op acts only on the
+        // session its own connection's admission produced. That session
+        // leaves the map for the op, and goes back only while it is
+        // still being served.
+        let current = op.session().and_then(|(tenant, gen)| match tenants.entry(tenant) {
+            Entry::Occupied(e) if e.get().gen == gen => Some(e.remove()),
+            _ => None,
+        });
+        match (op, current) {
+            (ShardOp::Admit { tenant, gen, techniques, tx }, _) => {
                 admit(&ctx, &mut tenants, tenant, gen, techniques, tx);
             }
-            ShardOp::Interval { tenant, gen, iv } => {
-                let Some(t) = tenants.get_mut(&tenant) else { continue };
-                if t.gen != gen {
-                    continue; // stale op from a replaced connection
-                }
+            (ShardOp::Interval { tenant, iv, .. }, Some(mut t)) => {
                 if iv.boundaries.len() != t.session.cores() {
                     let msg = format!(
                         "interval carries {} boundaries for a {}-core server",
                         iv.boundaries.len(),
                         t.session.cores()
                     );
-                    fail_tenant(&ctx, &mut tenants, tenant, &msg);
+                    fail_tenant(&ctx, tenant, t, &msg);
                     continue;
                 }
                 let index = t.session.intervals_fed();
@@ -163,19 +181,16 @@ pub fn run_shard(shard: usize, inbox: Receiver<ShardOp>, ctx: Arc<ShardCtx>) {
                     mx.intervals.inc();
                 }
                 let frame = encode_server(&ServerMsg::Row { index, cores: row });
-                if t.tx.send(&frame).is_err() {
+                if t.tx.send(&frame).is_ok() {
+                    tenants.insert(tenant, t);
+                } else {
                     // The client vanished mid-stream: treat as hangup
                     // (suspend; the row just fed is part of the
                     // suspended position).
-                    suspend_tenant(&ctx, &mut tenants, tenant);
+                    suspend_tenant(&ctx, tenant, t);
                 }
             }
-            ShardOp::Finish { tenant, gen } => {
-                let Some(t) = tenants.get(&tenant) else { continue };
-                if t.gen != gen {
-                    continue;
-                }
-                let mut t = tenants.remove(&tenant).expect("present");
+            (ShardOp::Finish { tenant, gen }, Some(mut t)) => {
                 if let Some(cache) = &ctx.snapshots {
                     // A finished stream has no resume point: drop any
                     // stale snapshot so a future reconnect starts fresh.
@@ -191,29 +206,17 @@ pub fn run_shard(shard: usize, inbox: Receiver<ShardOp>, ctx: Arc<ShardCtx>) {
                 let done = encode_server(&ServerMsg::Done { intervals: t.session.intervals_fed() });
                 let _ = t.tx.send(&done);
             }
-            ShardOp::Fail { tenant, gen, msg } => {
-                let Some(t) = tenants.get(&tenant) else { continue };
-                if t.gen != gen {
-                    continue;
-                }
-                fail_tenant(&ctx, &mut tenants, tenant, &msg);
-            }
-            ShardOp::Hangup { tenant, gen } => {
-                let Some(t) = tenants.get(&tenant) else { continue };
-                if t.gen != gen {
-                    continue;
-                }
-                suspend_tenant(&ctx, &mut tenants, tenant);
-            }
-            ShardOp::Drain => break,
+            (ShardOp::Fail { tenant, msg, .. }, Some(t)) => fail_tenant(&ctx, tenant, t, &msg),
+            (ShardOp::Hangup { tenant, .. }, Some(t)) => suspend_tenant(&ctx, tenant, t),
+            (ShardOp::Drain, _) => break,
+            (_, None) => {} // stale op from a replaced or ended connection
         }
     }
     // Graceful drain: suspend every remaining session so reconnects
     // after a restart resume bit-exactly.
     let _g = span.as_ref().map(|s| s.enter());
-    let remaining: Vec<u64> = tenants.keys().copied().collect();
-    for tenant in remaining {
-        suspend_tenant(&ctx, &mut tenants, tenant);
+    for (tenant, t) in tenants.drain() {
+        suspend_tenant(&ctx, tenant, t);
     }
 }
 
@@ -271,8 +274,7 @@ fn admit(
 
 /// Suspend a tenant's session to the snapshot store (when configured),
 /// drop it, and release its admission slot.
-fn suspend_tenant(ctx: &Arc<ShardCtx>, tenants: &mut HashMap<u64, Tenant>, tenant: u64) {
-    let Some(t) = tenants.remove(&tenant) else { return };
+fn suspend_tenant(ctx: &Arc<ShardCtx>, tenant: u64, t: Tenant) {
     if let Some(cache) = &ctx.snapshots {
         let key = session_state_key(&ctx.xcfg, tenant, &t.techniques);
         match cache.store_state(&key, &t.session.suspend()) {
@@ -289,14 +291,12 @@ fn suspend_tenant(ctx: &Arc<ShardCtx>, tenants: &mut HashMap<u64, Tenant>, tenan
 /// Report a typed per-tenant failure, suspend what was consistently fed
 /// so far, and release. The events of the failing frame were never fed,
 /// so the suspended position is exact.
-fn fail_tenant(ctx: &Arc<ShardCtx>, tenants: &mut HashMap<u64, Tenant>, tenant: u64, msg: &str) {
-    if let Some(t) = tenants.get_mut(&tenant) {
-        let _ = t.tx.send(&encode_server(&ServerMsg::Error(msg.to_string())));
-    }
+fn fail_tenant(ctx: &Arc<ShardCtx>, tenant: u64, mut t: Tenant, msg: &str) {
+    let _ = t.tx.send(&encode_server(&ServerMsg::Error(msg.to_string())));
     if let Some(mx) = &ctx.metrics {
         mx.errors.inc();
     }
-    suspend_tenant(ctx, tenants, tenant);
+    suspend_tenant(ctx, tenant, t);
 }
 
 #[cfg(test)]

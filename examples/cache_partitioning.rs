@@ -30,7 +30,7 @@ fn main() {
     for o in &outcomes {
         println!(
             "{:>8} {:>8.3} {:>9.1}% {:>12}",
-            o.policy.name(),
+            o.policy.to_string(),
             o.stp,
             100.0 * (o.stp / lru - 1.0),
             o.cycles

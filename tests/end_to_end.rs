@@ -93,6 +93,23 @@ fn policy_study_produces_sane_stp_for_all_policies() {
         assert!(o.stp > 0.0 && o.stp <= 2.0 + 1e-9, "{}: STP {}", o.policy, o.stp);
         assert!(o.shared_cpi.iter().all(|c| c.is_finite() && *c > 0.0));
     }
+    // Bit-exact pins, in `PolicyKind::ALL` order: (STP, shared CPI per
+    // core, cycles). Any change to the study's run loop that moves one
+    // bit of a policy's outcome fails here.
+    const PINS: [(u64, [u64; 2], u64); 5] = [
+        (0x3fefb38ca3185065, [0x4050b6474538ef35, 0x40388fbe76c8b439], 668_481),
+        (0x3fef8b8856a798a8, [0x4050ee6e978d4fdf, 0x40388fbe76c8b439], 677_255),
+        (0x3feedb26d0dc8242, [0x40459b020c49ba5e, 0x4043c81a36e2eb1c], 432_110),
+        (0x3fef8b8856a798a8, [0x4050ee6e978d4fdf, 0x40388fbe76c8b439], 677_255),
+        (0x3fef8b8856a798a8, [0x4050ee6e978d4fdf, 0x40388fbe76c8b439], 677_255),
+    ];
+    for ((o, policy), (stp, cpi, cycles)) in out.iter().zip(PolicyKind::ALL).zip(PINS) {
+        assert_eq!(o.policy, policy);
+        assert_eq!(o.stp.to_bits(), stp, "{policy}: STP {}", o.stp);
+        let bits: Vec<u64> = o.shared_cpi.iter().map(|c| c.to_bits()).collect();
+        assert_eq!(bits, cpi, "{policy}: shared CPI {:?}", o.shared_cpi);
+        assert_eq!(o.cycles, cycles, "{policy}: cycles");
+    }
 }
 
 #[test]
