@@ -23,6 +23,12 @@
 //!   service time consumes nearly the whole epoch, the corrected epoch
 //!   time approaches zero and `CAR_alone` diverges — the source of ASM's
 //!   astronomic 8-core L-workload errors.
+//!
+//! ASM's only DIEF read is the interference verdict of the load that just
+//! completed. In a session it is therefore a readout of the observation
+//! plane's one DIEF, like ITCA and PTCA: its counters accumulate in the
+//! plane's post-batch pass through [`count_event`], and the standalone
+//! [`Asm`] shares that function and [`private_estimate`].
 
 use gdp_core::model::{
     sigma_other, sigma_sms_from_cpi, IntervalMeasurement, PrivateEstimate, PrivateModeEstimator,
@@ -36,24 +42,88 @@ use gdp_sim::SimConfig;
 /// Default epoch length in cycles (paper: "a few thousand clock cycles").
 pub const DEFAULT_EPOCH_CYCLES: u64 = 2_000;
 
-#[derive(Debug, Clone, Copy, Default)]
-struct CoreAcc {
+/// One core's ASM counters over an interval.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EpochCounts {
     /// LLC accesses over the whole interval.
-    llc_total: u64,
-    /// LLC accesses during this core's high-priority epochs.
-    llc_hp: u64,
-    /// Interference-miss service cycles observed during HP epochs
-    /// (subtracted from the HP epoch time).
-    intf_correction_hp: u64,
+    pub llc: u64,
+    /// LLC accesses during this core's own priority epochs.
+    pub llc_own: u64,
+    /// DRAM residency of the interference misses completing in those
+    /// epochs (subtracted from the core's epoch time).
+    pub intf_own: u64,
 }
 
-/// The ASM estimator and its priority-epoch schedule.
+/// Which of `cores` cores holds the memory-controller priority token at
+/// `cycle`, the token moving on every `epoch_len` cycles. The live run
+/// loop applies this to the controller — that is the invasive part of
+/// ASM — and the counters attribute accesses by it.
+pub fn priority_core_at(cycle: Cycle, epoch_len: u64, cores: usize) -> CoreId {
+    CoreId(((cycle / epoch_len) % cores as u64) as u8)
+}
+
+/// Count one probe event into the per-core `counts`: every LLC access,
+/// the accesses made in the core's own priority epoch, and the DRAM
+/// residency of each SMS load completing in that epoch that `dief`
+/// flagged as an interference miss. The flag is DIEF's record of the
+/// completed load, fixed from its completion to the interval harvest, so
+/// this runs mid-stream right after `dief` saw the event or after `dief`
+/// took the whole batch alike (see [`Dief::observe_batch`]).
+pub fn count_event(counts: &mut [EpochCounts], dief: &Dief, epoch_len: u64, ev: &ProbeEvent) {
+    let cores = counts.len();
+    let own = |core: CoreId, cycle: Cycle| priority_core_at(cycle, epoch_len, cores) == core;
+    match ev {
+        ProbeEvent::LlcAccess { core, cycle, .. } => {
+            let hp = own(*core, *cycle);
+            let c = &mut counts[core.idx()];
+            c.llc += 1;
+            c.llc_own += u64::from(hp);
+        }
+        ProbeEvent::LoadL1MissDone { core, req, cycle, sms: true, post_llc, .. }
+            if own(*core, *cycle) && dief.was_interference_miss(*core, *req) =>
+        {
+            counts[core.idx()].intf_own += post_llc;
+        }
+        _ => {}
+    }
+}
+
+/// ASM's estimate from one core's interval `counts` on a CMP whose
+/// priority token rotates over `cores` cores.
+pub fn private_estimate(
+    counts: &EpochCounts,
+    cores: usize,
+    m: &IntervalMeasurement,
+) -> PrivateEstimate {
+    let interval_cycles = m.stats.cycles.max(1) as f64;
+    // Each core owns 1/n of the interval's epochs.
+    let hp_cycles = interval_cycles / cores as f64;
+    let hp_effective = (hp_cycles - counts.intf_own as f64).max(1.0);
+
+    let car_shared = counts.llc as f64 / interval_cycles;
+    let car_alone = counts.llc_own as f64 / hp_effective;
+
+    // Memory-bound fraction weights the CAR ratio (the MISE/ASM model
+    // treats compute phases as unslowed).
+    let f_mem = (m.stats.stall_sms as f64 / interval_cycles).clamp(0.0, 1.0);
+    let car_ratio =
+        if car_shared > 0.0 && counts.llc_own > 0 { car_alone / car_shared } else { 1.0 };
+    let slowdown = (f_mem * car_ratio + (1.0 - f_mem)).max(1.0);
+
+    let cpi_shared = interval_cycles / m.stats.committed_instrs.max(1) as f64;
+    let cpi = cpi_shared / slowdown;
+
+    let so = sigma_other(&m.stats, m.lambda, m.shared_latency);
+    let sigma_sms = sigma_sms_from_cpi(&m.stats, cpi, so);
+    PrivateEstimate { cpi, sigma_sms, cpl: 0, overlap: 0.0 }
+}
+
+/// The standalone ASM estimator, over its own DIEF.
 #[derive(Debug)]
 pub struct Asm {
-    cores: usize,
     epoch_len: u64,
     dief: Dief,
-    acc: Vec<CoreAcc>,
+    counts: Vec<EpochCounts>,
 }
 
 impl Asm {
@@ -66,27 +136,10 @@ impl Asm {
     pub fn with_epoch(cfg: &SimConfig, sampled_sets: usize, epoch_len: u64) -> Self {
         assert!(epoch_len > 0);
         Asm {
-            cores: cfg.cores,
             epoch_len,
             dief: Dief::new(cfg, sampled_sets),
-            acc: vec![CoreAcc::default(); cfg.cores],
+            counts: vec![EpochCounts::default(); cfg.cores],
         }
-    }
-
-    /// Epoch length in cycles.
-    pub fn epoch_len(&self) -> u64 {
-        self.epoch_len
-    }
-
-    /// Which core holds the memory-controller priority token at `cycle`.
-    /// The experiment driver applies this to the controller — that is the
-    /// invasive part of ASM.
-    pub fn priority_core_at(&self, cycle: Cycle) -> CoreId {
-        CoreId(((cycle / self.epoch_len) % self.cores as u64) as u8)
-    }
-
-    fn in_own_hp_epoch(&self, core: CoreId, cycle: Cycle) -> bool {
-        self.priority_core_at(cycle) == core
     }
 }
 
@@ -97,71 +150,24 @@ impl PrivateModeEstimator for Asm {
 
     fn observe(&mut self, ev: &ProbeEvent) {
         self.dief.observe(ev);
-        match ev {
-            ProbeEvent::LlcAccess { core, cycle, .. } => {
-                let acc = &mut self.acc[core.idx()];
-                acc.llc_total += 1;
-                if self.in_own_hp_epoch(*core, *cycle) {
-                    self.acc[core.idx()].llc_hp += 1;
-                }
-            }
-            ProbeEvent::LoadL1MissDone { core, req, cycle, sms: true, post_llc, .. }
-                if self.in_own_hp_epoch(*core, *cycle)
-                    && self.dief.was_interference_miss(*core, *req) =>
-            {
-                self.acc[core.idx()].intf_correction_hp += post_llc;
-            }
-            _ => {}
-        }
-    }
-
-    /// Strictly in-order: the completion arm reads the embedded DIEF's
-    /// mid-stream interference verdict, and for a solo estimator the
-    /// interleaved loop measures faster than a set-partitioned feed plus
-    /// a second query pass. The profit is devirtualization alone — one
-    /// virtual call per batch with direct inner dispatch.
-    fn observe_batch(&mut self, events: &[ProbeEvent]) {
-        for ev in events {
-            self.observe(ev);
-        }
+        count_event(&mut self.counts, &self.dief, self.epoch_len, ev);
     }
 
     fn estimate(&mut self, core: CoreId, m: &IntervalMeasurement) -> PrivateEstimate {
-        let acc = std::mem::take(&mut self.acc[core.idx()]);
+        let counts = std::mem::take(&mut self.counts[core.idx()]);
         let _ = self.dief.interval_estimate(core);
-
-        let interval_cycles = m.stats.cycles.max(1) as f64;
-        // Each core owns 1/n of the interval's epochs.
-        let hp_cycles = interval_cycles / self.cores as f64;
-        let hp_effective = (hp_cycles - acc.intf_correction_hp as f64).max(1.0);
-
-        let car_shared = acc.llc_total as f64 / interval_cycles;
-        let car_alone = acc.llc_hp as f64 / hp_effective;
-
-        // Memory-bound fraction weights the CAR ratio (the MISE/ASM model
-        // treats compute phases as unslowed).
-        let f_mem = (m.stats.stall_sms as f64 / interval_cycles).clamp(0.0, 1.0);
-        let car_ratio =
-            if car_shared > 0.0 && acc.llc_hp > 0 { car_alone / car_shared } else { 1.0 };
-        let slowdown = (f_mem * car_ratio + (1.0 - f_mem)).max(1.0);
-
-        let cpi_shared = interval_cycles / m.stats.committed_instrs.max(1) as f64;
-        let cpi = cpi_shared / slowdown;
-
-        let so = sigma_other(&m.stats, m.lambda, m.shared_latency);
-        let sigma_sms = sigma_sms_from_cpi(&m.stats, cpi, so);
-        PrivateEstimate { cpi, sigma_sms, cpl: 0, overlap: 0.0 }
+        private_estimate(&counts, self.counts.len(), m)
     }
 
     fn snapshot(&self) -> EstimatorState {
-        let acc = self
-            .acc
+        let counts = self
+            .counts
             .iter()
-            .map(|a| {
+            .map(|c| {
                 StateValue::List(vec![
-                    StateValue::U64(a.llc_total),
-                    StateValue::U64(a.llc_hp),
-                    StateValue::U64(a.intf_correction_hp),
+                    StateValue::U64(c.llc),
+                    StateValue::U64(c.llc_own),
+                    StateValue::U64(c.intf_own),
                 ])
             })
             .collect();
@@ -170,7 +176,7 @@ impl PrivateModeEstimator for Asm {
             StateValue::List(vec![
                 StateValue::U64(self.epoch_len),
                 self.dief.snapshot_value(),
-                StateValue::List(acc),
+                StateValue::List(counts),
             ]),
         )
     }
@@ -180,21 +186,21 @@ impl PrivateModeEstimator for Asm {
         if f[0].as_u64()? != self.epoch_len {
             return Err(StateError::ConfigMismatch("epoch length"));
         }
-        let accs = f[2].as_list()?;
-        if accs.len() != self.acc.len() {
+        let list = f[2].as_list()?;
+        if list.len() != self.counts.len() {
             return Err(StateError::ConfigMismatch("core count"));
         }
-        let mut acc = Vec::with_capacity(accs.len());
-        for a in accs {
-            let af = a.fields(3)?;
-            acc.push(CoreAcc {
-                llc_total: af[0].as_u64()?,
-                llc_hp: af[1].as_u64()?,
-                intf_correction_hp: af[2].as_u64()?,
+        let mut counts = Vec::with_capacity(list.len());
+        for c in list {
+            let cf = c.fields(3)?;
+            counts.push(EpochCounts {
+                llc: cf[0].as_u64()?,
+                llc_own: cf[1].as_u64()?,
+                intf_own: cf[2].as_u64()?,
             });
         }
         self.dief.restore_value(&f[1])?;
-        self.acc = acc;
+        self.counts = counts;
         Ok(())
     }
 }
@@ -230,11 +236,10 @@ mod tests {
 
     #[test]
     fn priority_token_rotates_per_epoch() {
-        let a = asm2();
-        assert_eq!(a.priority_core_at(0), CoreId(0));
-        assert_eq!(a.priority_core_at(999), CoreId(0));
-        assert_eq!(a.priority_core_at(1000), CoreId(1));
-        assert_eq!(a.priority_core_at(2000), CoreId(0));
+        assert_eq!(priority_core_at(0, 1000, 2), CoreId(0));
+        assert_eq!(priority_core_at(999, 1000, 2), CoreId(0));
+        assert_eq!(priority_core_at(1000, 1000, 2), CoreId(1));
+        assert_eq!(priority_core_at(2000, 1000, 2), CoreId(0));
     }
 
     #[test]

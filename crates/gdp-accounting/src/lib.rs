@@ -18,9 +18,10 @@
 //!   it perturbs the workload it measures (Fig. 1c's backlog pathology).
 //!
 //! All three implement [`gdp_core::PrivateModeEstimator`]. In a session,
-//! ITCA and PTCA are readouts of the observation plane's one DIEF (their
-//! per-stall math, [`itca::stall_discount`] and [`ptca::stall_sigma`], is
-//! shared with the standalone estimators); ASM stays a stateful estimator.
+//! all three are readouts of the observation plane's one DIEF: their
+//! per-event math ([`itca::stall_discount`], [`ptca::stall_sigma`] and
+//! [`asm::count_event`]) and their estimates are shared with the
+//! standalone estimators.
 
 pub mod asm;
 pub mod itca;

@@ -1,14 +1,14 @@
-//! Registry descriptors for the baseline accounting techniques.
+//! Descriptors of the baseline accounting techniques.
 //!
-//! Downstream crates assemble these (together with `gdp-core`'s GDP and
-//! GDP-O and `gdp-dief`'s DIEF-only descriptor) into one
-//! [`TechniqueRegistry`](gdp_core::TechniqueRegistry) — the data-driven
-//! replacement for per-binary `match`es over a technique enum.
+//! `gdp-experiments` lists these, with `gdp-core`'s GDP and GDP-O and
+//! `gdp-dief`'s DIEF-only descriptor, in its one `const` technique table
+//! — the data-driven replacement for per-binary `match`es over a
+//! technique enum.
 
 use gdp_core::technique::{Observer, Readout, TechniqueCaps, TechniqueConfig, TechniqueDesc};
 use gdp_core::{CoreSummary, IntervalMeasurement, PrivateEstimate, PrivateModeEstimator};
 
-use crate::{itca, ptca, Asm, Itca, Ptca};
+use crate::{asm, itca, ptca, Asm, Itca, Ptca};
 
 fn build_itca(cfg: &TechniqueConfig) -> Box<dyn PrivateModeEstimator> {
     Box::new(Itca::new(&cfg.sim, cfg.sampled_sets))
@@ -30,6 +30,15 @@ fn read_ptca(s: &CoreSummary, m: &IntervalMeasurement) -> PrivateEstimate {
     ptca::private_estimate(s.sigma, m)
 }
 
+fn read_asm(s: &CoreSummary, m: &IntervalMeasurement) -> PrivateEstimate {
+    let counts = asm::EpochCounts {
+        llc: s.llc_accesses,
+        llc_own: s.llc_accesses_own,
+        intf_own: s.intf_residency_own,
+    };
+    asm::private_estimate(&counts, s.rotation as usize, m)
+}
+
 /// ITCA: transparent condition-based discounting (Luque et al.).
 pub const ITCA_TECHNIQUE: TechniqueDesc = TechniqueDesc {
     id: "itca",
@@ -37,8 +46,7 @@ pub const ITCA_TECHNIQUE: TechniqueDesc = TechniqueDesc {
     summary: "Inter-Task Conflict-Aware accounting (transparent baseline)",
     caps: TechniqueCaps::transparent(),
     mc_priority_epoch: None,
-    default_member: true,
-    readout: Some(Readout { reads: &[Observer::Dief], estimate: read_itca }),
+    readout: Readout { reads: &[Observer::Discounts], estimate: read_itca },
     factory: build_itca,
 };
 
@@ -49,23 +57,20 @@ pub const PTCA_TECHNIQUE: TechniqueDesc = TechniqueDesc {
     summary: "Per-Thread Cycle Accounting (transparent baseline)",
     caps: TechniqueCaps::transparent(),
     mc_priority_epoch: None,
-    default_member: true,
-    readout: Some(Readout { reads: &[Observer::Dief], estimate: read_ptca }),
+    readout: Readout { reads: &[Observer::Sigma], estimate: read_ptca },
     factory: build_ptca,
 };
 
 /// ASM: the invasive slowdown model (Subramanian et al.). Its epoch
 /// length tells the run loop how often to rotate the memory-controller
-/// priority token — the invasive part the capability flags advertise. It
-/// has no readout: its estimate needs in-order, mid-stream DIEF reads.
+/// priority token — the invasive part the capability flags advertise.
 pub const ASM_TECHNIQUE: TechniqueDesc = TechniqueDesc {
     id: "asm",
     label: "ASM",
     summary: "Application Slowdown Model (invasive baseline)",
     caps: TechniqueCaps::invasive(),
-    mc_priority_epoch: Some(crate::asm::DEFAULT_EPOCH_CYCLES),
-    default_member: true,
-    readout: None,
+    mc_priority_epoch: Some(asm::DEFAULT_EPOCH_CYCLES),
+    readout: Readout { reads: &[Observer::Epochs], estimate: read_asm },
     factory: build_asm,
 };
 
@@ -83,6 +88,6 @@ mod tests {
         assert!(ITCA_TECHNIQUE.caps.is_transparent());
         assert!(PTCA_TECHNIQUE.caps.is_transparent());
         const _: () = assert!(ASM_TECHNIQUE.caps.invasive);
-        assert_eq!(ASM_TECHNIQUE.mc_priority_epoch, Some(crate::asm::DEFAULT_EPOCH_CYCLES));
+        assert_eq!(ASM_TECHNIQUE.mc_priority_epoch, Some(asm::DEFAULT_EPOCH_CYCLES));
     }
 }

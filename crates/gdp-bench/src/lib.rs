@@ -88,7 +88,7 @@ impl Scale {
 /// Parsed command line of a figure binary (shared `gdp-runner` surface:
 /// `--tiny/--quick/--full`, `--jobs N`, `--json`, `--list`, the
 /// trace-cache flags `--record`/`--replay`/`--trace-dir DIR`, and the
-/// registry-backed `--techniques a,b,c` selection; unknown flags and
+/// table-backed `--techniques a,b,c` selection; unknown flags and
 /// unknown technique ids exit non-zero with usage / the valid-id list).
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
@@ -108,7 +108,7 @@ pub struct BenchArgs {
     pub replay: bool,
     /// Trace-cache directory.
     pub trace_dir: String,
-    /// `--techniques`: validated registry selection, canonical order;
+    /// `--techniques`: validated table selection, canonical order;
     /// `None` means the binary's default set.
     pub techniques: Option<Vec<Technique>>,
     /// `--metrics`: collect telemetry and write the full snapshot to
@@ -520,7 +520,7 @@ pub fn aggregate(results: &[WorkloadAccuracy]) -> CellAccuracy {
 }
 
 /// Per-technique values as an ordered JSON object keyed by the
-/// registry display labels of `techniques`.
+/// display labels of `techniques`.
 pub fn technique_json(techniques: &[Technique], values: &[f64]) -> Json {
     Json::Obj(
         techniques

@@ -1,11 +1,10 @@
-//! The registry-backed `--techniques` surface of all seven campaign
-//! binaries, plus the registry round-trip contract the JSON labels rest
-//! on.
+//! The table-backed `--techniques` surface of all seven campaign
+//! binaries, plus the table round-trip contract the JSON labels rest on.
 
 use std::process::Command;
 
 use gdp_bench::technique_json;
-use gdp_experiments::{registry, Technique};
+use gdp_experiments::Technique;
 
 /// One shared helper asserting a binary's unknown-technique behavior:
 /// exit code 2 and the full valid-id list on stderr. Every campaign
@@ -22,7 +21,8 @@ fn assert_rejects_unknown_technique(bin_name: &str, bin_path: &str) {
         stderr.contains("unknown technique `definitely-not-a-technique`"),
         "{bin_name}: stderr must name the bad id: {stderr}"
     );
-    let ids = registry().ids().join(", ");
+    let ids: Vec<&str> = Technique::all_registered().iter().map(Technique::id).collect();
+    let ids = ids.join(", ");
     assert!(
         stderr.contains(&format!("valid: {ids}")),
         "{bin_name}: stderr must list every valid id ({ids}): {stderr}"
@@ -65,23 +65,22 @@ fn techniques_flag_drives_the_list_plan() {
 
 #[test]
 fn every_registered_id_round_trips_to_its_json_label() {
-    // id → registry → factory → estimator name → JSON label: one chain,
-    // no `match` anywhere. The estimator's self-reported name must equal
+    // id → table → factory → estimator name → JSON label: one chain, no
+    // `match` anywhere. The estimator's self-reported name must equal
     // the descriptor label, which must be exactly the key technique_json
     // emits.
     let cfg = gdp_experiments::ExperimentConfig::tiny(2).technique_config();
-    for desc in registry().iter() {
-        let t = Technique::from_id(desc.id).expect("id resolves");
+    for t in Technique::all_registered() {
+        assert_eq!(Technique::from_id(t.id()), Some(t), "{}: id resolves", t.id());
         let est = t.build(&cfg);
-        assert_eq!(est.name(), desc.label, "{}: estimator name vs label", desc.id);
+        assert_eq!(est.name(), t.name(), "{}: estimator name vs label", t.id());
         let json = technique_json(&[t], &[1.0]);
         let text = json.to_string();
         assert!(
-            text.contains(&format!("\"{}\"", desc.label)),
-            "{}: JSON label must be the registry label: {text}",
-            desc.id
+            text.contains(&format!("\"{}\"", t.name())),
+            "{}: JSON label must be the table label: {text}",
+            t.id()
         );
     }
-    assert_eq!(registry().len(), 6, "five default techniques plus dief");
-    assert_eq!(registry().default_set().len(), Technique::ALL.len());
+    assert_eq!(Technique::all_registered().len(), 6, "five default techniques plus dief");
 }

@@ -60,22 +60,8 @@ impl PrivateModeEstimator for GdpEstimator {
     }
 
     fn observe(&mut self, ev: &ProbeEvent) {
-        if let Some(core) = ev.core() {
-            if let Some(unit) = self.units.get_mut(core.idx()) {
-                unit.observe(ev);
-            }
-        }
-    }
-
-    /// Monomorphized in-order sweep: one virtual call per batch, with
-    /// [`GdpEstimator::observe`] and the per-core PRB/PCB updates inlined
-    /// into the loop. A partition-by-core pre-pass was measured strictly
-    /// slower here — a handful of per-core units already stays cache-hot
-    /// across the batch, so building index runs and re-gathering the
-    /// (large) events only adds per-event work.
-    fn observe_batch(&mut self, events: &[ProbeEvent]) {
-        for ev in events {
-            self.observe(ev);
+        if let Some(unit) = self.units.get_mut(ev.core().idx()) {
+            unit.observe(ev);
         }
     }
 
@@ -110,7 +96,7 @@ impl PrivateModeEstimator for GdpEstimator {
 
 /// Fold an interval's CPL (and, for GDP-O, its overlap) and its boundary
 /// measurement into the variant's estimate — the one place the GDP/GDP-O
-/// estimate math lives, shared by [`GdpEstimator`] and the registry
+/// estimate math lives, shared by [`GdpEstimator`] and the technique
 /// readouts. Plain GDP ignores and reports no overlap.
 pub fn gdp_estimate(
     variant: GdpVariant,

@@ -46,7 +46,7 @@ pub use model::{
 };
 pub use state::{EstimatorState, StateError, StateValue, STATE_VERSION};
 pub use technique::{
-    Observer, Readout, TechniqueCaps, TechniqueConfig, TechniqueDesc, TechniqueRegistry,
-    UnknownTechnique, GDP_O_TECHNIQUE, GDP_TECHNIQUE,
+    Observer, Readout, TechniqueCaps, TechniqueConfig, TechniqueDesc, GDP_O_TECHNIQUE,
+    GDP_TECHNIQUE,
 };
 pub use unit::GdpUnit;

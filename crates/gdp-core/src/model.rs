@@ -61,9 +61,11 @@ impl PrivateEstimate {
 /// One core's per-interval summary from the observation plane: what the
 /// paper's hardware yields at a boundary (§IV). The core's GDP unit gives
 /// CPL and overlap; DIEF's per-stall interference records give ITCA's
-/// discounted cycles and PTCA's σ̂. A transparent technique is a pure
-/// readout of this summary and the boundary [`IntervalMeasurement`].
-/// Fields whose observer is absent from the plane stay zero.
+/// discounted cycles and PTCA's σ̂, and its verdicts on the loads that
+/// complete in the core's own priority epochs give ASM's counters. Every
+/// technique is a pure readout of this summary and the boundary
+/// [`IntervalMeasurement`]. Fields whose observer is absent from the
+/// plane stay zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CoreSummary {
     /// Critical path length harvested for the interval.
@@ -74,15 +76,26 @@ pub struct CoreSummary {
     pub discounted: u64,
     /// Σ per-stall `max(0, stall − interference)` (PTCA's σ̂_SMS).
     pub sigma: f64,
+    /// LLC accesses (ASM's shared-mode access rate).
+    pub llc_accesses: u64,
+    /// LLC accesses in the core's own priority epochs (ASM's alone rate).
+    pub llc_accesses_own: u64,
+    /// DRAM residency of the interference misses completing in the
+    /// core's own priority epochs (ASM's epoch-time correction).
+    pub intf_residency_own: u64,
+    /// Cores the ASM priority token rotates over: the core holds it for
+    /// one epoch in `rotation`.
+    pub rotation: u64,
 }
 
-/// A stateful accounting technique: observe the shared-mode probe stream
-/// and produce a private-mode estimate at every accounting interval.
+/// A standalone accounting technique: observe the shared-mode probe
+/// stream and produce a private-mode estimate at every accounting
+/// interval.
 ///
-/// ASM is the one built-in that runs this way in a session; the other
-/// techniques implement it too, over their own observers, as the
-/// per-event reference the readouts are tested against. `Send` lets a
-/// session holding one move to a worker thread.
+/// Sessions run every technique as a readout of the observation plane;
+/// each technique also implements this trait over observers of its own,
+/// as the per-event reference the readouts are tested against. `Send`
+/// lets a session holding one move to a worker thread.
 pub trait PrivateModeEstimator: Send {
     /// Technique name for reports.
     fn name(&self) -> &'static str;
@@ -90,18 +103,6 @@ pub trait PrivateModeEstimator: Send {
     /// Feed one probe event (the full multi-core stream; implementations
     /// filter by core).
     fn observe(&mut self, ev: &ProbeEvent);
-
-    /// Feed one interval's probe-event batch.
-    ///
-    /// Must be observationally identical to calling [`observe`](Self::observe) for each
-    /// event in order. The default is the per-event loop; because default
-    /// methods are compiled per concrete type, it devirtualizes the inner
-    /// `observe` calls (one virtual call per batch, not per event).
-    fn observe_batch(&mut self, events: &[ProbeEvent]) {
-        for ev in events {
-            self.observe(ev);
-        }
-    }
 
     /// Produce the estimate for `core` at an interval boundary and reset
     /// per-interval state.

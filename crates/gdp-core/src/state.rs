@@ -1,7 +1,7 @@
 //! First-class, serializable estimator state.
 //!
-//! Every observer of the probe stream (the GDP units, DIEF, the stateful
-//! ASM) and every standalone estimator can [`snapshot`] its complete
+//! Every observer of the probe stream (the GDP units and DIEF) and every
+//! standalone estimator can [`snapshot`] its complete
 //! internal state — PRB/PCB contents, ATD tag arrays, DIEF interference
 //! and λ̂ counters — into an [`EstimatorState`] and later [`restore`] it,
 //! bit-exactly. The state is a positional tree of [`StateValue`]s: the
@@ -27,8 +27,10 @@ use std::fmt;
 /// [`StateError`], never a misdecode. Version 2 keys checkpoints by
 /// observer (`gdp-units`, `dief`, `asm`) instead of by technique;
 /// version 3 drops the GDP unit's write-only timestamps (the PCB's
-/// started-at and stalled-at, and the interval start).
-pub const STATE_VERSION: u32 = 3;
+/// started-at and stalled-at, and the interval start); version 4 drops
+/// the `asm` observer (ASM reads the one `dief`) and the `dief` state's
+/// per-core accumulators, which are zero at every boundary.
+pub const STATE_VERSION: u32 = 4;
 
 /// One node of a positional estimator-state tree.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -87,7 +87,7 @@ impl Atd {
     }
 
     /// Number of sampled sets (dense slot rows).
-    pub fn slots(&self) -> usize {
+    fn slots(&self) -> usize {
         self.lens.len()
     }
 
@@ -105,13 +105,6 @@ impl Atd {
             None => (set % self.sample_interval == 0).then(|| set / self.sample_interval),
         };
         (slot, tag)
-    }
-
-    /// The dense slot index of `block`'s sampled set, `None` when the
-    /// set is not sampled (the batch partitioner's bucket key).
-    #[inline]
-    pub fn sampled_slot(&self, block: Addr) -> Option<usize> {
-        self.split(block).0.map(|s| s as usize)
     }
 
     /// Record an access to `block`, returning the private-mode outcome.

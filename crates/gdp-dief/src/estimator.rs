@@ -51,12 +51,6 @@ pub struct Dief {
     cores: Vec<CoreState>,
     /// Lower clamp for λ: the uncontended shared-hit latency.
     latency_floor: f64,
-    /// Batch scratch (never snapshot state): (bucket, event index) pairs
-    /// of the batch's sampled LLC accesses, the counting-sort output
-    /// order, and the per-bucket offsets.
-    scratch: Vec<(u32, u32)>,
-    ordered: Vec<u32>,
-    offsets: Vec<u32>,
 }
 
 impl Dief {
@@ -75,9 +69,6 @@ impl Dief {
                 .collect(),
             cores: (0..cfg.cores).map(|_| CoreState::default()).collect(),
             latency_floor: floor,
-            scratch: Vec::new(),
-            ordered: Vec::new(),
-            offsets: Vec::new(),
         }
     }
 
@@ -119,84 +110,21 @@ impl Dief {
         st.completed_intf.insert(req, (intf, was_intf_miss));
     }
 
-    /// Feed one interval's probe-event batch, bit-identical to the
-    /// per-event [`Dief::observe`] loop.
+    /// Feed one interval's probe-event batch, in order.
     ///
-    /// The batch is processed in two passes. Pass 1 partitions the LLC
-    /// accesses by (core, sampled set) with a stable counting sort and
-    /// probes the ATDs one set run at a time: per-set probe order is
-    /// preserved, so every probe sees exactly the tag state the in-order
-    /// feed would give it (hit positions, stack-distance histogram and
-    /// interference-miss verdicts are bit-identical), while unsampled
-    /// accesses are discarded by pure arithmetic without ever touching
-    /// tag storage. Pass 2 replays the load completions in event order.
-    /// Hoisting accesses over completions is sound because request ids
-    /// are globally unique (a monotone allocator) and a request's LLC
-    /// access always precedes its completion, so an access moved earlier
-    /// can only touch `intf_miss` keys no completion between the two
-    /// positions reads.
-    ///
-    /// Queries interleaved *mid-batch* ([`Dief::interference_of`],
-    /// [`Dief::was_interference_miss`]) are **not** stable under this
-    /// reordering — a caller that needs mid-stream reads must feed per
-    /// event (ASM does). Queries hoisted *after* the whole batch are
-    /// exact, though: they target the completed-request table, whose
-    /// records are immutable from completion to the interval reset, and
-    /// every `Stall` follows the `LoadL1MissDone` it blames (the memory
-    /// system ticks before the cores) — the observation plane's ITCA and
-    /// PTCA queries rely on exactly that.
+    /// Queries *after* the whole batch ([`Dief::interference_of`],
+    /// [`Dief::was_interference_miss`]) answer what they would have
+    /// answered right after the event they concern: they target the
+    /// completed-request table, whose records are immutable from
+    /// completion to the interval reset, because request ids are
+    /// globally unique and each request completes once. Every `Stall`
+    /// follows the `LoadL1MissDone` it blames (the memory system ticks
+    /// before the cores), and ASM reads only the record of the load that
+    /// just completed. The observation plane's ITCA, PTCA and ASM
+    /// counters rely on exactly that.
     pub fn observe_batch(&mut self, events: &[ProbeEvent]) {
-        let slots = self.atds.first().map_or(0, Atd::slots);
-        self.scratch.clear();
-        for (i, ev) in events.iter().enumerate() {
-            if let ProbeEvent::LlcAccess { core, block, .. } = ev {
-                if let Some(slot) = self.atds[core.idx()].sampled_slot(*block) {
-                    let key = core.idx() * slots + slot;
-                    self.scratch.push((key as u32, i as u32));
-                }
-            }
-        }
-        // Stable counting sort of the sampled accesses by bucket.
-        self.offsets.clear();
-        self.offsets.resize(self.atds.len() * slots + 1, 0);
-        for &(key, _) in &self.scratch {
-            self.offsets[key as usize + 1] += 1;
-        }
-        for b in 1..self.offsets.len() {
-            self.offsets[b] += self.offsets[b - 1];
-        }
-        self.ordered.clear();
-        self.ordered.resize(self.scratch.len(), 0);
-        for s in 0..self.scratch.len() {
-            let (key, i) = self.scratch[s];
-            let off = self.offsets[key as usize] as usize;
-            self.ordered[off] = i;
-            self.offsets[key as usize] += 1;
-        }
-        for o in 0..self.ordered.len() {
-            let ProbeEvent::LlcAccess { core, block, hit, req, .. } =
-                &events[self.ordered[o] as usize]
-            else {
-                unreachable!("pass 1 collected only LLC accesses");
-            };
-            let verdict = self.atds[core.idx()].access(*block);
-            if !*hit && matches!(verdict, AtdOutcome::Hit(_)) {
-                self.cores[core.idx()].intf_miss.insert(*req, ());
-            }
-        }
         for ev in events {
-            if let ProbeEvent::LoadL1MissDone {
-                core,
-                req,
-                sms: true,
-                latency,
-                interference,
-                post_llc,
-                ..
-            } = ev
-            {
-                self.complete_load(core.idx(), *req, *latency, interference.total(), *post_llc);
-            }
+            self.observe(ev);
         }
     }
 

@@ -1,4 +1,4 @@
-//! The DIEF-only accounting technique and its registry descriptor.
+//! The DIEF-only accounting technique and its descriptor.
 //!
 //! DIEF by itself estimates private-mode *latency* (λ̂), not performance.
 //! The natural zero-dataflow baseline built on it scales every measured
@@ -81,8 +81,7 @@ pub const DIEF_TECHNIQUE: TechniqueDesc = TechniqueDesc {
     summary: "Latency-ratio scaling from DIEF's lambda alone (no dataflow)",
     caps: TechniqueCaps { invasive: false, needs_probe_stream: false },
     mc_priority_epoch: None,
-    default_member: false,
-    readout: Some(Readout { reads: &[], estimate: read_dief }),
+    readout: Readout { reads: &[], estimate: read_dief },
     factory: build_dief,
 };
 
@@ -132,6 +131,5 @@ mod tests {
         };
         assert_eq!(DIEF_TECHNIQUE.build(&cfg).name(), DIEF_TECHNIQUE.label);
         const _: () = assert!(!DIEF_TECHNIQUE.caps.needs_probe_stream);
-        const _: () = assert!(!DIEF_TECHNIQUE.default_member);
     }
 }

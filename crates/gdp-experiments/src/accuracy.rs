@@ -72,7 +72,7 @@ pub struct EvalGroup {
 
 /// The shared runs each workload needs, as technique sets (paper §VI):
 /// the transparent run, plus a separate invasive run when `techniques`
-/// selects any invasive technique (per its registry capability flags).
+/// selects any invasive technique (per its capability flags).
 fn run_kinds(techniques: &[Technique]) -> Vec<Vec<Technique>> {
     let techniques = Technique::canonical(techniques);
     let invasive: Vec<Technique> =

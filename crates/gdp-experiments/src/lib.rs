@@ -11,7 +11,7 @@
 //!   CPL, overlap and latency estimates (Figs. 3–5): [`evaluate`]
 //!   composes the shared and private phases once, as pool jobs over
 //!   labelled workload groups.
-//! * [`techniques`] — the assembled technique registry and the
+//! * [`techniques`] — the `const` technique table and the
 //!   [`Technique`] handle: every estimator is data (id, label,
 //!   capability flags, factory), so sweeps, CLI selection and JSON
 //!   labels are configuration instead of code.
@@ -63,7 +63,7 @@ pub use policy_run::{run_policy_study, PolicyKind, PolicyOutcome};
 pub use private::{run_private, PrivateCheckpoint, PrivateRun};
 pub use session::{EstimationSession, ReplaySession, SessionBuilder, StreamSession};
 pub use shared::{run_shared, CoreInterval, SharedRun};
-pub use techniques::{registry, transparent_subset, Technique};
+pub use techniques::{transparent_subset, Technique};
 pub use trace::{
     private_trace_key, record_shared, session_state_key, shared_trace_key, shared_trace_key_for,
     summarize_checkpoints, CampaignTraces,

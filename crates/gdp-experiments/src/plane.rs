@@ -2,25 +2,28 @@
 //! session's probe stream goes.
 //!
 //! Each core has one GDP unit, which yields CPL and overlap, and one DIEF
-//! yields λ̂ plus the per-stall interference records ITCA and PTCA read.
-//! The plane feeds each of these observers exactly once per interval, in
-//! one fixed order ([`ObservationPlane::observe`]), and at the boundary
-//! harvests one [`CoreSummary`] per core ([`ObservationPlane::harvest`]).
-//! GDP, GDP-O, ITCA, PTCA and DIEF-only are pure [`Readout`]s of that
-//! summary and the boundary measurement: they differ only in how they
-//! combine the same values, so selecting both members of a pair costs one
-//! observer, not two. ASM is the one stateful technique. It keeps its own
-//! DIEF and its in-order feed, because it reads DIEF mid-stream.
+//! yields λ̂ plus the per-load interference records ITCA, PTCA and ASM
+//! read. The plane feeds each of these observers exactly once per
+//! interval, in one fixed order ([`ObservationPlane::observe`]), and at
+//! the boundary harvests one [`CoreSummary`] per core
+//! ([`ObservationPlane::harvest`]). Every technique is a pure
+//! [`Readout`](gdp_core::Readout) of that summary and the boundary
+//! measurement: techniques differ only in how they combine the same
+//! values, so selecting both members of a pair costs one observer, not
+//! two. The DIEF's three counter families
+//! (ITCA's discounts, PTCA's σ̂ and ASM's epoch counts) are each kept
+//! only when a readout reads them.
 //!
-//! Checkpoints hold one state per observer (`gdp-units`, `dief`, and the
-//! stateful technique's id, `asm`), and exactly the observers the plane's
-//! readouts need.
+//! Checkpoints hold one state per observer (`gdp-units` and `dief`), and
+//! exactly the observers the plane's readouts need. Every checkpoint is
+//! taken at a boundary, where the harvest has just emptied the counter
+//! families, so the `dief` state is DIEF's own.
 
+use gdp_accounting::asm::{self, EpochCounts};
 use gdp_accounting::{itca, ptca};
 use gdp_core::state::{EstimatorState, StateError, StateValue};
 use gdp_core::{
-    CoreSummary, GdpUnit, IntervalMeasurement, Observer, PrivateEstimate, PrivateModeEstimator,
-    Readout, TechniqueConfig,
+    CoreSummary, GdpUnit, IntervalMeasurement, Observer, PrivateEstimate, TechniqueConfig,
 };
 use gdp_dief::Dief;
 use gdp_sim::probe::ProbeEvent;
@@ -36,8 +39,8 @@ const GDP_UNITS: &str = "gdp-units";
 const DIEF: &str = "dief";
 
 /// Wall-clock spans around the plane's feeds: `session.dief` around the
-/// DIEF and its per-stall queries, `session.observe` around the GDP
-/// units and any stateful technique.
+/// DIEF and its counter families' pass, `session.observe` around the GDP
+/// units.
 pub struct FeedSpans {
     /// `session.dief`.
     pub dief: SpanHandle,
@@ -45,64 +48,80 @@ pub struct FeedSpans {
     pub observe: SpanHandle,
 }
 
-/// The DIEF and the per-core accumulators its per-stall queries fill.
+/// The DIEF and the per-core counter families its post-batch pass fills,
+/// each present only when a readout reads it.
 struct DiefObserver {
     dief: Dief,
-    /// Whether a readout reads the accumulators. A DIEF that serves only
-    /// as a live session's λ̂ source skips the queries.
-    queried: bool,
-    /// ITCA's discounted stall cycles per core.
-    discounted: Vec<u64>,
-    /// PTCA's σ̂ per core.
-    sigma: Vec<f64>,
+    /// ITCA's discounted stall cycles.
+    discounted: Option<Vec<u64>>,
+    /// PTCA's σ̂.
+    sigma: Option<Vec<f64>>,
+    /// ASM's epoch counts.
+    epochs: Option<Vec<EpochCounts>>,
 }
 
-/// How one technique's estimate is produced.
-enum Slot {
-    Readout(Readout),
-    Stateful(Box<dyn PrivateModeEstimator>),
+impl DiefObserver {
+    /// Whether a readout reads any counter family. A DIEF that serves
+    /// only as a live session's λ̂ source has none and is not
+    /// checkpointed.
+    fn queried(&self) -> bool {
+        self.discounted.is_some() || self.sigma.is_some() || self.epochs.is_some()
+    }
+
+    /// Count one event of a batch DIEF has already taken into every
+    /// family kept. Exact after the batch: each family reads only DIEF's
+    /// records of completed loads (see [`Dief::observe_batch`]).
+    fn count(&mut self, ev: &ProbeEvent) {
+        if let Some(discounted) = &mut self.discounted {
+            if let Some((core, cycles)) = itca::stall_discount(&self.dief, ev) {
+                discounted[core.idx()] += cycles;
+            }
+        }
+        if let Some(sigma) = &mut self.sigma {
+            if let Some((core, s)) = ptca::stall_sigma(&self.dief, ev) {
+                sigma[core.idx()] += s;
+            }
+        }
+        if let Some(epochs) = &mut self.epochs {
+            asm::count_event(epochs, &self.dief, asm::DEFAULT_EPOCH_CYCLES, ev);
+        }
+    }
 }
 
 /// The observers of one session plus its techniques' readouts (see the
 /// module docs).
 pub struct ObservationPlane {
     techniques: Vec<Technique>,
-    slots: Vec<Slot>,
     units: Option<Vec<GdpUnit>>,
     dief: Option<DiefObserver>,
 }
 
 impl ObservationPlane {
     /// A plane for a (canonicalized) technique set. It holds GDP units
-    /// when a readout reads them, and a DIEF when a readout reads it or
-    /// when `lambda_source` asks for λ̂ (every live session does).
+    /// when a readout reads them, each DIEF counter family a readout
+    /// reads, and a DIEF when it keeps a family or when `lambda_source`
+    /// asks for λ̂ (every live session does).
     pub fn new(
         techniques: &[Technique],
         cfg: &TechniqueConfig,
         lambda_source: bool,
     ) -> ObservationPlane {
         let techniques = Technique::canonical(techniques);
-        let reads = |o: Observer| {
-            techniques.iter().any(|t| t.desc().readout.is_some_and(|r| r.reads.contains(&o)))
-        };
+        let reads = |o: Observer| techniques.iter().any(|t| t.desc().readout.reads.contains(&o));
         let n = cfg.cores();
         let units = reads(Observer::GdpUnits)
             .then(|| (0..n).map(|_| GdpUnit::new(cfg.prb_entries)).collect());
-        let queried = reads(Observer::Dief);
+        let discounted = reads(Observer::Discounts).then(|| vec![0; n]);
+        let sigma = reads(Observer::Sigma).then(|| vec![0.0; n]);
+        let epochs = reads(Observer::Epochs).then(|| vec![EpochCounts::default(); n]);
+        let queried = discounted.is_some() || sigma.is_some() || epochs.is_some();
         let dief = (queried || lambda_source).then(|| DiefObserver {
             dief: Dief::new(&cfg.sim, cfg.sampled_sets),
-            queried,
-            discounted: vec![0; n],
-            sigma: vec![0.0; n],
+            discounted,
+            sigma,
+            epochs,
         });
-        let slots = techniques
-            .iter()
-            .map(|t| match t.desc().readout {
-                Some(r) => Slot::Readout(r),
-                None => Slot::Stateful(t.build(cfg)),
-            })
-            .collect();
-        ObservationPlane { techniques, slots, units, dief }
+        ObservationPlane { techniques, units, dief }
     }
 
     /// The canonical technique set (estimate order).
@@ -119,43 +138,32 @@ impl ObservationPlane {
     /// Feed one interval's probe events to every observer, once each, in
     /// this fixed order:
     ///
-    /// 1. DIEF, through its set-partitioned batch path;
-    /// 2. the ITCA and PTCA per-`Stall` queries, hoisted after the batch
-    ///    (exact: see [`Dief::observe_batch`]);
-    /// 3. the GDP units;
-    /// 4. each stateful technique, in order.
+    /// 1. DIEF, through its batch path;
+    /// 2. the counter families' per-event reads of DIEF's records, hoisted
+    ///    after the batch (exact: see [`Dief::observe_batch`]);
+    /// 3. the GDP units.
     pub fn observe(&mut self, events: &[ProbeEvent], spans: Option<&FeedSpans>) {
         if let Some(d) = &mut self.dief {
             let _g = spans.map(|s| s.dief.enter());
             d.dief.observe_batch(events);
-            if d.queried {
+            if d.queried() {
                 for ev in events {
-                    if let Some((core, cycles)) = itca::stall_discount(&d.dief, ev) {
-                        d.discounted[core.idx()] += cycles;
-                    }
-                    if let Some((core, sigma)) = ptca::stall_sigma(&d.dief, ev) {
-                        d.sigma[core.idx()] += sigma;
-                    }
+                    d.count(ev);
                 }
             }
         }
         let _g = spans.map(|s| s.observe.enter());
         if let Some(units) = &mut self.units {
             for ev in events {
-                if let Some(unit) = ev.core().and_then(|c| units.get_mut(c.idx())) {
+                if let Some(unit) = units.get_mut(ev.core().idx()) {
                     unit.observe(ev);
                 }
-            }
-        }
-        for slot in &mut self.slots {
-            if let Slot::Stateful(e) = slot {
-                e.observe_batch(events);
             }
         }
     }
 
     /// Close `core`'s interval: take the GDP unit's CPL, then its average
-    /// overlap, then the DIEF accumulators, then DIEF's interval estimate.
+    /// overlap, then the counter families, then DIEF's interval estimate.
     /// Returns the summary and DIEF's λ̂, when the plane holds a DIEF.
     pub fn harvest(&mut self, core: CoreId) -> (CoreSummary, Option<f64>) {
         let c = core.idx();
@@ -165,48 +173,43 @@ impl ObservationPlane {
             s.overlap = units[c].take_average_overlap();
         }
         let lambda = self.dief.as_mut().map(|d| {
-            s.discounted = std::mem::take(&mut d.discounted[c]);
-            s.sigma = std::mem::take(&mut d.sigma[c]);
+            if let Some(discounted) = &mut d.discounted {
+                s.discounted = std::mem::take(&mut discounted[c]);
+            }
+            if let Some(sigma) = &mut d.sigma {
+                s.sigma = std::mem::take(&mut sigma[c]);
+            }
+            if let Some(epochs) = &mut d.epochs {
+                let e = std::mem::take(&mut epochs[c]);
+                s.llc_accesses = e.llc;
+                s.llc_accesses_own = e.llc_own;
+                s.intf_residency_own = e.intf_own;
+                s.rotation = epochs.len() as u64;
+            }
             d.dief.interval_estimate(core).private
         });
         (s, lambda)
     }
 
-    /// Technique `i`'s estimate for `core`: its readout of `summary` and
-    /// `m`, or the stateful technique's own estimate.
+    /// Technique `i`'s estimate: its readout of `summary` and `m`.
     pub(crate) fn estimate(
-        &mut self,
+        &self,
         i: usize,
-        core: CoreId,
         summary: &CoreSummary,
         m: &IntervalMeasurement,
     ) -> PrivateEstimate {
-        match &mut self.slots[i] {
-            Slot::Readout(r) => (r.estimate)(summary, m),
-            Slot::Stateful(e) => e.estimate(core, m),
-        }
+        (self.techniques[i].desc().readout.estimate)(summary, m)
     }
 
-    /// Snapshot every observer the readouts need, plus each stateful
-    /// technique, keyed by observer id.
+    /// Snapshot every observer the readouts need, keyed by observer id.
     pub(crate) fn snapshot(&self) -> Vec<(String, EstimatorState)> {
         let mut states = Vec::new();
         if let Some(units) = &self.units {
             let tree = StateValue::List(units.iter().map(GdpUnit::snapshot_value).collect());
             states.push((GDP_UNITS.to_string(), EstimatorState::new(GDP_UNITS, tree)));
         }
-        if let Some(d) = self.dief.as_ref().filter(|d| d.queried) {
-            let tree = StateValue::List(vec![
-                d.dief.snapshot_value(),
-                StateValue::List(d.discounted.iter().map(|&v| StateValue::U64(v)).collect()),
-                StateValue::List(d.sigma.iter().map(|&v| StateValue::f64(v)).collect()),
-            ]);
-            states.push((DIEF.to_string(), EstimatorState::new(DIEF, tree)));
-        }
-        for (t, slot) in self.techniques.iter().zip(&self.slots) {
-            if let Slot::Stateful(e) = slot {
-                states.push((t.id().to_string(), e.snapshot()));
-            }
+        if let Some(d) = self.dief.as_ref().filter(|d| d.queried()) {
+            states.push((DIEF.to_string(), EstimatorState::new(DIEF, d.dief.snapshot_value())));
         }
         states
     }
@@ -228,23 +231,8 @@ impl ObservationPlane {
                 unit.restore_value(v)?;
             }
         }
-        if let Some(d) = self.dief.as_mut().filter(|d| d.queried) {
-            let f = lookup(DIEF)?.check(DIEF)?.fields(3)?;
-            let discounted: Vec<u64> =
-                f[1].as_list()?.iter().map(StateValue::as_u64).collect::<Result<_, _>>()?;
-            let sigma: Vec<f64> =
-                f[2].as_list()?.iter().map(StateValue::as_f64).collect::<Result<_, _>>()?;
-            if discounted.len() != d.discounted.len() || sigma.len() != d.sigma.len() {
-                return Err(StateError::ConfigMismatch("core count"));
-            }
-            d.dief.restore_value(&f[0])?;
-            d.discounted = discounted;
-            d.sigma = sigma;
-        }
-        for (t, slot) in self.techniques.iter().zip(&mut self.slots) {
-            if let Slot::Stateful(e) = slot {
-                e.restore(lookup(t.id())?)?;
-            }
+        if let Some(d) = self.dief.as_mut().filter(|d| d.queried()) {
+            d.dief.restore_value(lookup(DIEF)?.check(DIEF)?)?;
         }
         Ok(())
     }
@@ -273,6 +261,15 @@ mod tests {
         let live = plane(&[Technique::GDP], true);
         assert!(live.dief().is_some());
         assert_eq!(ids(&live), ["gdp-units"]);
-        assert_eq!(ids(&plane(&Technique::all_registered(), false)), ["gdp-units", "dief", "asm"]);
+        assert_eq!(ids(&plane(&Technique::all_registered(), false)), ["gdp-units", "dief"]);
+        // A live ASM session feeds one DIEF, which supplies λ̂ and keeps
+        // ASM's counters alone.
+        let asm = plane(&[Technique::ASM], true);
+        assert_eq!(ids(&asm), ["dief"]);
+        let d = asm.dief.as_ref().expect("one DIEF");
+        assert!(d.epochs.is_some() && d.discounted.is_none() && d.sigma.is_none());
+        let itca = plane(&[Technique::ITCA], false);
+        let d = itca.dief.as_ref().expect("one DIEF");
+        assert!(d.discounted.is_some() && d.sigma.is_none() && d.epochs.is_none());
     }
 }

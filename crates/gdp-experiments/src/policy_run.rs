@@ -159,8 +159,8 @@ fn run_with_policy(
 ) -> (Vec<f64>, u64) {
     // The technique feeding π̂ into the policy, if any, on the same live
     // session every shared run uses (its DIEF also supplies λ̂ and the
-    // miss curves). MCP's feeder resolves through the registry, so any
-    // registered transparent technique can drive the lookahead.
+    // miss curves). MCP's feeder resolves through the technique table, so
+    // any transparent technique can drive the lookahead.
     let feeder = match policy {
         PolicyKind::Mcp(t) => vec![t],
         PolicyKind::AsmPart => vec![Technique::ASM],

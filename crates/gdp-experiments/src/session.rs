@@ -30,6 +30,7 @@
 
 use std::sync::Arc;
 
+use gdp_accounting::asm::priority_core_at;
 use gdp_core::state::StateError;
 use gdp_sim::probe::ProbeEvent;
 use gdp_sim::stats::CoreStats;
@@ -68,8 +69,8 @@ struct SessionMetrics {
     /// — engine stepping *plus* boundary estimation; subtract the
     /// `session.batch` span for pure engine time.
     advance_span: SpanHandle,
-    /// `session.dief` (DIEF and its per-stall queries) and
-    /// `session.observe` (GDP units and stateful techniques).
+    /// `session.dief` (DIEF and its counter families) and
+    /// `session.observe` (GDP units).
     feed: FeedSpans,
     /// `session.batch`: the whole per-interval pipeline — observe,
     /// harvest and every readout. Its self-time (total minus the
@@ -228,8 +229,8 @@ impl Pipeline {
         for i in 0..self.techniques().len() {
             let _g = self.metrics.as_ref().map(|mx| mx.estimate_spans[i].enter());
             let start = std::time::Instant::now();
-            for (c, (row, (summary, m))) in rows.iter_mut().zip(&inputs).enumerate() {
-                row.estimates.push(self.plane.estimate(i, CoreId(c as u8), summary, m));
+            for (row, (summary, m)) in rows.iter_mut().zip(&inputs) {
+                row.estimates.push(self.plane.estimate(i, summary, m));
             }
             if let Some(mx) = &self.metrics {
                 mx.estimate_ts[i].record(idx, start.elapsed().as_nanos() as u64);
@@ -285,7 +286,7 @@ impl SessionBuilder<'static> {
 }
 
 impl<'s> SessionBuilder<'s> {
-    /// Attach a technique set (canonicalized to registry order at
+    /// Attach a technique set (canonicalized to table order at
     /// build time). Selecting any invasive technique makes the run
     /// invasive — evaluate those separately, as the paper does.
     pub fn techniques(mut self, set: &[Technique]) -> SessionBuilder<'s> {
@@ -435,8 +436,7 @@ impl EstimationSession<'_> {
         while !self.done() && self.sys.now() < target {
             if let Some(epoch) = self.mc_epoch {
                 if self.sys.now() % epoch == 0 {
-                    let n = self.cores as u64;
-                    let pc = CoreId(((self.sys.now() / epoch) % n) as u8);
+                    let pc = priority_core_at(self.sys.now(), epoch, self.cores);
                     self.sys.mem().mc().set_priority_core(Some(pc));
                 }
             }
@@ -525,7 +525,8 @@ impl EstimationSession<'_> {
     /// The simulator is not captured, and neither is a DIEF that only
     /// supplies λ̂: the resume target is a [`StreamSession`], which
     /// receives events and boundary measurements, λ̂ included, from
-    /// outside.
+    /// outside. A DIEF that an ITCA, PTCA or ASM readout reads is
+    /// captured; its counters are empty at every boundary.
     pub fn suspend(&self) -> StateCheckpoint {
         self.pipeline.checkpoint(self.intervals.len() as u64)
     }
@@ -567,7 +568,7 @@ pub struct ReplaySession<'t> {
 
 impl<'t> ReplaySession<'t> {
     /// Build a replay session over `trace` with a (canonicalized)
-    /// technique set built from the registry for `xcfg`.
+    /// technique set built from the technique table for `xcfg`.
     ///
     /// The technique set's *invasiveness must match the trace's run
     /// kind*: an invasive technique (ASM) perturbs the execution it
@@ -692,7 +693,7 @@ impl StreamSession {
     /// Feed one accounting interval — the event batch and one
     /// [`Boundary`] per core, in core order — and return its estimate
     /// row: `row[core]` carries the boundary measurement plus one
-    /// estimate per attached technique, in registry order. Nothing is
+    /// estimate per attached technique, in table order. Nothing is
     /// retained.
     ///
     /// # Panics

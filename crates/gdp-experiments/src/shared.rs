@@ -2,7 +2,7 @@
 //!
 //! [`run_shared`] is a one-line convenience over the streaming
 //! [`EstimationSession`](crate::session::EstimationSession): it builds a
-//! session from the registry-backed technique set and immediately asks
+//! session from the table-backed technique set and immediately asks
 //! for the full report. Campaign jobs reach shared runs through
 //! [`CampaignTraces::shared`](crate::trace::CampaignTraces::shared);
 //! hosts that want per-interval estimates online use the session API

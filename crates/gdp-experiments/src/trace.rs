@@ -51,9 +51,9 @@ pub fn record_shared(
 }
 
 /// One-pass offline checkpoint summarization: a [`StreamSession`] with
-/// *every* registered technique attached is fed `trace` and suspended
-/// after each interval, snapshotting every observer (GDP units, DIEF,
-/// ASM). The returned in-memory index holds one checkpoint per interior
+/// *every* technique attached is fed `trace` and suspended after each
+/// interval, snapshotting both observers (the GDP units and the one
+/// DIEF). The returned in-memory index holds one checkpoint per interior
 /// boundary, `checkpoints[k - 1].at == k`, and serves any later technique
 /// subset: an observer's state depends only on the recorded stream, never
 /// on the readouts consuming it — the same invariant that lets one trace
@@ -162,7 +162,7 @@ fn feed_sim_config(k: &mut CacheKey, s: &SimConfig) {
 /// configuration. Both key builders start from it, so the slicing rule
 /// cannot drift between shared and private entries — and, deliberately,
 /// it takes **no technique information**: the recorded stream of a run
-/// does not depend on which techniques observe it, so a registry-driven
+/// does not depend on which techniques observe it, so a selected
 /// technique subset must never fork the cache ("record once, replay any
 /// subset"; asserted by tests).
 fn key_material(kind: &str, x: &ExperimentConfig) -> CacheKey {
@@ -196,7 +196,7 @@ pub fn shared_trace_key(xcfg: &ExperimentConfig, workload: &Workload, invasive: 
 
 /// [`shared_trace_key`] for a technique set: the only key-relevant
 /// property of the set is whether it makes the run invasive (per the
-/// registry capability flags) — the identity of the transparent
+/// technique capability flags) — the identity of the transparent
 /// observers never reaches the key.
 pub fn shared_trace_key_for(
     xcfg: &ExperimentConfig,
@@ -482,8 +482,8 @@ mod tests {
 
     #[test]
     fn technique_subset_choice_never_forks_the_cache_key() {
-        // The "record once, replay any subset" invariant: a registry-
-        // driven technique selection must map to the same shared-trace
+        // The "record once, replay any subset" invariant: a selected
+        // technique subset must map to the same shared-trace
         // key as any other transparent selection (and as the full
         // transparent set), or subsets would silently re-simulate.
         let ws = paper_workloads(2, 5);

@@ -13,7 +13,7 @@ pub fn xcfg(cores: usize) -> ExperimentConfig {
     x
 }
 
-/// Decode a subset bitmask over the full registry into a technique set
+/// Decode a subset bitmask over the full technique table into a set
 /// (GDP alone for an empty mask).
 pub fn subset_from_mask(mask: usize) -> Vec<Technique> {
     let set: Vec<Technique> = Technique::all_registered()

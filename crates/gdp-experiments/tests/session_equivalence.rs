@@ -3,9 +3,9 @@
 //! technique subsets, interval records, λ̂ bits, every technique's
 //! estimates and the final statistics must be **bit-identical** — the
 //! property that let the whole estimation stack collapse onto one
-//! session API, and every transparent technique onto a readout of one
-//! observation plane, without moving a single figure. The oracle feeds
-//! each technique's standalone estimator (`Technique::build`, its own
+//! session API, and every technique onto a readout of one observation
+//! plane, without moving a single figure. The oracle feeds each
+//! technique's standalone estimator (`Technique::build`, its own
 //! observers) event by event.
 
 use proptest::prelude::*;
@@ -16,9 +16,12 @@ use gdp_experiments::{
     record_shared, run_shared, CoreInterval, ExperimentConfig, IntervalSchedule, ReplaySession,
     SessionBuilder, SharedRun, StreamSession, Technique,
 };
+use gdp_sim::mem::Interference;
+use gdp_sim::probe::ProbeEvent;
 use gdp_sim::stats::CoreStats;
-use gdp_sim::types::CoreId;
+use gdp_sim::types::{CoreId, ReqId};
 use gdp_sim::System;
+use gdp_trace::Boundary;
 use gdp_workloads::paper_workloads;
 
 mod common;
@@ -190,4 +193,65 @@ proptest! {
     ) {
         assert_replay_matches_legacy(seed, 2, mask, cut_pick);
     }
+}
+
+/// ASM's interference correction through the plane: one hand-built
+/// interval fed to a `StreamSession` with `{ASM}` and, event by event, to
+/// the standalone ASM. Block 0 is primed (set 0 is sampled), then a storm
+/// of interference misses completes inside core 0's own priority epoch
+/// (the applu pathology). The readout must match the standalone estimate
+/// bit for bit, and the storm must move it — random workloads may never
+/// complete an interference miss inside an ASM epoch.
+#[test]
+fn asm_interference_correction_matches_the_standalone_estimator() {
+    let x = xcfg(2);
+    let core = CoreId(0);
+    let access = |req: u64, cycle| ProbeEvent::LlcAccess {
+        core,
+        block: 0,
+        cycle,
+        hit: false,
+        req: ReqId(req),
+    };
+    let done = |req: u64, cycle, post_llc| ProbeEvent::LoadL1MissDone {
+        core,
+        req: ReqId(req),
+        block: 0,
+        cycle,
+        sms: true,
+        latency: 300,
+        interference: Interference::default(),
+        llc_hit: Some(false),
+        post_llc,
+    };
+    let primed = vec![access(1, 1), done(1, 10, 60)];
+    let mut storm = primed.clone();
+    for i in 0..40 {
+        storm.extend([access(100 + i, 20 + i), done(100 + i, 30 + i, 200)]);
+    }
+    let stats = CoreStats {
+        committed_instrs: 100,
+        commit_cycles: 100,
+        stall_sms: 3_900,
+        cycles: 4_000,
+        ..Default::default()
+    };
+    let boundary =
+        Boundary { instr_start: 0, instr_end: 100, stats, lambda: 100.0, shared_latency: 150.0 };
+    let estimate = |events: &[ProbeEvent]| {
+        let row = StreamSession::new(&x, &[Technique::ASM]).feed_interval(events, &[boundary; 2]);
+        let mut asm = Technique::ASM.build(&x.technique_config());
+        for ev in events {
+            asm.observe(ev);
+        }
+        let standalone = asm.estimate(core, &boundary.measurement());
+        let plane = row[0].estimates[0];
+        assert_eq!(plane.cpi.to_bits(), standalone.cpi.to_bits(), "CPI");
+        assert_eq!(plane.sigma_sms.to_bits(), standalone.sigma_sms.to_bits(), "σ̂");
+        plane
+    };
+    let quiet = estimate(&primed);
+    let stormy = estimate(&storm);
+    assert_ne!(stormy.cpi.to_bits(), quiet.cpi.to_bits(), "the storm must move the estimate");
+    assert!(stormy.cpi < 1.0, "the corrected epoch time collapses: {stormy:?}");
 }

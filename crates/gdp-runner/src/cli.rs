@@ -10,8 +10,8 @@
 //! --record                    store event traces after simulating
 //! --replay                    reuse cached event traces when present
 //! --trace-dir DIR             trace cache location (default results/traces)
-//! --techniques a,b,c          registry-backed technique selection (ids
-//!                             validated downstream against the registry)
+//! --techniques a,b,c          table-backed technique selection (ids
+//!                             validated downstream against the table)
 //! --metrics                   collect telemetry; write results/<name>.metrics.json
 //! --metrics-out PATH          write the full metrics snapshot to PATH
 //! --trace-out PATH            write a Chrome trace-event / Perfetto timeline
@@ -73,7 +73,7 @@ pub struct RunnerArgs {
     /// [`DEFAULT_TRACE_DIR`]).
     pub trace_dir: String,
     /// Raw `--techniques` id list, if given. The runner crate stays
-    /// dependency-free, so validation against the technique registry
+    /// dependency-free, so validation against the technique table
     /// happens in the binaries (which exit 2 listing the valid ids).
     pub techniques: Option<String>,
     /// Collect telemetry and write `results/<name>.metrics.json`.

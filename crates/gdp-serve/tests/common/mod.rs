@@ -37,7 +37,7 @@ pub fn embedded_rows(
 }
 
 /// A non-empty transparent (non-invasive) technique subset from a
-/// bitmask over the registry.
+/// bitmask over the technique table.
 pub fn subset_from_mask(mask: usize) -> Vec<Technique> {
     let set: Vec<Technique> = Technique::all_registered()
         .iter()

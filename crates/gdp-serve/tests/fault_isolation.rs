@@ -9,6 +9,8 @@ use common::{assert_rows_bit_identical, embedded_rows, recorded, xcfg};
 use gdp_experiments::Technique;
 use gdp_serve::proto::{encode_client, ClientMsg};
 use gdp_serve::{serve_channel, ClientError, ServeConfig, ServerMsg, TenantClient};
+use gdp_sim::probe::ProbeEvent;
+use gdp_sim::types::{CoreId, ReqId};
 use gdp_telemetry::MetricsRegistry;
 
 #[test]
@@ -121,6 +123,46 @@ fn wrong_boundary_count_fails_only_that_tenant() {
         &rows,
         &embedded_rows(&trace, &x, &set),
         "healthy tenant next to a malformed one",
+    );
+    server.shutdown();
+}
+
+#[test]
+fn an_event_on_a_core_the_cmp_lacks_fails_only_that_tenant() {
+    // A 2-core CMP, one shard: the bad tenant and its neighbour share the
+    // shard thread, which must survive an event naming core 7.
+    let cores = 2;
+    let x = xcfg(cores);
+    let trace = recorded(5, cores);
+    let set = [Technique::ITCA];
+    let mut cfg = ServeConfig::new(x.clone());
+    cfg.shards = 1;
+    let (server, connector) = serve_channel(cfg);
+
+    let mut bad = TenantClient::over(connector.connect().expect("dial"));
+    bad.hello(1, cores, &set).expect("admission");
+    let mut iv = trace.intervals[0].clone();
+    let cycle = iv.events.last().map_or(0, ProbeEvent::cycle);
+    iv.events.push(ProbeEvent::LlcAccess {
+        core: CoreId(7),
+        block: 0x40,
+        cycle,
+        hit: false,
+        req: ReqId(u64::MAX),
+    });
+    bad.send_interval(&iv).expect("send");
+    match bad.recv_msg() {
+        Ok(ServerMsg::Error(m)) => assert!(m.contains("INTERVAL"), "typed decode error, got {m:?}"),
+        other => panic!("expected a typed error, got {other:?}"),
+    }
+
+    let mut good = TenantClient::over(connector.connect().expect("dial"));
+    good.hello(2, cores, &set).expect("admission on the same shard");
+    let rows = good.stream(&trace.intervals, 1).expect("healthy stream");
+    assert_rows_bit_identical(
+        &rows,
+        &embedded_rows(&trace, &x, &set),
+        "healthy tenant next to one naming a missing core",
     );
     server.shutdown();
 }

@@ -117,11 +117,6 @@ pub enum ProbeEvent {
         /// Interference suffered by the blocking load (PTCA's input).
         blocking_interference: Option<Interference>,
     },
-    /// A measurement interval ended (estimates are produced here).
-    IntervalEnd {
-        /// Cycle of the boundary.
-        cycle: Cycle,
-    },
 }
 
 impl ProbeEvent {
@@ -130,20 +125,18 @@ impl ProbeEvent {
         match self {
             ProbeEvent::LoadL1Miss { cycle, .. }
             | ProbeEvent::LoadL1MissDone { cycle, .. }
-            | ProbeEvent::LlcAccess { cycle, .. }
-            | ProbeEvent::IntervalEnd { cycle } => *cycle,
+            | ProbeEvent::LlcAccess { cycle, .. } => *cycle,
             ProbeEvent::Stall { end, .. } => *end,
         }
     }
 
-    /// The core this event concerns, if core-specific.
-    pub fn core(&self) -> Option<CoreId> {
+    /// The core this event concerns.
+    pub fn core(&self) -> CoreId {
         match self {
             ProbeEvent::LoadL1Miss { core, .. }
             | ProbeEvent::LoadL1MissDone { core, .. }
             | ProbeEvent::LlcAccess { core, .. }
-            | ProbeEvent::Stall { core, .. } => Some(*core),
-            ProbeEvent::IntervalEnd { .. } => None,
+            | ProbeEvent::Stall { core, .. } => *core,
         }
     }
 }
@@ -156,7 +149,7 @@ mod tests {
     fn event_accessors() {
         let e = ProbeEvent::LoadL1Miss { core: CoreId(2), req: ReqId(9), block: 0x40, cycle: 123 };
         assert_eq!(e.cycle(), 123);
-        assert_eq!(e.core(), Some(CoreId(2)));
+        assert_eq!(e.core(), CoreId(2));
         let s = ProbeEvent::Stall {
             core: CoreId(1),
             start: 10,
@@ -168,7 +161,6 @@ mod tests {
             blocking_interference: None,
         };
         assert_eq!(s.cycle(), 20, "stalls become visible when they end");
-        let i = ProbeEvent::IntervalEnd { cycle: 50 };
-        assert_eq!(i.core(), None);
+        assert_eq!(s.core(), CoreId(1));
     }
 }

@@ -195,7 +195,6 @@ const EV_L1_MISS: u8 = 0;
 const EV_L1_MISS_DONE: u8 = 1;
 const EV_LLC_ACCESS: u8 = 2;
 const EV_STALL: u8 = 3;
-const EV_INTERVAL_END: u8 = 4;
 
 /// Encode one event; `prev` is the previous event's visibility cycle
 /// (the delta base), updated to this event's.
@@ -262,31 +261,48 @@ fn encode_event(w: &mut Writer, ev: &ProbeEvent, prev: &mut u64) {
             encode_opt_interference(w, blocking_interference);
             *prev = *end; // stalls become visible when they end
         }
-        ProbeEvent::IntervalEnd { cycle } => {
-            w.u8(EV_INTERVAL_END);
-            w.zigzag(*cycle as i64 - *prev as i64);
-            *prev = *cycle;
-        }
     }
 }
 
-fn decode_event(r: &mut Reader<'_>, prev: &mut u64) -> Result<ProbeEvent, TraceError> {
+/// `base` advanced by the encoded `delta`, if the result is a cycle the
+/// encoder can write: it stores timestamps as `i64` differences, so
+/// every cycle lies in `0..=i64::MAX`.
+fn advance(base: u64, delta: i64) -> Option<u64> {
+    i64::try_from(base).ok()?.checked_add(delta).and_then(|c| u64::try_from(c).ok())
+}
+
+/// Decode one event of an interval bounded by `limits`; `prev` is the
+/// delta base, updated to this event's visibility cycle. An event on a
+/// core at or past the limit's core count, or a timestamp that does not
+/// fit, is a `BadSection` error: no observer indexes a core the CMP does
+/// not have, and no timestamp wraps.
+fn decode_event(
+    r: &mut Reader<'_>,
+    prev: &mut u64,
+    limits: &IntervalLimits,
+) -> Result<ProbeEvent, TraceError> {
+    let bad = || TraceError::BadSection { section: limits.section };
+    let cores = *limits.boundaries.end();
+    let core = |r: &mut Reader<'_>| match r.u8()? {
+        c if usize::from(c) < cores => Ok(CoreId(c)),
+        _ => Err(bad()),
+    };
     let at = r.pos();
     let tag = r.u8()?;
     match tag {
         EV_L1_MISS => {
-            let core = CoreId(r.u8()?);
+            let core = core(r)?;
             let req = ReqId(r.varint()?);
             let block = r.varint()?;
-            let cycle = (*prev as i64 + r.zigzag()?) as u64;
+            let cycle = advance(*prev, r.zigzag()?).ok_or_else(bad)?;
             *prev = cycle;
             Ok(ProbeEvent::LoadL1Miss { core, req, block, cycle })
         }
         EV_L1_MISS_DONE => {
-            let core = CoreId(r.u8()?);
+            let core = core(r)?;
             let req = ReqId(r.varint()?);
             let block = r.varint()?;
-            let cycle = (*prev as i64 + r.zigzag()?) as u64;
+            let cycle = advance(*prev, r.zigzag()?).ok_or_else(bad)?;
             let sms = r.u8()? != 0;
             let latency = r.varint()?;
             let interference = decode_interference(r)?;
@@ -306,18 +322,19 @@ fn decode_event(r: &mut Reader<'_>, prev: &mut u64) -> Result<ProbeEvent, TraceE
             })
         }
         EV_LLC_ACCESS => {
-            let core = CoreId(r.u8()?);
+            let core = core(r)?;
             let block = r.varint()?;
-            let cycle = (*prev as i64 + r.zigzag()?) as u64;
+            let cycle = advance(*prev, r.zigzag()?).ok_or_else(bad)?;
             let hit = r.u8()? != 0;
             let req = ReqId(r.varint()?);
             *prev = cycle;
             Ok(ProbeEvent::LlcAccess { core, block, cycle, hit, req })
         }
         EV_STALL => {
-            let core = CoreId(r.u8()?);
-            let start = (*prev as i64 + r.zigzag()?) as u64;
-            let end = start + r.varint()?;
+            let core = core(r)?;
+            let start = advance(*prev, r.zigzag()?).ok_or_else(bad)?;
+            let len = i64::try_from(r.varint()?).map_err(|_| bad())?;
+            let end = advance(start, len).ok_or_else(bad)?;
             let cause = decode_stall_cause(r)?;
             let blocking_block = decode_opt_u64(r)?;
             let blocking_req = decode_opt_u64(r)?.map(ReqId);
@@ -334,11 +351,6 @@ fn decode_event(r: &mut Reader<'_>, prev: &mut u64) -> Result<ProbeEvent, TraceE
                 blocking_sms,
                 blocking_interference,
             })
-        }
-        EV_INTERVAL_END => {
-            let cycle = (*prev as i64 + r.zigzag()?) as u64;
-            *prev = cycle;
-            Ok(ProbeEvent::IntervalEnd { cycle })
         }
         tag => Err(TraceError::BadTag { what: "event", tag, at }),
     }
@@ -393,7 +405,8 @@ pub fn encode_interval_payload(iv: &TraceInterval) -> Vec<u8> {
 
 /// Decode one self-contained interval payload (inverse of
 /// [`encode_interval_payload`]); strict — every byte accounted for,
-/// instruction windows non-negative, at most `max_cores` boundaries and
+/// instruction windows non-negative, at most `max_cores` boundaries,
+/// events only on cores below `max_cores`, every timestamp in range and
 /// at most `max_events` events. A declared event count above
 /// `max_events` is rejected before anything is reserved for it.
 pub fn decode_interval_payload(
@@ -411,8 +424,8 @@ pub fn decode_interval_payload(
 
 // Minimum encoded sizes, for bounding what a declared count may reserve:
 // a count can only claim as many items as the bytes left could hold.
-/// `IntervalEnd`: tag and a one-byte delta.
-const MIN_EVENT_BYTES: usize = 2;
+/// `LoadL1Miss`: tag, core and three one-byte varints.
+const MIN_EVENT_BYTES: usize = 5;
 /// An interval with no events and no boundaries: two zero counts.
 const MIN_INTERVAL_BYTES: usize = 2;
 /// Two instruction varints, 16 stats varints and two raw f64s.
@@ -439,7 +452,8 @@ struct IntervalLimits {
     /// Boundary counts one interval may carry: exactly the core count in
     /// a trace file (the recorder writes no other), at most that in a
     /// serve frame (whose exact count the serve shard checks per
-    /// tenant). More would hand replay an out-of-range core index.
+    /// tenant). More would hand replay an out-of-range core index, and
+    /// so would an event on a core at or past the upper end.
     boundaries: RangeInclusive<usize>,
     /// Section named by errors.
     section: &'static str,
@@ -467,7 +481,7 @@ fn decode_interval_into(
     iv.events.clear();
     iv.events.reserve(bounded(n_events, r, MIN_EVENT_BYTES));
     for _ in 0..n_events {
-        iv.events.push(decode_event(r, prev)?);
+        iv.events.push(decode_event(r, prev, limits)?);
     }
     let n_bounds = r.varint()?;
     if !usize::try_from(n_bounds).is_ok_and(|n| limits.boundaries.contains(&n)) {
@@ -945,7 +959,7 @@ mod tests {
                 blocking_sms: Some(true),
                 blocking_interference: Some(Interference { ring: 1, mc_queue: 0, mc_row: 2 }),
             },
-            ProbeEvent::IntervalEnd { cycle: 200 },
+            ProbeEvent::LoadL1Miss { core: CoreId(1), req: ReqId(11), block: 0x2000, cycle: 200 },
         ];
         let b = |i: u64| Boundary {
             instr_start: i * 100,
@@ -1174,6 +1188,77 @@ mod tests {
         assert_eq!(
             decode_shared(&encode_shared(&t)),
             Err(TraceError::BadSection { section: "INTERVALS" })
+        );
+    }
+
+    #[test]
+    fn events_on_cores_the_cmp_lacks_are_rejected() {
+        // An observer indexes its per-core state by the event's core: a
+        // core past the CMP's would panic the replay or the serve shard.
+        let mut t = sample_shared();
+        t.intervals[0].events[1] = ProbeEvent::LlcAccess {
+            core: CoreId(7),
+            block: 0x80,
+            cycle: 14,
+            hit: true,
+            req: ReqId(10),
+        };
+        assert_eq!(
+            decode_shared(&encode_shared(&t)),
+            Err(TraceError::BadSection { section: "INTERVALS" })
+        );
+        let bytes = encode_interval_payload(&t.intervals[0]);
+        assert_eq!(
+            decode_interval_payload(&bytes, 2, usize::MAX),
+            Err(TraceError::BadSection { section: "INTERVAL" })
+        );
+        assert!(decode_interval_payload(&bytes, 8, usize::MAX).is_ok(), "core 7 of 8 is fine");
+    }
+
+    /// A serve-frame payload of `events` hand-written event records (the
+    /// encoder cannot produce the hostile deltas) and no boundaries.
+    fn raw_payload(events: u64, write: impl Fn(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.varint(events);
+        write(&mut w);
+        w.varint(0);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn cycle_delta_overflow_is_a_typed_error() {
+        // Two events each a delta of i64::MAX after the last: the second
+        // timestamp does not fit.
+        let bytes = raw_payload(2, |w| {
+            for req in 0..2 {
+                w.u8(EV_L1_MISS);
+                w.u8(0);
+                w.varint(req);
+                w.varint(0x40);
+                w.zigzag(i64::MAX);
+            }
+        });
+        assert_eq!(
+            decode_interval_payload(&bytes, 2, usize::MAX),
+            Err(TraceError::BadSection { section: "INTERVAL" })
+        );
+    }
+
+    #[test]
+    fn stall_length_overflow_is_a_typed_error() {
+        let bytes = raw_payload(1, |w| {
+            w.u8(EV_STALL);
+            w.u8(0);
+            w.zigzag(i64::MAX);
+            w.varint(u64::MAX);
+            w.u8(stall_cause_tag(StallCause::Load));
+            for _ in 0..4 {
+                w.u8(0); // no blocking block, request, SMS flag or interference
+            }
+        });
+        assert_eq!(
+            decode_interval_payload(&bytes, 2, usize::MAX),
+            Err(TraceError::BadSection { section: "INTERVAL" })
         );
     }
 

@@ -1,7 +1,7 @@
 //! Quickstart: embed GDP as a *streaming* estimation session.
 //!
 //! Build a 4-core CMP, attach the GDP-O accounting hardware through the
-//! technique registry, and consume per-interval private-mode (i.e.
+//! technique table, and consume per-interval private-mode (i.e.
 //! interference-free) performance estimates online — the way a host
 //! scheduler or QoS controller would, polling between its own events
 //! instead of waiting for a batch run to finish.
@@ -18,12 +18,12 @@ fn main() {
     println!("CMP: {} cores, LLC {} KB", xcfg.sim.cores, xcfg.sim.llc.size_bytes >> 10);
     println!("workload: {:?}", workload.names());
 
-    // Techniques are registry entries: list what could be attached, then
+    // Techniques are table entries: list what could be attached, then
     // attach GDP-O by id.
     println!("registered techniques:");
-    for desc in registry().iter() {
-        let kind = if desc.caps.invasive { "invasive" } else { "transparent" };
-        println!("  {:6} {:6} [{kind}] {}", desc.id, desc.label, desc.summary);
+    for t in Technique::all_registered() {
+        let kind = if t.is_invasive() { "invasive" } else { "transparent" };
+        println!("  {:6} {:6} [{kind}] {}", t.id(), t.name(), t.desc().summary);
     }
     let gdp_o = Technique::from_id("gdp-o").expect("registered");
 

@@ -10,7 +10,7 @@
 //! * [`partition`] — LLC way-partitioning policies (UCP, MCP, MCP-O, ASM).
 //! * [`metrics`] — RMS error, STP and distribution summaries.
 //! * [`experiments`] — shared/private mode drivers reproducing the paper's
-//!   evaluation, the technique registry and the streaming
+//!   evaluation, the technique table and the streaming
 //!   [`Session`] API.
 //! * [`runner`] — parallel, deterministic campaign execution (job pool,
 //!   shared CLI, machine-readable JSON results).
@@ -42,9 +42,10 @@
 //! }
 //! ```
 //!
-//! Techniques are data: every estimator registers a stable id, factory
-//! and capability flags in the [`experiments::registry`], so new
-//! techniques and technique subsets are configuration, not code.
+//! Techniques are data: every estimator's descriptor — a stable id,
+//! factory, readout and capability flags — sits in one `const` table
+//! behind [`Technique`], so technique subsets are configuration, not
+//! code.
 //!
 //! See `examples/quickstart.rs` for the runnable end-to-end tour.
 
@@ -65,9 +66,9 @@ pub use gdp_experiments::{EstimationSession as Session, ReplaySession, SessionBu
 /// The embedding-facing prelude: everything a host needs to build a
 /// streaming estimation session and read its estimates.
 pub mod prelude {
-    pub use gdp_core::{PrivateEstimate, TechniqueConfig, TechniqueRegistry};
+    pub use gdp_core::{PrivateEstimate, TechniqueConfig};
     pub use gdp_experiments::{
-        registry, CoreInterval, EstimationSession as Session, ExperimentConfig, ReplaySession,
+        CoreInterval, EstimationSession as Session, ExperimentConfig, ReplaySession,
         SessionBuilder, SharedRun, Technique,
     };
     pub use gdp_workloads::{paper_workloads, Workload};
